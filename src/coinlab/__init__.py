@@ -7,7 +7,6 @@ matrices.
 """
 from .bounds import ClaimReport, DerivedThresholds, Params, check_claims, derive, lemma52_part1_bound
 from .exact import (
-    ExactProb,
     chernoff_tail,
     prob_max_ge_enumeration,
     prob_max_ge_reflection,
@@ -45,6 +44,6 @@ from .mc import (
     verify_lemma52_part2,
     verify_lemma71,
 )
-from .walks import StoppedStream, StoppingStrategy, WalkTrace, apply_stop, generate_walk
+from .walks import StoppedStream, StoppingStrategy, WalkTrace, apply_stop, draw_steps, generate_walk
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Every numeric field of a report is a pure function of (subcommand,
 parameters, seed, trials); wall times are reported but excluded from that
 guarantee. Exit status: 0 when no experiment fails (inconclusive CI
 straddles are reported but non-blocking), 1 on any failure or convergence
-error, 2 on usage errors.
+error, 2 on usage errors, including parameters an experiment rejects.
 """
 from __future__ import annotations
 
@@ -75,6 +75,8 @@ def _verdict_row(experiment: str, verdict, claim_id: str | None = None) -> dict:
 
 def _run_fact3(cfg: dict) -> list[dict]:
     n, trials, seed, workers = cfg["n"], cfg["trials"], cfg["seed"], cfg["workers"]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rows: list[dict] = []
     if n <= _ENUM_ROW_LIMIT:
         mismatches = [
@@ -205,6 +207,8 @@ def _recompute_components(record) -> dict:
 def _run_coin_iter(cfg: dict) -> list[dict]:
     config = _iteration_config(cfg)
     iterations = cfg["iterations"]
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     additive_failures = 0
     extreme_failures = 0
     good_hits = 0
@@ -436,6 +440,8 @@ def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
         raise ValueError("--seed is required (no wall-clock seeding)")
     if cfg["seed"] < 0:
         raise ValueError("--seed must be non-negative")
+    if cfg["workers"] < 1:
+        raise ValueError("--workers must be >= 1")
     if cfg.get("format") not in ("json", "csv"):
         raise ValueError(f"--format must be json or csv, got {cfg.get('format')!r}")
     return cfg
@@ -538,7 +544,11 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = _execute(args.subcommand, cfg)
+    try:
+        results = _execute(args.subcommand, cfg)
+    except ValueError as exc:  # parameters the experiments reject
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # workers/out/format steer execution and emission, not the experiments,
     # so they stay out of the echoed config (which is determinism-covered).
     echoed = {k: v for k, v in sorted(cfg.items())

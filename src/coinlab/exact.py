@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "ExactProb",
     "MAX_ENUM_LENGTH",
     "prob_sum_eq",
     "prob_sum_ge",
@@ -24,10 +23,6 @@ __all__ = [
     "prob_max_ge_enumeration",
     "chernoff_tail",
 ]
-
-# Exact probabilities are plain Fractions; see the module docstring for the
-# denominator convention.
-ExactProb = Fraction
 
 # Enumeration touches all 2**n walks; beyond this it is not worth the wait.
 MAX_ENUM_LENGTH = 24

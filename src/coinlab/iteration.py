@@ -11,13 +11,13 @@ direction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import Params, derive
 from .mc import DEFAULT_CONFIDENCE, McEstimate
-from .walks import StoppingStrategy, WalkTrace, apply_stop
+from .walks import StoppingStrategy, apply_stop, draw_steps
 
 __all__ = [
     "IterationConfig",
@@ -144,10 +144,6 @@ class IterationRecord:
         return out
 
 
-def _iteration_rng(config: IterationConfig, iteration_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((config.seed, iteration_index)))
-
-
 def run_iteration(config: IterationConfig, iteration_index: int = 0) -> IterationRecord:
     """Simulate one round; round i always draws from substream (seed, i).
 
@@ -157,9 +153,9 @@ def run_iteration(config: IterationConfig, iteration_index: int = 0) -> Iteratio
     """
     if iteration_index < 0:
         raise ValueError("iteration_index must be non-negative")
-    rng = _iteration_rng(config, iteration_index)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, iteration_index)))
     n, good = config.n, config.n - config.t
-    streams = rng.integers(0, 2, size=(good, n), dtype=np.int8) * 2 - 1
+    streams = draw_steps(rng, (good, n))
     k = config.complete_count
     complete = streams[:k]
     excluded = streams[k : k + config.t_excluded]
@@ -180,12 +176,8 @@ def run_iteration(config: IterationConfig, iteration_index: int = 0) -> Iteratio
 
     # Stopped streams are truncated at the opposing extreme over the whole round.
     strategy = StoppingStrategy.omniscient_extreme(direction=-direction, window=(1, n))
-    stopped_sum = 0
-    stop_indices = []
-    for row in stopped:
-        result = apply_stop(WalkTrace.from_steps(row), strategy)
-        stopped_sum += result.value
-        stop_indices.append(result.stop_index)
+    result = apply_stop(np.cumsum(stopped, axis=-1, dtype=np.int64), strategy)
+    stopped_sum = int(result.value.sum())
 
     ambiguous_term = -direction * config.ambiguous_allowance
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution
@@ -202,7 +194,7 @@ def run_iteration(config: IterationConfig, iteration_index: int = 0) -> Iteratio
         excluded_sum=excluded_sum,
         excluded_capped=excluded_capped,
         excluded_cap_binds=cap_binds,
-        stopped_sum=int(stopped_sum),
+        stopped_sum=stopped_sum,
         ambiguous_term=ambiguous_term,
         bad_contribution=config.bad_contribution,
         total=int(total),
@@ -213,7 +205,7 @@ def run_iteration(config: IterationConfig, iteration_index: int = 0) -> Iteratio
         complete_streams=complete,
         excluded_streams=excluded,
         stopped_streams=stopped,
-        stop_indices=tuple(stop_indices),
+        stop_indices=tuple(result.stop_index.tolist()),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import McEstimate, VerificationVerdict, run_blocks, verdict_for
-from .walks import StoppingStrategy, WalkTrace, apply_stop
+from .walks import StoppingStrategy, apply_stop, draw_steps
 
 __all__ = [
     "StoppedCoinMatrix",
@@ -31,7 +31,6 @@ __all__ = [
     "spectral_norm",
     "norm_2x2",
     "verify_norm_bound",
-    "export_csv",
 ]
 
 # Matrices stay small (hundreds of rows/columns); dense numpy throughout.
@@ -74,22 +73,23 @@ class StoppedCoinMatrix:
             raise SpectralCheckError("unstopped entries must be +/-1")
         if not np.array_equal(self.stopped, self.unstopped + self.correction):
             raise SpectralCheckError("stopped != unstopped + correction")
-        mask = np.zeros(n, dtype=bool)
-        mask[list(self.stopped_columns)] = True
-        if np.any(self.correction[:, ~mask]):
-            raise SpectralCheckError("correction leaks outside stopped columns")
-        for j in self.stopped_columns:
-            k = self.stop_points[j]
-            if not 0 <= k <= n:
-                raise SpectralCheckError(f"stop point {k} outside [0, {n}]")
-            if np.any(self.stopped[:k, j] != self.unstopped[:k, j]) or np.any(self.stopped[k:, j]):
-                raise SpectralCheckError(f"column {j} not truncated at {k}")
+        stops = np.array(list(self.stop_points.values()), dtype=np.int64)
+        if tuple(self.stop_points) != self.stopped_columns or np.any((stops < 0) | (stops > n)):
+            raise SpectralCheckError(f"stop points {self.stop_points} invalid for length {n}")
+        cols = list(self.stopped_columns)
+        truncated = self.unstopped.copy()
+        truncated[:, cols] = np.where(np.arange(n)[:, None] < stops, self.unstopped[:, cols], 0)
+        if not np.array_equal(self.stopped, truncated):
+            raise SpectralCheckError("stopped is not unstopped truncated at the stop points")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+def _truncate(coins: np.ndarray, adversary: StoppingStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Stop each column of ``coins`` (shape (..., n, columns), one stream per column); return
+    the stop points and the correction that cancels each column below its stop point."""
+    sums = np.cumsum(np.swapaxes(coins, -1, -2), axis=-1, dtype=np.int64)
+    stops = apply_stop(sums, adversary).stop_index
+    kept = np.arange(coins.shape[-2])[:, None] < stops[..., None, :]
+    return stops, np.where(kept, 0, -coins)
 
 
 def build_H(n: int, t_stopped: int, adversary: StoppingStrategy, seed,
@@ -113,21 +113,18 @@ def build_H(n: int, t_stopped: int, adversary: StoppingStrategy, seed,
             raise ValueError("stopped column index out of range")
         if len(set(stopped_columns)) != len(stopped_columns):
             raise ValueError("stopped columns must be distinct")
-    rng = _as_rng(seed)
-    unstopped = (rng.integers(0, 2, size=(n, n), dtype=np.int8) * 2 - 1).astype(np.int64)
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    cols = list(stopped_columns)
+    unstopped = draw_steps(seed, (n, n)).astype(np.int64)
     correction = np.zeros_like(unstopped)
-    stop_points: dict[int, int] = {}
-    for j in stopped_columns:
-        trace = WalkTrace.from_steps(unstopped[:, j])
-        k = apply_stop(trace, adversary).stop_index
-        stop_points[j] = k
-        correction[k:, j] = -unstopped[k:, j]
+    stops, correction[:, cols] = _truncate(unstopped[:, cols], adversary)
     return StoppedCoinMatrix(
         stopped=unstopped + correction,
         unstopped=unstopped,
         correction=correction,
         stopped_columns=stopped_columns,
-        stop_points=stop_points,
+        stop_points=dict(zip(stopped_columns, stops.tolist())),
     )
 
 
@@ -143,7 +140,6 @@ class IterationSumMatrices:
     full_sums: np.ndarray
     correction_sums: np.ndarray
     bad_columns: tuple[int, ...]
-    rounds: tuple[StoppedCoinMatrix, ...]
 
     def validate(self) -> None:
         if not np.array_equal(self.stopped_sums, self.full_sums + self.correction_sums):
@@ -171,24 +167,21 @@ def build_G(params: Params, adversary: StoppingStrategy, seed,
     overlap = set(bad_columns) & set(range(t))
     if overlap:
         raise ValueError(f"bad columns {sorted(overlap)} collide with stopped columns")
-    gen = _as_rng(seed) if isinstance(seed, np.random.Generator) else None
-    stopped_sums = np.zeros((m, n), dtype=np.int64)
-    full_sums = np.zeros((m, n), dtype=np.int64)
-    rounds = []
+    if isinstance(seed, np.random.Generator):
+        rngs = [seed] * m
+    else:
+        rngs = [np.random.default_rng(np.random.SeedSequence((int(seed), i))) for i in range(m)]
+    coins = np.stack([draw_steps(rng, (n, n)) for rng in rngs])
     keep = np.ones(n, dtype=np.int64)
     keep[list(bad_columns)] = 0
-    for i in range(m):
-        rng = gen if gen is not None else np.random.default_rng(np.random.SeedSequence((int(seed), i)))
-        round_matrix = build_H(n, t, adversary, rng)
-        stopped_sums[i] = round_matrix.stopped.sum(axis=0) * keep
-        full_sums[i] = round_matrix.unstopped.sum(axis=0) * keep
-        rounds.append(round_matrix)
+    full_sums = coins.sum(axis=1, dtype=np.int64) * keep
+    correction_sums = np.zeros((m, n), dtype=np.int64)
+    correction_sums[:, :t] = _truncate(coins[:, :, :t], adversary)[1].sum(axis=1)
     return IterationSumMatrices(
-        stopped_sums=stopped_sums,
+        stopped_sums=full_sums + correction_sums,
         full_sums=full_sums,
-        correction_sums=stopped_sums - full_sums,
+        correction_sums=correction_sums,
         bad_columns=bad_columns,
-        rounds=tuple(rounds),
     )
 
 
@@ -396,8 +389,3 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers
         },
         triangle_checked=True,
     )
-
-
-def export_csv(matrix, path, fmt: str = "%d") -> None:
-    """Write a matrix as comma-separated values."""
-    np.savetxt(path, np.asarray(matrix), fmt=fmt, delimiter=",")

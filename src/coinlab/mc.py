@@ -11,6 +11,7 @@ byte.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,6 +21,7 @@ from scipy.stats import beta as _beta_dist
 
 from .bounds import Params, derive, lemma52_part1_bound
 from .exact import prob_max_ge_reflection, prob_sum_ge
+from .walks import StoppingStrategy, apply_stop, draw_steps
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -62,7 +64,8 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
 
     ``counter`` must be picklable (module-level function or partial of one)
     and return a fixed-length vector of tallies for its block of trials,
-    whose global indices are ``start .. start+count-1``.
+    whose global indices are ``start .. start+count-1``. The pool is capped
+    at the CPU count and the number of blocks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -76,18 +79,15 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
         count = min(block_size, trials - start)
         tasks.append((counter, seed, index, start, count))
         index += 1
-    workers = max(1, int(workers))
+    workers = min(int(workers), os.cpu_count() or 1, len(tasks))
     total: np.ndarray | None = None
-    if workers == 1 or len(tasks) == 1:
+    if workers == 1:
         results = map(_eval_block, tasks)
     else:
-        executor = ProcessPoolExecutor(max_workers=workers)
-        try:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(
                 executor.map(_eval_block, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
             )
-        finally:
-            executor.shutdown()
     for res in results:
         total = res.copy() if total is None else total + res
     assert total is not None
@@ -206,8 +206,7 @@ def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: st
 # --- block counters (module level so worker processes can unpickle them) ---
 
 def _walk_sums(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
-    steps = rng.integers(0, 2, size=(count, length), dtype=np.int8) * 2 - 1
-    return np.cumsum(steps, axis=1, dtype=np.int32)
+    return np.cumsum(draw_steps(rng, (count, length)), axis=1, dtype=np.int32)
 
 
 def _max_ge_counter(rng, count, start, *, length, threshold):
@@ -231,11 +230,10 @@ def _two_phase_counter(rng, count, start, *, n_core, n_full, direction,
     if direction < 0:
         sums = -sums  # mirror symmetry: analyse everything in the + frame
     core = sums[:, n_core - 1]
-    window = sums[:, n_core - 1 : n_full]
-    drop = window.min(axis=1) - core  # <= 0; adversary's best opposing excursion
-    stopped = core + drop            # most damaging stop inside the window
+    # the adversary's most damaging stop inside the window
+    stopped = apply_stop(sums, StoppingStrategy.omniscient_extreme(-1, (n_core, n_full))).value
     first = core >= alpha
-    adversary = -drop >= beta_quarter
+    adversary = core - stopped >= beta_quarter
     full = stopped >= alpha_prime
     return [
         int(np.count_nonzero(first)),

@@ -3,10 +3,14 @@
 A walk is a finite stream of fair coinflips. An adversary may truncate the
 stream at a point of its choosing; the rules here range from "never stop"
 to a clairvoyant stop at the most extreme prefix sum inside a window.
+
+Every module draws its coins with ``draw_steps`` and lets ``apply_stop``
+choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
+sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +19,7 @@ __all__ = [
     "WalkTrace",
     "StoppingStrategy",
     "StoppedStream",
+    "draw_steps",
     "generate_walk",
     "apply_stop",
 ]
@@ -67,6 +72,11 @@ class WalkTrace:
         return int(self.steps.size)
 
 
+def draw_steps(rng: np.random.Generator, shape) -> np.ndarray:
+    """Draw fair +/-1 steps (int8) of the given shape from ``rng``."""
+    return rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+
+
 def generate_walk(length: int, rng: np.random.Generator) -> WalkTrace:
     """Draw a fair +/-1 walk of the given length from ``rng``.
 
@@ -76,8 +86,7 @@ def generate_walk(length: int, rng: np.random.Generator) -> WalkTrace:
         raise ValueError("length must be non-negative")
     if length > MAX_STREAM_LENGTH:
         raise ValueError(f"stream length {length} exceeds cap {MAX_STREAM_LENGTH}")
-    steps = rng.integers(0, 2, size=length, dtype=np.int8) * 2 - 1
-    return WalkTrace.from_steps(steps)
+    return WalkTrace.from_steps(draw_steps(rng, length))
 
 
 def _as_direction(direction) -> int:
@@ -157,10 +166,10 @@ class StoppingStrategy:
 
 @dataclass(frozen=True)
 class StoppedStream:
-    """Outcome of applying a stopping rule: where it stopped and the value there."""
+    """Outcome of a stopping rule: where it stopped and the value there (arrays for a batch)."""
 
-    stop_index: int
-    value: int
+    stop_index: int | np.ndarray
+    value: int | np.ndarray
     strategy_used: StoppingStrategy
 
 
@@ -171,34 +180,39 @@ def _resolve_window(strategy: StoppingStrategy, length: int) -> tuple[int, int]:
     return lo, hi
 
 
-def apply_stop(trace: WalkTrace, strategy: StoppingStrategy) -> StoppedStream:
-    """Apply ``strategy`` to ``trace`` and report the stop point and stopped value.
+def apply_stop(walk, strategy: StoppingStrategy) -> StoppedStream:
+    """Apply ``strategy`` to ``walk`` and report the stop point and stopped value.
 
-    ``first_hit`` stops at the first prefix inside the window whose sum
-    reaches the threshold in the targeted direction, and at the window's
-    upper bound if that never happens. ``omniscient_extreme`` stops at the
-    most extreme prefix sum in the window, smallest index on ties.
+    ``walk`` is a ``WalkTrace`` or prefix sums with walks on the last axis
+    (``sums[..., k-1]`` is the k-th prefix sum). Stop point k keeps the
+    first k steps; a stop at 0 has value 0. ``first_hit`` stops at the first
+    prefix inside the window whose sum reaches the threshold in the targeted
+    direction, and at the window's upper bound if that never happens.
+    ``omniscient_extreme`` stops at the most extreme prefix sum in the
+    window, smallest index on ties.
     """
-    n = len(trace)
-    if strategy.kind == "no_stop":
-        stop = n
-    elif strategy.kind == "fixed_length":
-        stop = strategy.length
+    scalar = isinstance(walk, WalkTrace)
+    sums = walk.prefix_sums[1:] if scalar else np.asarray(walk)
+    n, batch = sums.shape[-1], sums.shape[:-1]
+    if strategy.kind in ("no_stop", "fixed_length"):
+        stop = n if strategy.kind == "no_stop" else strategy.length
         if not (0 <= stop <= n):
             raise ValueError(f"fixed stop point {stop} outside [0, {n}]")
-    elif strategy.kind == "first_hit":
+        value = sums[..., stop - 1] if stop else np.zeros(batch, dtype=sums.dtype)
+        stop = np.full(batch, stop)
+    elif strategy.kind in ("first_hit", "omniscient_extreme"):
         lo, hi = _resolve_window(strategy, n)
-        segment = trace.prefix_sums[lo : hi + 1] * strategy.direction
-        hits = np.nonzero(segment >= strategy.threshold)[0]
-        stop = int(lo + hits[0]) if hits.size else hi
-    elif strategy.kind == "omniscient_extreme":
-        lo, hi = _resolve_window(strategy, n)
-        segment = trace.prefix_sums[lo : hi + 1] * strategy.direction
-        stop = int(lo + np.argmax(segment))
+        segment = sums[..., lo - 1 : hi]
+        up = strategy.direction > 0
+        if strategy.kind == "first_hit":
+            hit = segment >= strategy.threshold if up else segment <= -strategy.threshold
+            offset = np.where(hit.any(axis=-1), hit.argmax(axis=-1), hi - lo)
+        else:
+            offset = segment.argmax(axis=-1) if up else segment.argmin(axis=-1)
+        value = np.take_along_axis(segment, offset[..., None], axis=-1)[..., 0]
+        stop = lo + offset
     else:
         raise ValueError(f"unknown stopping rule {strategy.kind!r}")
-    return StoppedStream(
-        stop_index=stop,
-        value=int(trace.prefix_sums[stop]),
-        strategy_used=strategy,
-    )
+    if scalar:
+        stop, value = int(stop), int(value)
+    return StoppedStream(stop_index=stop, value=value, strategy_used=strategy)

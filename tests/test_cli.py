@@ -30,6 +30,25 @@ def test_bad_format_rejected():
     assert run(["fact3", "--seed", "1", "--format", "xml"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fact3", "--seed", "0", "--trials", "0"],
+    ["fact3", "--seed", "0", "--n", "0"],
+    ["lemma52-1", "--seed", "0", "--t", "150"],
+    ["spectral", "--seed", "0", "--m", "0"],
+    ["lemma71", "--seed", "0", "--c1", "0.0001"],
+    ["coin-iter", "--seed", "0", "--iterations", "0"],
+    ["fact3", "--seed", "0", "--workers", "0"],
+    ["all", "--seed", "0", "--workers", "-2"],
+])
+def test_rejected_parameters_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    if argv[0] == "coin-iter":
+        assert "iterations must be >= 1" in err
+
+
 def test_fact3_json_report(tmp_path):
     out = tmp_path / "report.json"
     code = run(["fact3", "--n", "6", "--trials", "4000", "--seed", "1",

@@ -6,7 +6,6 @@ from coinlab.matrices import (
     ConvergenceError,
     build_G,
     build_H,
-    export_csv,
     norm_2x2,
     spectral_norm,
     verify_norm_bound,
@@ -59,6 +58,23 @@ def test_build_G_decomposition():
     # bad columns are zeroed in every round
     assert not G.stopped_sums[:, [10, 11]].any()
     assert not G.full_sums[:, [10, 11]].any()
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_build_G_rows_are_build_H_column_sums(as_generator):
+    # build_G stops all rounds at once; per round it must equal build_H on
+    # the same substream (int seed) or the same sequential generator
+    params, seed = Params(n=12, t=2, m=8), 4
+    G = build_G(params, ADV, np.random.default_rng(seed) if as_generator else seed)
+    shared = np.random.default_rng(seed)
+    keep = np.ones(12, dtype=np.int64)
+    keep[list(G.bad_columns)] = 0
+    for i in range(params.m):
+        rng = shared if as_generator else np.random.default_rng(np.random.SeedSequence((seed, i)))
+        H = build_H(12, 2, ADV, rng)
+        assert np.array_equal(G.stopped_sums[i], H.stopped.sum(axis=0) * keep)
+        assert np.array_equal(G.full_sums[i], H.unstopped.sum(axis=0) * keep)
+        assert np.array_equal(G.correction_sums[i], H.correction.sum(axis=0) * keep)
 
 
 def test_build_G_bad_column_overlap_rejected():
@@ -160,10 +176,3 @@ def test_verify_norm_bound_worker_invariance():
     assert a.exceedance.empirical.successes == b.exceedance.empirical.successes
     assert a.mean_norms == b.mean_norms
 
-
-def test_export_csv_roundtrip(tmp_path):
-    H = build_H(8, 1, ADV, seed=0)
-    path = tmp_path / "h.csv"
-    export_csv(H.stopped, path)
-    back = np.loadtxt(path, delimiter=",", dtype=np.int64)
-    assert np.array_equal(back, H.stopped)

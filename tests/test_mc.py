@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import coinlab.mc
 from coinlab.bounds import Params, derive
 from coinlab.mc import (
     McEstimate,
@@ -40,6 +43,33 @@ def test_run_blocks_seed_changes_result():
     a = run_blocks(_sum_counter, 20_000, seed=1, block_size=512)
     b = run_blocks(_sum_counter, 20_000, seed=2, block_size=512)
     assert a[0] != b[0]
+
+
+def test_run_blocks_caps_pool_size(monkeypatch):
+    # a stand-in pool that records its size and maps serially, so no
+    # process is started whatever size is asked for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            pass
+
+    monkeypatch.setattr(coinlab.mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    serial = run_blocks(_sum_counter, 1000, seed=3, block_size=100)
+    pooled = run_blocks(_sum_counter, 1000, seed=3, block_size=100, workers=10**6)
+    assert np.array_equal(pooled, serial)
+    run_blocks(_sum_counter, 300, seed=3, block_size=100, workers=8)
+    assert sizes == [4, 3]  # capped by the CPU count, then by the 3 blocks
 
 
 def test_run_blocks_partial_last_block():

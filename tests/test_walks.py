@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinlab.walks import (
@@ -148,3 +148,64 @@ def test_first_hit_value_is_exact_on_hit(steps):
 def test_describe_mentions_kind():
     assert "omniscient" in StoppingStrategy.omniscient_extreme(direction=+1).describe()
     assert "first_hit" in StoppingStrategy.first_hit(3).describe()
+
+
+def _reference_stop(steps, strategy):
+    # plain-Python statement of each rule, for the batched path to agree with
+    prefix = [0]
+    for step in steps:
+        prefix.append(prefix[-1] + int(step))
+    n = len(steps)
+    if strategy.kind == "no_stop":
+        stop = n
+    elif strategy.kind == "fixed_length":
+        stop = strategy.length
+    else:
+        lo, hi = strategy.window if strategy.window is not None else (1, n)
+        d = strategy.direction
+        if strategy.kind == "first_hit":
+            hits = [k for k in range(lo, hi + 1) if d * prefix[k] >= strategy.threshold]
+            stop = hits[0] if hits else hi
+        else:
+            stop = lo
+            for k in range(lo + 1, hi + 1):
+                if d * prefix[k] > d * prefix[stop]:
+                    stop = k
+    return stop, prefix[stop]
+
+
+@st.composite
+def batches_and_strategies(draw):
+    rows = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 12))
+    row = st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length)
+    steps = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int8)
+    direction = draw(st.sampled_from([-1, 1]))
+    window = draw(st.none() | st.integers(1, length).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, length))))
+    kind = draw(st.sampled_from(["no_stop", "fixed_length", "first_hit", "omniscient_extreme"]))
+    if kind == "no_stop":
+        strategy = StoppingStrategy.no_stop()
+    elif kind == "fixed_length":
+        strategy = StoppingStrategy.fixed_length(draw(st.integers(0, length)))
+    elif kind == "first_hit":
+        strategy = StoppingStrategy.first_hit(draw(st.integers(1, length + 1)), direction, window)
+    else:
+        strategy = StoppingStrategy.omniscient_extreme(direction, window)
+    return steps, strategy
+
+
+@given(batches_and_strategies())
+@example((np.array([[1]], dtype=np.int8), StoppingStrategy.omniscient_extreme(-1)))
+@example((np.array([[-1, 1, -1, 1], [1, -1, 1, -1]], dtype=np.int8),
+          StoppingStrategy.omniscient_extreme(+1, window=(1, 4))))
+@settings(max_examples=300)
+def test_batched_stop_matches_reference_row_by_row(case):
+    steps, strategy = case
+    batched = apply_stop(np.cumsum(steps, axis=-1), strategy)
+    assert batched.stop_index.shape == batched.value.shape == steps.shape[:1]
+    for i, row in enumerate(steps):
+        expected = _reference_stop(row, strategy)
+        assert (int(batched.stop_index[i]), int(batched.value[i])) == expected
+        scalar = apply_stop(WalkTrace.from_steps(row), strategy)
+        assert (scalar.stop_index, scalar.value) == expected
