@@ -32,6 +32,7 @@ from .matrices import (
     build_H,
     norm_2x2,
     spectral_norm,
+    spectral_norms,
     verify_norm_bound,
 )
 from .mc import (
@@ -46,4 +47,4 @@ from .mc import (
 )
 from .walks import StoppedStream, StoppingStrategy, WalkTrace, apply_stop, draw_steps, generate_walk
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -3,8 +3,10 @@
 Every numeric field of a report is a pure function of (subcommand,
 parameters, seed, trials); wall times are reported but excluded from that
 guarantee. Exit status: 0 when no experiment fails (inconclusive CI
-straddles are reported but non-blocking), 1 on any failure or convergence
-error, 2 on usage errors, including parameters an experiment rejects.
+straddles are reported but non-blocking), 1 on any failure, including a
+spectral norm whose certificate misses its tolerance, 2 on usage errors,
+including parameters an experiment rejects and config-file values of the
+wrong type.
 """
 from __future__ import annotations
 
@@ -209,11 +211,17 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
     iterations = cfg["iterations"]
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    # Paired-seed invariance probe: the good event reads only the core, so
+    # changing the adversary's behavioral knobs must not move it.
+    probe = min(iterations, 200)
+    base_events = []
     additive_failures = 0
     extreme_failures = 0
     good_hits = 0
     for i in range(iterations):
         record = run_iteration(config, i)
+        if i < probe:
+            base_events.append(record.good_event)
         parts = _recompute_components(record)
         rebuilt = (parts["core"] + parts["excluded"] + parts["stopped"]
                    + record.ambiguous_term + record.bad_contribution)
@@ -224,10 +232,6 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
         good_hits += record.good_event
     frequency = McEstimate.from_counts(good_hits, iterations, config.seed)
 
-    # Paired-seed invariance: the good event reads only the core, so
-    # changing the adversary's behavioral knobs must not move it.
-    probe = min(iterations, 200)
-    base_events = [run_iteration(config, i).good_event for i in range(probe)]
     variants = [
         IterationConfig(**{**config.to_dict(), "ambiguous_allowance": 0}),
         IterationConfig(**{**config.to_dict(),
@@ -349,15 +353,6 @@ _RUNNERS = {
 
 # --- configuration plumbing ---
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _load_config_file(path: str) -> dict:
     values: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -368,7 +363,7 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = _parse_value(value.strip())
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -427,11 +422,16 @@ def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
     cfg.update(_DEFAULTS.get(subcommand, {}))
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
-        known = {name for name, _ in _COMMON_FLAGS + _PARAM_FLAGS + _ITER_FLAGS}
-        unknown = set(file_values) - known
+        kinds = dict(_COMMON_FLAGS + _PARAM_FLAGS + _ITER_FLAGS)
+        unknown = set(file_values) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_values)
+        for key, text in file_values.items():
+            try:
+                cfg[key] = kinds[key](text)
+            except ValueError:
+                raise ValueError(f"{args.config}: {key} = {text!r} is not "
+                                 f"a valid {kinds[key].__name__}") from None
     for name, _ in _COMMON_FLAGS + _PARAM_FLAGS + _ITER_FLAGS:
         value = getattr(args, name, None)
         if value is not None:

@@ -4,8 +4,9 @@ A round's coin matrix holds each processor's stream as a column; the
 adversary may truncate some columns, which splits the matrix into an
 unstopped +/-1 matrix plus a correction supported on the truncated
 suffixes. Summing columns across rounds gives the iteration-sum matrix
-whose operator norm the concentration claim controls. Norms come from
-power iteration on the Gram operator with a deterministic seeded start.
+whose operator norm the concentration claim controls. Norms come from one
+batched symmetric eigensolve of the stacked Gram matrices, each certified
+by the residual of its top eigenvector.
 """
 from __future__ import annotations
 
@@ -29,17 +30,17 @@ __all__ = [
     "build_H",
     "build_G",
     "spectral_norm",
+    "spectral_norms",
     "norm_2x2",
     "verify_norm_bound",
 ]
 
 # Matrices stay small (hundreds of rows/columns); dense numpy throughout.
-_POWER_START_SEED = 0x5EED
 _NORM_TRIAL_BLOCK = 64
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations; carries the best estimate."""
+    """A spectral-norm certificate exceeded its tolerance; carries the estimate."""
 
     def __init__(self, message: str, best: "NormEstimate"):
         super().__init__(message)
@@ -187,7 +188,8 @@ def build_G(params: Params, adversary: StoppingStrategy, seed,
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A spectral-norm value with a certified relative error bound."""
+    """A spectral-norm value with a certified relative error bound
+    (``iterations_used`` is 1: each norm is one direct solve)."""
 
     value: float
     relative_error_bound: float
@@ -201,73 +203,54 @@ class NormEstimate:
         }
 
 
-def _power_attempt(gram: np.ndarray, rel_tol: float, max_iters: int,
-                   attempt: int) -> tuple[bool, float, float, int]:
-    rng = np.random.default_rng(np.random.SeedSequence((_POWER_START_SEED, attempt)))
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    theta = 0.0
-    residual = math.inf
-    for it in range(1, max_iters + 1):
-        w = gram @ v
-        theta = float(v @ w)
-        # The Gram operator is symmetric PSD, so the Rayleigh residual
-        # bounds the distance from theta to the nearest eigenvalue. Gain
-        # deltas are NOT used: they go quiet long before convergence when
-        # the start vector lands near an eigenvector.
-        residual = float(np.linalg.norm(w - theta * v))
-        if theta > 0 and residual <= rel_tol * theta:
-            return True, theta, residual, it
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            break  # start vector fell in the kernel; restart
-        v = w / norm_w
-    return False, theta, residual, max_iters
+def spectral_norms(stack, rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Largest singular values of a (k, r, c) stack of matrices, with their
+    certified relative error bounds, from one batched eigensolve.
 
-
-def spectral_norm(matrix, rel_tol: float = 1e-6, max_power_iters: int = 10_000) -> NormEstimate:
-    """Largest singular value via power iteration on the Gram operator.
-
-    Deterministic: the start vector comes from a fixed internal seed, with
-    one restart from a second substream if the first attempt stalls. Raises
-    ConvergenceError (carrying the best estimate) if both attempts exhaust
-    ``max_power_iters``.
+    Each matrix's smaller Gram matrix G is solved by ``np.linalg.eigh``; the
+    value is sqrt(theta) with theta = v^T G v for the top eigenvector v, and
+    the bound is ||Gv - theta v|| / theta / 2. An all-zero matrix gets value
+    0 and bound 0. Raises ConvergenceError, carrying the first estimate
+    whose bound exceeds ``rel_tol``, if any does.
     """
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim != 3 or a.size == 0:
+        raise ValueError("stack must be three-dimensional and non-empty")
+    if not (0.0 < rel_tol < 1.0):
+        raise ValueError("rel_tol must lie in (0, 1)")
+    if a.shape[1] > a.shape[2]:
+        a = np.swapaxes(a, 1, 2)
+    gram = a @ np.swapaxes(a, 1, 2)
+    v = np.linalg.eigh(gram)[1][..., -1]
+    w = (gram @ v[..., None])[..., 0]
+    theta = np.einsum("ij,ij->i", v, w)
+    residual = np.linalg.norm(w - theta[:, None] * v, axis=1)
+    nonzero = a.any(axis=(1, 2))
+    values = np.where(nonzero, np.sqrt(np.maximum(theta, 0.0)), 0.0)
+    # The Gram matrix is symmetric PSD, so the Rayleigh residual bounds the
+    # distance from theta to the top eigenvalue; to first order the relative
+    # error in sigma is half the relative error in theta.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = np.where(nonzero, residual / (2.0 * theta), 0.0)
+    missed = np.flatnonzero(~(bounds <= rel_tol))  # a NaN bound misses too
+    if missed.size:
+        i = missed[0]
+        raise ConvergenceError(
+            f"spectral norm certificate {bounds[i]:.3g} exceeds rel_tol {rel_tol:.3g}",
+            NormEstimate(float(values[i]), float(bounds[i]), 1))
+    return values, bounds
+
+
+def spectral_norm(matrix, rel_tol: float = 1e-6) -> NormEstimate:
+    """Largest singular value of one matrix, by ``spectral_norms``."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix must be two-dimensional and non-empty")
     if not np.any(a):
         raise ValueError("matrix is identically zero; the norm estimate would be degenerate")
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError("rel_tol must lie in (0, 1)")
-    if max_power_iters < 1:
-        raise ValueError("max_power_iters must be >= 1")
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    total_iters = 0
-    best_theta = 0.0
-    best_err = math.inf
-    for attempt in range(2):
-        ok, theta, err, used = _power_attempt(gram, rel_tol, max_power_iters, attempt)
-        total_iters += used
-        if theta > best_theta:
-            best_theta, best_err = theta, err
-        if ok:
-            return NormEstimate(
-                value=math.sqrt(theta),
-                # first-order: relative error in sigma is half the relative
-                # error in the Gram eigenvalue
-                relative_error_bound=(err / theta) / 2.0 if theta > 0 else 0.0,
-                iterations_used=total_iters,
-            )
-    best = NormEstimate(
-        value=math.sqrt(best_theta),
-        relative_error_bound=math.inf if best_theta == 0.0 else (best_err / best_theta) / 2.0,
-        iterations_used=total_iters,
-    )
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_power_iters} iterations (two starts)",
-        best,
-    )
+    values, bounds = spectral_norms(a[None], rel_tol)
+    return NormEstimate(value=float(values[0]), relative_error_bound=float(bounds[0]),
+                        iterations_used=1)
 
 
 def norm_2x2(matrix) -> float:
@@ -284,29 +267,27 @@ def norm_2x2(matrix) -> float:
 def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
                         rel_tol) -> list:
     params = Params(**params_dict)
-    half = threshold / 2.0
-    g_exc = r_exc = z_exc = 0
-    sum_g = sum_r = sum_z = 0.0
-    for _ in range(count):
+    sums = np.empty((3, count, params.m, params.n))
+    for i in range(count):
         mats = build_G(params, adversary, rng)
-        g_norm = spectral_norm(mats.stopped_sums, rel_tol).value
-        r_norm = spectral_norm(mats.full_sums, rel_tol).value
-        if np.any(mats.correction_sums):
-            z_norm = spectral_norm(mats.correction_sums, rel_tol).value
-        else:
-            z_norm = 0.0
-        allowance = 10.0 * rel_tol * (r_norm + z_norm) + 1e-9
-        if g_norm > r_norm + z_norm + allowance:
-            raise SpectralCheckError(
-                f"triangle inequality violated: |G|={g_norm} > |R|+|Z|={r_norm + z_norm}"
-            )
-        g_exc += g_norm > threshold
-        r_exc += r_norm > half
-        z_exc += z_norm > half
-        sum_g += g_norm
-        sum_r += r_norm
-        sum_z += z_norm
-    return [g_exc, r_exc, z_exc, sum_g, sum_r, sum_z]
+        sums[:, i] = mats.stopped_sums, mats.full_sums, mats.correction_sums
+    g_norm, r_norm, z_norm = (spectral_norms(stack, rel_tol)[0] for stack in sums)
+    allowance = 10.0 * rel_tol * (r_norm + z_norm) + 1e-9
+    violated = np.flatnonzero(g_norm > r_norm + z_norm + allowance)
+    if violated.size:
+        i = violated[0]
+        raise SpectralCheckError(
+            f"triangle inequality violated: |G|={g_norm[i]} > |R|+|Z|={r_norm[i] + z_norm[i]}"
+        )
+    half = threshold / 2.0
+    return [
+        int(np.count_nonzero(g_norm > threshold)),
+        int(np.count_nonzero(r_norm > half)),
+        int(np.count_nonzero(z_norm > half)),
+        float(g_norm.sum()),
+        float(r_norm.sum()),
+        float(z_norm.sum()),
+    ]
 
 
 @dataclass(frozen=True)

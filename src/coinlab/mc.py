@@ -46,11 +46,25 @@ DEFAULT_TRIALS_COMPOSITE = 10**5  # multi-phase / multi-stream experiments
 
 _MAX_BLOCK = 8192
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
+# Hard cap on one block's walk matrix (about 6 bytes per entry across the
+# int8 draw and the int32 scan), since walks are scanned whole, not in chunks.
+_MAX_BLOCK_ENTRIES = 2**26
 
 
 def block_size_for(walk_length: int) -> int:
     """Trials per block, sized to keep a block's walk matrix modest."""
     return max(128, min(_MAX_BLOCK, _BLOCK_BUDGET // max(walk_length, 1)))
+
+
+def _bounded_block_size(walk_length: int, trials: int) -> int:
+    """``block_size_for(walk_length)``, refusing a block whose walk matrix
+    would hold more than ``_MAX_BLOCK_ENTRIES`` entries."""
+    size = block_size_for(walk_length)
+    entries = min(size, trials) * walk_length
+    if entries > _MAX_BLOCK_ENTRIES:
+        raise ValueError(f"a block of {min(size, trials)} walks of length {walk_length} holds "
+                         f"{entries} entries, over the limit of {_MAX_BLOCK_ENTRIES}")
+    return size
 
 
 def _eval_block(task) -> np.ndarray:
@@ -258,7 +272,7 @@ def verify_fact3_mc(n: int, r: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: i
     if r < 1:
         raise ValueError("threshold r must be >= 1")
     counter = partial(_max_ge_counter, length=n, threshold=int(r))
-    hits = run_blocks(counter, trials, seed, block_size_for(n), workers)
+    hits = run_blocks(counter, trials, seed, _bounded_block_size(n, trials), workers)
     est = McEstimate.from_counts(int(hits[0]), trials, seed)
     bound = float(2 * prob_sum_ge(n, r))
     exact = float(prob_max_ge_reflection(n, r))
@@ -306,7 +320,7 @@ def verify_lemma52_part1(params: Params, trials: int = DEFAULT_TRIALS_SINGLE, se
     length = n * t
     threshold = _strict_excess_threshold(thresholds.beta_quarter)
     counter = partial(_directional_hit_counter, length=length, threshold=threshold)
-    tallies = run_blocks(counter, trials, seed, block_size_for(length), workers)
+    tallies = run_blocks(counter, trials, seed, _bounded_block_size(length, trials), workers)
     plus_hits, minus_hits, plus_trials, minus_trials = (int(v) for v in tallies)
     est = McEstimate.from_counts(plus_hits + minus_hits, trials, seed)
     return verdict_for(
@@ -382,7 +396,7 @@ def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE,
         beta_quarter=thresholds.beta_quarter,
         alpha_prime=thresholds.alpha_prime,
     )
-    tallies = run_blocks(counter, trials, seed, block_size_for(n_full), workers)
+    tallies = run_blocks(counter, trials, seed, _bounded_block_size(n_full, trials), workers)
     first, adversary, full = (int(v) for v in tallies)
     p_first = McEstimate.from_counts(first, trials, seed)
     p_adv = McEstimate.from_counts(adversary, trials, seed)
@@ -427,7 +441,7 @@ def verify_lemma71(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE, seed:
     tau = (thresholds.beta / 6.0) * c1 * m if threshold is None else float(threshold)
     int_tau = int(math.ceil(tau)) if tau > 0 else int(math.floor(tau))
     counter = partial(_max_vs_endpoint_counter, length=length, threshold=tau)
-    tallies = run_blocks(counter, trials, seed, block_size_for(length), workers)
+    tallies = run_blocks(counter, trials, seed, _bounded_block_size(length, trials), workers)
     x_hits, y_hits = (int(v) for v in tallies)
     est_x = McEstimate.from_counts(x_hits, trials, seed)
     est_y = McEstimate.from_counts(y_hits, trials, seed)

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,7 @@ def test_bad_format_rejected():
     ["coin-iter", "--seed", "0", "--iterations", "0"],
     ["fact3", "--seed", "0", "--workers", "0"],
     ["all", "--seed", "0", "--workers", "-2"],
+    ["lemma52-1", "--seed", "0", "--n", "10000", "--t", "100"],  # 128 x 10^6 walk block
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -109,6 +112,16 @@ def test_config_file_malformed_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed 3\n")
     assert run(["constants", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("line", ["workers = two", "seed = x"])
+def test_config_file_value_of_wrong_type(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    assert run(["constants", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split()[0] in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file():
@@ -183,3 +196,11 @@ def test_stdout_when_no_out_file(capsys):
 def test_iteration_flags_rejected_on_plain_experiments():
     assert run(["fact3", "--seed", "1", "--iterations", "5"]) == 2
     assert run(["all", "--seed", "1", "--n", "8"]) == 2
+
+
+def test_report_version_matches_pyproject(tmp_path):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"', pyproject.read_text(encoding="utf-8"), re.M)
+    out = tmp_path / "r.json"
+    assert run(["constants", "--seed", "1", "--out", str(out)]) == 0
+    assert _load(out)["tool_version"] == version.group(1)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coinlab.bounds import Params
 from coinlab.matrices import (
@@ -8,6 +11,7 @@ from coinlab.matrices import (
     build_H,
     norm_2x2,
     spectral_norm,
+    spectral_norms,
     verify_norm_bound,
 )
 from coinlab.walks import StoppingStrategy
@@ -151,11 +155,53 @@ def test_spectral_norm_input_checks():
 
 
 def test_spectral_norm_convergence_error_carries_best():
+    # no floating-point residual certifies 1e-18
     m = np.random.default_rng(3).normal(size=(10, 10))
     with pytest.raises(ConvergenceError) as info:
-        spectral_norm(m, rel_tol=1e-6, max_power_iters=1)
+        spectral_norm(m, rel_tol=1e-18)
     assert info.value.best is not None
     assert info.value.best.value > 0
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Stacks of wide, tall or square matrices, each dense, rank 1 or all zero."""
+    k, rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.just(0.0) | st.floats(1e-3, 100.0) | st.floats(-100.0, -1e-3)
+    stack = draw(arrays(np.float64, (k, rows, cols), elements=entry))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["dense", "rank1", "zero"]),
+                                           min_size=k, max_size=k))):
+        if kind == "rank1":
+            stack[i] = np.outer(stack[i, :, 0], stack[i, 0])
+        elif kind == "zero":
+            stack[i] = 0.0
+    return stack
+
+
+@given(matrix_stacks())
+@example(np.arange(2 * 3 * 7, dtype=np.float64).reshape(2, 3, 7) - 20)
+@example(np.arange(2 * 7 * 3, dtype=np.float64).reshape(2, 7, 3) - 20)
+@example(np.stack([np.ones((4, 4)), np.zeros((4, 4)), np.eye(4)]))
+@settings(max_examples=200)
+def test_spectral_norms_match_svd_within_certificate(stack):
+    values, bounds = spectral_norms(stack)
+    truth = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    for value, bound, sigma, matrix in zip(values, bounds, truth, stack):
+        if not matrix.any():
+            assert value == 0.0 and bound == 0.0
+        else:
+            assert abs(value - sigma) <= (bound + 1e-12) * sigma
+
+
+def test_spectral_norm_equals_its_entry_in_a_batch():
+    stack = np.random.default_rng(5).integers(-20, 21, size=(16, 32, 24))
+    stack[3] = 0
+    values, bounds = spectral_norms(stack)
+    for i, matrix in enumerate(stack):
+        if i == 3:
+            continue
+        est = spectral_norm(matrix)
+        assert (est.value, est.relative_error_bound) == (values[i], bounds[i])
 
 
 def test_verify_norm_bound_smoke():
