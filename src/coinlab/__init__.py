@@ -17,7 +17,6 @@ from .iteration import (
     AgreementResult,
     IterationConfig,
     IterationRecord,
-    good_event_frequency,
     run_agreement,
     run_iteration,
 )
@@ -47,4 +46,4 @@ from .mc import (
 )
 from .walks import StoppedStream, StoppingStrategy, WalkTrace, apply_stop, draw_steps, generate_walk
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -8,7 +8,7 @@ claims that the end-to-end resilience argument chains together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "Params",
@@ -45,21 +45,12 @@ class Params:
             raise ValueError(f"t must be >= 0, got {self.t}")
         if 2 * self.t >= self.n:
             raise ValueError(f"need 2t < n, got n={self.n}, t={self.t}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.c1 > 0:
-            raise ValueError("c1 must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 < self.c1 < math.inf:
+            raise ValueError("c1 must be positive and finite")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "epsilon": self.epsilon,
-            "c1": self.c1,
-            "m": self.m,
-        }
 
 
 # Real-valued threshold formulas, shared with the claim checks below where t
@@ -96,16 +87,6 @@ class DerivedThresholds:
     beta_half: float
     alpha_prime: float
     norm_threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "beta_quarter": self.beta_quarter,
-            "beta_half": self.beta_half,
-            "alpha_prime": self.alpha_prime,
-            "norm_threshold": self.norm_threshold,
-        }
 
 
 def derive(params: Params) -> DerivedThresholds:
@@ -144,16 +125,6 @@ class ClaimCheck:
     relation: str
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "description": self.description,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class ClaimReport:
@@ -168,12 +139,7 @@ class ClaimReport:
         return all(c.passed for c in self.claims)
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "claims": [c.to_dict() for c in self.claims],
-            "notes": list(self.notes),
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 _NOTES = (

@@ -7,6 +7,11 @@ straddles are reported but non-blocking), 1 on any failure, including a
 spectral norm whose certificate misses its tolerance, 2 on usage errors,
 including parameters an experiment rejects and config-file values of the
 wrong type.
+
+Each experiment is declared once, in ``_EXPERIMENTS``: its runner, its
+defaults and the flags it takes beyond the common ones. The subparsers,
+``all`` and the config-file checks are derived from that table, so a
+config file accepts exactly the keys the subcommand accepts as flags.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -45,29 +51,13 @@ __all__ = ["run", "main"]
 
 _ENUM_ROW_LIMIT = 20  # identity rows enumerate all 2**n walks; keep it snappy
 
-_DEFAULTS: dict[str, dict] = {
-    "fact3": {"n": 16, "trials": DEFAULT_TRIALS_SINGLE},
-    "lemma52-1": {"n": 200, "t": 1, "trials": DEFAULT_TRIALS_SINGLE},
-    "lemma52-2": {"n": 60, "t": 3, "trials": DEFAULT_TRIALS_COMPOSITE},
-    "lemma71": {"n": 40, "t": 2, "m": 10, "c1": 0.05, "trials": DEFAULT_TRIALS_COMPOSITE},
-    "coin-iter": {"n": 60, "t": 3, "t_excluded": 1, "t_stopped": 2, "iterations": 1000},
-    "agreement": {"n": 60, "t": 0, "max_iterations": 1000},
-    "spectral": {"n": 32, "t": 1, "m": 32, "epsilon": 0.1, "trials": 1000},
-    "constants": {"n": 1000, "t": 5},
-}
 
-_PARAM_KEYS = ("n", "t", "epsilon", "c1", "m")
-
-
-def _params_from(cfg: dict, **overrides) -> Params:
-    kwargs = {k: cfg[k] for k in _PARAM_KEYS if cfg.get(k) is not None}
-    kwargs.update(overrides)
-    return Params(**kwargs)
+def _params_from(cfg: dict) -> Params:
+    return Params(**{k: cfg[k] for k, _ in _PARAM_FLAGS if k in cfg})
 
 
 def _verdict_row(experiment: str, verdict, claim_id: str | None = None) -> dict:
-    row = {"experiment": experiment}
-    row.update(verdict.to_dict())
+    row = {"experiment": experiment, **asdict(verdict)}
     if claim_id is not None:
         row["claim_id"] = claim_id
     return row
@@ -128,7 +118,7 @@ def _run_lemma52_2(cfg: dict) -> list[dict]:
             "experiment": "lemma52-2",
             "claim_id": "two_phase_structural_decomposition",
             "verdict": "pass" if report.structural_check["passed"] else "fail",
-            "report": report.to_dict(),
+            "report": asdict(report),
         },
         {
             # The benchmark constant's deviation convention is not
@@ -148,16 +138,12 @@ def _run_lemma71(cfg: dict) -> list[dict]:
     trials, seed, workers = cfg["trials"], cfg["seed"], cfg["workers"]
     rows = []
     default = verify_lemma71(params, trials, seed, workers)
-    row = _verdict_row("lemma71", default)
-    row["claim_id"] = "running_max_vs_endpoint@default_threshold"
-    rows.append(row)
+    rows.append(_verdict_row("lemma71", default, "running_max_vs_endpoint@default_threshold"))
     length = default.details["walk_length"]
     sigma = math.sqrt(length)
     for mult in (0.5, 1.0, 2.0):
         verdict = verify_lemma71(params, trials, seed, workers, threshold=mult * sigma)
-        row = _verdict_row("lemma71", verdict)
-        row["claim_id"] = f"running_max_vs_endpoint@{mult}sigma"
-        rows.append(row)
+        rows.append(_verdict_row("lemma71", verdict, f"running_max_vs_endpoint@{mult}sigma"))
     # exact small case: length 8, threshold 2, straight from the oracles
     refl = prob_max_ge_reflection(8, 2)
     enum = prob_max_ge_enumeration(8, 2)
@@ -178,10 +164,10 @@ def _iteration_config(cfg: dict) -> IterationConfig:
     return IterationConfig(
         n=cfg["n"],
         t=cfg["t"],
-        t_excluded=cfg.get("t_excluded") or 0,
-        t_stopped=cfg.get("t_stopped") or 0,
-        ambiguous_allowance=cfg["ambiguous"] if cfg.get("ambiguous") is not None else -1,
-        adversary_direction=cfg.get("direction") or +1,
+        t_excluded=cfg.get("t_excluded", 0),
+        t_stopped=cfg.get("t_stopped", 0),
+        ambiguous_allowance=cfg.get("ambiguous", -1),
+        adversary_direction=cfg.get("direction", +1),
         seed=cfg["seed"],
     )
 
@@ -233,9 +219,8 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
     frequency = McEstimate.from_counts(good_hits, iterations, config.seed)
 
     variants = [
-        IterationConfig(**{**config.to_dict(), "ambiguous_allowance": 0}),
-        IterationConfig(**{**config.to_dict(),
-                           "bad_contribution": -config.adversary_direction * config.t * config.n}),
+        replace(config, ambiguous_allowance=0),
+        replace(config, bad_contribution=-config.adversary_direction * config.t * config.n),
     ]
     invariant = all(
         [run_iteration(v, i).good_event for i in range(probe)] == base_events
@@ -260,7 +245,7 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
             "experiment": "coin-iter",
             "claim_id": "good_event_frequency_vs_benchmark",
             "kind": "info",
-            "empirical": frequency.to_dict(),
+            "empirical": asdict(frequency),
             "benchmark": 1.0 / 20.0,
         },
     ]
@@ -320,8 +305,7 @@ def _run_constants(cfg: dict) -> list[dict]:
     report = check_claims(params)
     rows = []
     for claim in report.claims:
-        row = {"experiment": "constants"}
-        row.update(claim.to_dict())
+        row = {"experiment": "constants", **asdict(claim)}
         row["verdict"] = "pass" if claim.passed else "fail"
         del row["passed"]
         rows.append(row)
@@ -334,38 +318,12 @@ def _run_constants(cfg: dict) -> list[dict]:
         "experiment": "constants",
         "claim_id": "derived_thresholds",
         "kind": "info",
-        "thresholds": derive(params).to_dict(),
+        "thresholds": asdict(derive(params)),
     })
     return rows
 
 
-_RUNNERS = {
-    "fact3": _run_fact3,
-    "lemma52-1": _run_lemma52_1,
-    "lemma52-2": _run_lemma52_2,
-    "lemma71": _run_lemma71,
-    "coin-iter": _run_coin_iter,
-    "agreement": _run_agreement,
-    "spectral": _run_spectral,
-    "constants": _run_constants,
-}
-
-
-# --- configuration plumbing ---
-
-def _load_config_file(path: str) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
+# --- the experiment table ---
 
 _COMMON_FLAGS: tuple[tuple[str, type], ...] = (
     ("seed", int),
@@ -393,6 +351,41 @@ _ITER_FLAGS: tuple[tuple[str, type], ...] = (
     ("max_iterations", int),
 )
 
+# name -> (runner, defaults, flags beyond _COMMON_FLAGS): the subparsers,
+# `all`, and config-file key checking and casting are all derived from it.
+_EXPERIMENTS: dict[str, tuple] = {
+    "fact3": (_run_fact3, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, _PARAM_FLAGS),
+    "lemma52-1": (_run_lemma52_1, {"n": 200, "t": 1, "trials": DEFAULT_TRIALS_SINGLE},
+                  _PARAM_FLAGS),
+    "lemma52-2": (_run_lemma52_2, {"n": 60, "t": 3, "trials": DEFAULT_TRIALS_COMPOSITE},
+                  _PARAM_FLAGS),
+    "lemma71": (_run_lemma71, {"n": 40, "t": 2, "m": 10, "c1": 0.05,
+                               "trials": DEFAULT_TRIALS_COMPOSITE}, _PARAM_FLAGS),
+    "coin-iter": (_run_coin_iter, {"n": 60, "t": 3, "t_excluded": 1, "t_stopped": 2,
+                                   "iterations": 1000}, _PARAM_FLAGS + _ITER_FLAGS),
+    "agreement": (_run_agreement, {"n": 60, "t": 0, "max_iterations": 1000},
+                  _PARAM_FLAGS + _ITER_FLAGS),
+    "spectral": (_run_spectral, {"n": 32, "t": 1, "m": 32, "epsilon": 0.1, "trials": 1000},
+                 _PARAM_FLAGS),
+    "constants": (_run_constants, {"n": 1000, "t": 5}, _PARAM_FLAGS),
+}
+
+
+# --- configuration plumbing ---
+
+def _load_config_file(path: str) -> dict:
+    values: dict = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -406,23 +399,20 @@ def _build_parser() -> argparse.ArgumentParser:
         for name, kind in flags:
             p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
 
-    for name in _RUNNERS:
-        p = sub.add_parser(name)
-        add_flags(p, _COMMON_FLAGS)
-        add_flags(p, _PARAM_FLAGS)
-        if name in ("coin-iter", "agreement"):
-            add_flags(p, _ITER_FLAGS)
+    for name, (_, _, flags) in _EXPERIMENTS.items():
+        add_flags(sub.add_parser(name), _COMMON_FLAGS + flags)
     p_all = sub.add_parser("all", help="run every experiment with its documented defaults")
     add_flags(p_all, _COMMON_FLAGS)
     return parser
 
 
 def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
-    cfg = {"workers": 1, "format": "json", "out": None}
-    cfg.update(_DEFAULTS.get(subcommand, {}))
-    if getattr(args, "config", None):
+    # `all` has no runner, defaults or flags of its own
+    _, defaults, flags = _EXPERIMENTS.get(subcommand, (None, {}, ()))
+    kinds = dict(_COMMON_FLAGS + flags)
+    cfg = {"workers": 1, "format": "json", "out": None, **defaults}
+    if args.config:
         file_values = _load_config_file(args.config)
-        kinds = dict(_COMMON_FLAGS + _PARAM_FLAGS + _ITER_FLAGS)
         unknown = set(file_values) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -432,8 +422,8 @@ def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
             except ValueError:
                 raise ValueError(f"{args.config}: {key} = {text!r} is not "
                                  f"a valid {kinds[key].__name__}") from None
-    for name, _ in _COMMON_FLAGS + _PARAM_FLAGS + _ITER_FLAGS:
-        value = getattr(args, name, None)
+    for name in kinds:
+        value = getattr(args, name)
         if value is not None:
             cfg[name] = value
     if cfg.get("seed") is None:
@@ -452,15 +442,10 @@ def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
 def _execute(subcommand: str, cfg: dict) -> list[dict]:
     if subcommand == "all":
         rows = []
-        for name, runner in _RUNNERS.items():
-            sub_cfg = dict(cfg)
-            for key, value in _DEFAULTS[name].items():
-                sub_cfg.setdefault(key, value)
-            if cfg.get("trials") is not None:
-                sub_cfg["trials"] = cfg["trials"]
-            rows.extend(_timed_run(name, runner, sub_cfg))
+        for name, (runner, defaults, _) in _EXPERIMENTS.items():
+            rows.extend(_timed_run(name, runner, {**defaults, **cfg}))
         return rows
-    return _timed_run(subcommand, _RUNNERS[subcommand], cfg)
+    return _timed_run(subcommand, _EXPERIMENTS[subcommand][0], cfg)
 
 
 def _timed_run(name: str, runner, cfg: dict) -> list[dict]:
@@ -549,10 +534,11 @@ def run(argv=None) -> int:
     except ValueError as exc:  # parameters the experiments reject
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # workers/out/format steer execution and emission, not the experiments,
-    # so they stay out of the echoed config (which is determinism-covered).
+    # workers/out/format/config steer execution, emission and where the
+    # values came from, not the experiments, so they stay out of the echoed
+    # config (which is determinism-covered).
     echoed = {k: v for k, v in sorted(cfg.items())
-              if v is not None and k not in ("workers", "out", "format")}
+              if v is not None and k not in ("workers", "out", "format", "config")}
     report = {
         "tool_version": __version__,
         "subcommand": args.subcommand,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Params, derive
-from .mc import DEFAULT_CONFIDENCE, McEstimate
 from .walks import StoppingStrategy, apply_stop, draw_steps
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "IterationRecord",
     "AgreementResult",
     "run_iteration",
-    "good_event_frequency",
     "run_agreement",
 ]
 
@@ -76,18 +74,6 @@ class IterationConfig:
     @property
     def complete_count(self) -> int:
         return self.n - self.t - self.t_excluded - self.t_stopped
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "t_excluded": self.t_excluded,
-            "t_stopped": self.t_stopped,
-            "ambiguous_allowance": self.ambiguous_allowance,
-            "adversary_direction": self.adversary_direction,
-            "bad_contribution": self.bad_contribution,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +195,6 @@ def run_iteration(config: IterationConfig, iteration_index: int = 0) -> Iteratio
     )
 
 
-def good_event_frequency(config: IterationConfig, iterations: int,
-                         confidence: float = DEFAULT_CONFIDENCE) -> McEstimate:
-    """Frequency of the core-deviation event over seeded rounds 0..iterations-1."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    hits = sum(1 for i in range(iterations) if run_iteration(config, i).good_event)
-    return McEstimate.from_counts(hits, iterations, config.seed, confidence)
-
-
 @dataclass(frozen=True, eq=False)
 class AgreementResult:
     """Outcome of iterating rounds until the coin lands usefully."""
@@ -225,13 +202,6 @@ class AgreementResult:
     agreed: bool
     iterations_used: int
     records: tuple[IterationRecord, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "agreed": self.agreed,
-            "iterations_used": self.iterations_used,
-            "records": [r.to_dict() for r in self.records],
-        }
 
 
 def run_agreement(config: IterationConfig, max_iterations: int,

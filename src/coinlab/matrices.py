@@ -11,7 +11,7 @@ by the residual of its top eigenvector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -195,13 +195,6 @@ class NormEstimate:
     relative_error_bound: float
     iterations_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "relative_error_bound": self.relative_error_bound,
-            "iterations_used": self.iterations_used,
-        }
-
 
 def spectral_norms(stack, rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Largest singular values of a (k, r, c) stack of matrices, with their
@@ -254,14 +247,17 @@ def spectral_norm(matrix, rel_tol: float = 1e-6) -> NormEstimate:
 
 
 def norm_2x2(matrix) -> float:
-    """Closed-form largest singular value of a 2x2 matrix (test oracle)."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.shape != (2, 2):
+    """Closed-form largest singular value of a 2x2 matrix (test oracle).
+
+    With [[a, b], [c, d]], sigma_max = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2;
+    unlike sqrt(trace/2 + sqrt(trace^2/4 - det^2)) it loses no digits when the
+    two singular values coincide.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.shape != (2, 2):
         raise ValueError("norm_2x2 requires a 2x2 matrix")
-    trace = float(np.sum(a * a))
-    det = float(np.linalg.det(a)) ** 2
-    disc = max(trace * trace / 4.0 - det, 0.0)
-    return math.sqrt(trace / 2.0 + math.sqrt(disc))
+    (a, b), (c, d) = m.tolist()
+    return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
 
 
 def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
@@ -304,19 +300,6 @@ class NormBoundReport:
     mean_norms: dict
     triangle_checked: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "trials": self.trials,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "probability_bound": self.probability_bound,
-            "exceedance": self.exceedance.to_dict(),
-            "half_threshold_exceedances": self.half_threshold_exceedances,
-            "mean_norms": self.mean_norms,
-            "triangle_checked": self.triangle_checked,
-        }
-
 
 def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers: int = 1,
                       rel_tol: float = 1e-6,
@@ -334,7 +317,7 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers
     threshold = thresholds.norm_threshold
     counter = partial(
         _norm_trial_counter,
-        params_dict=params.to_dict(),
+        params_dict=asdict(params),
         adversary=adversary,
         threshold=threshold,
         rel_tol=rel_tol,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -149,17 +149,6 @@ class McEstimate:
             seed=int(seed),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "confidence": self.confidence,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationVerdict:
@@ -177,16 +166,6 @@ class VerificationVerdict:
     relation: str
     verdict: str
     details: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "empirical": None if self.empirical is None else self.empirical.to_dict(),
-            "analytic_bound": self.analytic_bound,
-            "relation": self.relation,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
 
 
 def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: str,
@@ -302,6 +281,8 @@ def verify_lemma52_part1(params: Params, trials: int = DEFAULT_TRIALS_SINGLE, se
     analytic tail bound. Trials alternate the targeted direction; both
     one-sided rates are reported."""
     n, t = params.n, params.t
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     thresholds = derive(params)
     bound = lemma52_part1_bound(params)
     if t == 0:
@@ -309,14 +290,8 @@ def verify_lemma52_part1(params: Params, trials: int = DEFAULT_TRIALS_SINGLE, se
         # construction, so no sampling is performed.
         est = McEstimate(successes=0, trials=trials, p_hat=0.0, ci_low=0.0, ci_high=0.0,
                          confidence=DEFAULT_CONFIDENCE, seed=seed)
-        return VerificationVerdict(
-            claim_id="stopped_stream_deviation_tail",
-            empirical=est,
-            analytic_bound=bound,
-            relation="<=",
-            verdict="pass",
-            details={"walk_length": 0, "note": "t=0: empty adversarial stream"},
-        )
+        return verdict_for("stopped_stream_deviation_tail", est, bound, "<=",
+                           {"walk_length": 0, "note": "t=0: empty adversarial stream"})
     length = n * t
     threshold = _strict_excess_threshold(thresholds.beta_quarter)
     counter = partial(_directional_hit_counter, length=length, threshold=threshold)
@@ -332,8 +307,8 @@ def verify_lemma52_part1(params: Params, trials: int = DEFAULT_TRIALS_SINGLE, se
             "walk_length": length,
             "beta_quarter": thresholds.beta_quarter,
             "integer_threshold": threshold,
-            "plus_direction": McEstimate.from_counts(plus_hits, plus_trials, seed).to_dict(),
-            "minus_direction": McEstimate.from_counts(minus_hits, minus_trials, seed).to_dict(),
+            "plus_direction": asdict(McEstimate.from_counts(plus_hits, plus_trials, seed)),
+            "minus_direction": asdict(McEstimate.from_counts(minus_hits, minus_trials, seed)),
         },
     )
 
@@ -358,19 +333,6 @@ class Lemma52Part2Report:
     p_full: McEstimate
     structural_check: dict
     first_benchmark: float = 0.211
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "direction": self.direction,
-            "trials": self.trials,
-            "seed": self.seed,
-            "p_first": self.p_first.to_dict(),
-            "p_adversary_max": self.p_adversary_max.to_dict(),
-            "p_full": self.p_full.to_dict(),
-            "structural_check": self.structural_check,
-            "first_benchmark": self.first_benchmark,
-        }
 
 
 def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE, seed: int = 0,
@@ -458,7 +420,7 @@ def verify_lemma71(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE, seed:
             "walk_length": length,
             "threshold": tau,
             "effective_integer_threshold": int_tau,
-            "endpoint_estimate": est_y.to_dict(),
+            "endpoint_estimate": asdict(est_y),
             "ci_slack": slack,
         },
     )

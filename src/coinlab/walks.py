@@ -170,7 +170,6 @@ class StoppedStream:
 
     stop_index: int | np.ndarray
     value: int | np.ndarray
-    strategy_used: StoppingStrategy
 
 
 def _resolve_window(strategy: StoppingStrategy, length: int) -> tuple[int, int]:
@@ -215,4 +214,4 @@ def apply_stop(walk, strategy: StoppingStrategy) -> StoppedStream:
         raise ValueError(f"unknown stopping rule {strategy.kind!r}")
     if scalar:
         stop, value = int(stop), int(value)
-    return StoppedStream(stop_index=stop, value=value, strategy_used=strategy)
+    return StoppedStream(stop_index=stop, value=value)

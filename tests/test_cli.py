@@ -1,11 +1,16 @@
 import csv
+import io
 import json
+import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coinlab.cli import run
+from coinlab.cli import _COMMON_FLAGS, _EXPERIMENTS, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -42,6 +47,10 @@ def test_bad_format_rejected():
     ["fact3", "--seed", "0", "--workers", "0"],
     ["all", "--seed", "0", "--workers", "-2"],
     ["lemma52-1", "--seed", "0", "--n", "10000", "--t", "100"],  # 128 x 10^6 walk block
+    ["agreement", "--seed", "0", "--direction", "0"],
+    ["lemma52-1", "--seed", "0", "--t", "0", "--trials", "0"],
+    ["lemma52-1", "--seed", "0", "--t", "0", "--trials", "-5"],
+    ["lemma71", "--seed", "0", "--c1", "inf"],  # found by the argv fuzz test below
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -101,11 +110,30 @@ def test_config_file_alone_supplies_seed(tmp_path):
     assert _load(out)["config"]["seed"] == 3
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize("subcommand, key", [
+    ("constants", "wibble"),
+    ("fact3", "iterations"),  # a flag of coin-iter and agreement only
+    ("all", "n"),  # `all` takes only the common flags
+], ids=["constants-wibble", "fact3-iterations", "all-n"])
+def test_config_file_unknown_key(tmp_path, capsys, subcommand, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=3\nwibble=4\n")
-    assert run(["constants", "--config", str(cfg)]) == 2
-    assert "wibble" in capsys.readouterr().err
+    cfg.write_text(f"seed=3\n{key}=4\n")
+    assert run([subcommand, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config keys: [{key!r}]")
+
+
+def test_config_file_report_matches_argv(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nn = 6\ntrials = 2000\n")
+    from_file, from_argv = tmp_path / "file.json", tmp_path / "argv.json"
+    assert run(["fact3", "--config", str(cfg), "--out", str(from_file)]) == 0
+    assert run(["fact3", "--seed", "1", "--n", "6", "--trials", "2000",
+                "--out", str(from_argv)]) == 0
+    reports = [_load(path) for path in (from_file, from_argv)]
+    for report in reports:
+        report["results"] = [r for r in report["results"] if r.get("kind") != "timing"]
+    assert reports[0] == reports[1]
 
 
 def test_config_file_malformed_line(tmp_path):
@@ -204,3 +232,52 @@ def test_report_version_matches_pyproject(tmp_path):
     out = tmp_path / "r.json"
     assert run(["constants", "--seed", "1", "--out", str(out)]) == 0
     assert _load(out)["tool_version"] == version.group(1)
+
+
+# Upper ends keep each run cheap; flags always passed keep any default of
+# 10^6 trials, n = 200 or 1000 rounds out of the draw. At most three other
+# flags are drawn, so most draws get past the first check and into an
+# experiment.
+_CAPS = {"n": 12, "trials": 50, "iterations": 5, "max_iterations": 5, "workers": 3}
+_ALWAYS = ("seed", "trials", "n", "iterations", "max_iterations")
+_FLOAT_EDGES = [math.inf, -math.inf, math.nan, 1e9, 0.0, -0.0]
+
+
+def _flag_values(name, kind):
+    if kind is int:
+        return st.integers(-3, _CAPS.get(name, 12)).map(str)
+    if kind is float:
+        return (st.floats(-1.0, 3.0) | st.sampled_from(_FLOAT_EDGES)).map(repr)
+    return st.sampled_from(["json", "csv", "xml"])  # --format
+
+
+@st.composite
+def _argv(draw, subcommand):
+    kinds = dict(_COMMON_FLAGS + (_EXPERIMENTS[subcommand][2] if subcommand != "all" else ()))
+    del kinds["out"], kinds["config"]  # paths, covered by the tests above
+    optional = sorted(set(kinds) - set(_ALWAYS))
+    chosen = [name for name in _ALWAYS if name in kinds]
+    chosen += sorted(draw(st.sets(st.sampled_from(optional), max_size=3)))
+    return [subcommand] + [f"--{name.replace('_', '-')}={draw(_flag_values(name, kinds[name]))}"
+                           for name in chosen]
+
+
+def _assert_clean_exit(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("subcommand", list(_EXPERIMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_small_argv_exits_cleanly(subcommand, data):
+    _assert_clean_exit(data.draw(_argv(subcommand), label="argv"))
+
+
+@settings(max_examples=10, deadline=None)  # `all` runs 1000 coin-iter rounds each time
+@given(argv=_argv("all"))
+def test_any_small_all_argv_exits_cleanly(argv):
+    _assert_clean_exit(argv)

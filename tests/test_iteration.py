@@ -4,7 +4,6 @@ import pytest
 from coinlab.bounds import Params, derive
 from coinlab.iteration import (
     IterationConfig,
-    good_event_frequency,
     run_agreement,
     run_iteration,
 )
@@ -151,15 +150,6 @@ def test_record_serialization():
     full = record.to_dict(include_streams=True)
     assert np.array_equal(np.asarray(full["complete_streams"]),
                           record.complete_streams)
-
-
-def test_good_event_frequency_counts():
-    est = good_event_frequency(IterationConfig(n=60, t=0, seed=5), 400)
-    assert est.trials == 400
-    assert est.successes == sum(
-        run_iteration(IterationConfig(n=60, t=0, seed=5), i).good_event
-        for i in range(400)
-    )
 
 
 def test_agreement_no_adversary_terminates_fast():

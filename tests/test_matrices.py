@@ -101,6 +101,9 @@ def test_norm_2x2_against_numpy():
     for _ in range(200):
         m = rng.normal(size=(2, 2))
         assert norm_2x2(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-10, abs=1e-12)
+    # equal singular values (sqrt(68) twice), where trace/det forms lose digits
+    tied = np.array([[-2, -8], [-8, 2]])
+    assert norm_2x2(tied) == pytest.approx(np.linalg.svd(tied)[1][0], rel=1e-15)
 
 
 def test_norm_2x2_shape_check():
