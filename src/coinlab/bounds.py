@@ -94,13 +94,17 @@ def derive(params: Params) -> DerivedThresholds:
     n, t = params.n, params.t
     bq = _beta_quarter(n, t)
     a = _alpha(n, t)
+    norm_threshold = (6.0 + 2.0 * params.epsilon) * math.sqrt(n * (params.m + n))
+    if not math.isfinite(norm_threshold):
+        raise ValueError(f"norm threshold (6 + 2 epsilon) sqrt(n (m + n)) overflows at "
+                         f"n={n}, m={params.m}, epsilon={params.epsilon}")
     return DerivedThresholds(
         alpha=a,
         beta=_beta(n, t),
         beta_quarter=bq,
         beta_half=_beta_half(n, t),
         alpha_prime=a - bq,
-        norm_threshold=(6.0 + 2.0 * params.epsilon) * math.sqrt(params.n * (params.m + params.n)),
+        norm_threshold=norm_threshold,
     )
 
 

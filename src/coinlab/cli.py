@@ -9,7 +9,7 @@ including parameters an experiment rejects and config-file values of the
 wrong type.
 
 Each experiment is declared once, in ``_EXPERIMENTS``: its runner, its
-defaults and the flags it takes beyond the common ones. The subparsers,
+defaults and the flags it reads beyond the common ones. The subparsers,
 ``all`` and the config-file checks are derived from that table, so a
 config file accepts exactly the keys the subcommand accepts as flags.
 """
@@ -53,45 +53,38 @@ _ENUM_ROW_LIMIT = 20  # identity rows enumerate all 2**n walks; keep it snappy
 
 
 def _params_from(cfg: dict) -> Params:
-    return Params(**{k: cfg[k] for k, _ in _PARAM_FLAGS if k in cfg})
+    return Params(**{k: cfg[k] for k in ("n", "t", "epsilon", "c1", "m") if k in cfg})
 
 
-def _verdict_row(experiment: str, verdict, claim_id: str | None = None) -> dict:
-    row = {"experiment": experiment, **asdict(verdict)}
-    if claim_id is not None:
-        row["claim_id"] = claim_id
-    return row
+def _verdict_row(experiment: str, verdict) -> dict:
+    return {"experiment": experiment, **asdict(verdict)}
 
 
 # --- experiment runners (each returns a list of result rows) ---
 
 def _run_fact3(cfg: dict) -> list[dict]:
-    n, trials, seed, workers = cfg["n"], cfg["trials"], cfg["seed"], cfg["workers"]
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rows: list[dict] = []
+    n = cfg["n"]
+    verdicts = verify_fact3_mc(n, cfg["trials"], cfg["seed"], cfg["workers"])
     if n <= _ENUM_ROW_LIMIT:
         mismatches = [
             r for r in range(1, n + 1)
             if prob_max_ge_enumeration(n, r) != prob_max_ge_reflection(n, r)
         ]
-        rows.append({
+        head = {
             "experiment": "fact3",
             "claim_id": "enumeration_matches_reflection_identity",
             "kind": "exact",
             "thresholds_checked": n,
             "mismatches": mismatches,
             "verdict": "pass" if not mismatches else "fail",
-        })
+        }
     else:
-        rows.append({
+        head = {
             "experiment": "fact3",
             "kind": "note",
             "note": f"exact enumeration skipped for n={n} > {_ENUM_ROW_LIMIT}",
-        })
-    for r in range(1, n + 1):
-        rows.append(_verdict_row("fact3", verify_fact3_mc(n, r, trials, seed, workers)))
-    return rows
+        }
+    return [head] + [_verdict_row("fact3", v) for v in verdicts]
 
 
 def _run_lemma52_1(cfg: dict) -> list[dict]:
@@ -134,16 +127,8 @@ def _run_lemma52_2(cfg: dict) -> list[dict]:
 
 
 def _run_lemma71(cfg: dict) -> list[dict]:
-    params = _params_from(cfg)
-    trials, seed, workers = cfg["trials"], cfg["seed"], cfg["workers"]
-    rows = []
-    default = verify_lemma71(params, trials, seed, workers)
-    rows.append(_verdict_row("lemma71", default, "running_max_vs_endpoint@default_threshold"))
-    length = default.details["walk_length"]
-    sigma = math.sqrt(length)
-    for mult in (0.5, 1.0, 2.0):
-        verdict = verify_lemma71(params, trials, seed, workers, threshold=mult * sigma)
-        rows.append(_verdict_row("lemma71", verdict, f"running_max_vs_endpoint@{mult}sigma"))
+    sweep = verify_lemma71(_params_from(cfg), cfg["trials"], cfg["seed"], cfg["workers"])
+    rows = [_verdict_row("lemma71", v) for v in sweep]
     # exact small case: length 8, threshold 2, straight from the oracles
     refl = prob_max_ge_reflection(8, 2)
     enum = prob_max_ge_enumeration(8, 2)
@@ -325,49 +310,34 @@ def _run_constants(cfg: dict) -> list[dict]:
 
 # --- the experiment table ---
 
-_COMMON_FLAGS: tuple[tuple[str, type], ...] = (
-    ("seed", int),
-    ("workers", int),
-    ("trials", int),
-    ("out", str),
-    ("format", str),
-    ("config", str),
-)
+# every flag and the type of its value
+_FLAG_KINDS: dict[str, type] = {
+    "seed": int, "workers": int, "trials": int, "out": str, "format": str, "config": str,
+    "n": int, "t": int, "epsilon": float, "c1": float, "m": int,
+    "t_excluded": int, "t_stopped": int, "ambiguous": int, "direction": int,
+    "iterations": int, "max_iterations": int,
+}
+_COMMON_FLAGS = ("seed", "workers", "trials", "out", "format", "config")
+_ROUND_FLAGS = ("n", "t", "t_excluded", "t_stopped", "ambiguous", "direction")
 
-_PARAM_FLAGS: tuple[tuple[str, type], ...] = (
-    ("n", int),
-    ("t", int),
-    ("epsilon", float),
-    ("c1", float),
-    ("m", int),
-)
-
-_ITER_FLAGS: tuple[tuple[str, type], ...] = (
-    ("t_excluded", int),
-    ("t_stopped", int),
-    ("ambiguous", int),
-    ("direction", int),
-    ("iterations", int),
-    ("max_iterations", int),
-)
-
-# name -> (runner, defaults, flags beyond _COMMON_FLAGS): the subparsers,
-# `all`, and config-file key checking and casting are all derived from it.
+# name -> (runner, defaults, the flags beyond _COMMON_FLAGS that the runner
+# reads): the subparsers, `all`, and config-file key checking and casting
+# are all derived from it.
 _EXPERIMENTS: dict[str, tuple] = {
-    "fact3": (_run_fact3, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, _PARAM_FLAGS),
+    "fact3": (_run_fact3, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, ("n",)),
     "lemma52-1": (_run_lemma52_1, {"n": 200, "t": 1, "trials": DEFAULT_TRIALS_SINGLE},
-                  _PARAM_FLAGS),
+                  ("n", "t")),
     "lemma52-2": (_run_lemma52_2, {"n": 60, "t": 3, "trials": DEFAULT_TRIALS_COMPOSITE},
-                  _PARAM_FLAGS),
+                  ("n", "t")),
     "lemma71": (_run_lemma71, {"n": 40, "t": 2, "m": 10, "c1": 0.05,
-                               "trials": DEFAULT_TRIALS_COMPOSITE}, _PARAM_FLAGS),
+                               "trials": DEFAULT_TRIALS_COMPOSITE}, ("n", "t", "c1", "m")),
     "coin-iter": (_run_coin_iter, {"n": 60, "t": 3, "t_excluded": 1, "t_stopped": 2,
-                                   "iterations": 1000}, _PARAM_FLAGS + _ITER_FLAGS),
+                                   "iterations": 1000}, _ROUND_FLAGS + ("iterations",)),
     "agreement": (_run_agreement, {"n": 60, "t": 0, "max_iterations": 1000},
-                  _PARAM_FLAGS + _ITER_FLAGS),
+                  _ROUND_FLAGS + ("max_iterations",)),
     "spectral": (_run_spectral, {"n": 32, "t": 1, "m": 32, "epsilon": 0.1, "trials": 1000},
-                 _PARAM_FLAGS),
-    "constants": (_run_constants, {"n": 1000, "t": 5}, _PARAM_FLAGS),
+                 ("n", "t", "epsilon", "m")),
+    "constants": (_run_constants, {"n": 1000, "t": 5}, ("n", "t", "epsilon", "m")),
 }
 
 
@@ -396,12 +366,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_flags(p, flags):
-        for name, kind in flags:
-            p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
+        for name in flags:
+            p.add_argument(f"--{name.replace('_', '-')}", type=_FLAG_KINDS[name], default=None)
 
     for name, (_, _, flags) in _EXPERIMENTS.items():
-        add_flags(sub.add_parser(name), _COMMON_FLAGS + flags)
-    p_all = sub.add_parser("all", help="run every experiment with its documented defaults")
+        # no prefix matching, so `fact3 --t 1` is refused, not read as --trials
+        add_flags(sub.add_parser(name, allow_abbrev=False), _COMMON_FLAGS + flags)
+    p_all = sub.add_parser("all", allow_abbrev=False,
+                           help="run every experiment with its documented defaults")
     add_flags(p_all, _COMMON_FLAGS)
     return parser
 
@@ -409,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
     # `all` has no runner, defaults or flags of its own
     _, defaults, flags = _EXPERIMENTS.get(subcommand, (None, {}, ()))
-    kinds = dict(_COMMON_FLAGS + flags)
+    kinds = {name: _FLAG_KINDS[name] for name in _COMMON_FLAGS + flags}
     cfg = {"workers": 1, "format": "json", "out": None, **defaults}
     if args.config:
         file_values = _load_config_file(args.config)
@@ -531,7 +503,7 @@ def run(argv=None) -> int:
         return 2
     try:
         results = _execute(args.subcommand, cfg)
-    except ValueError as exc:  # parameters the experiments reject
+    except (ValueError, OverflowError) as exc:  # parameters the experiments reject
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # workers/out/format/config steer execution, emission and where the

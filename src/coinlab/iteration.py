@@ -106,29 +106,6 @@ class IterationRecord:
     stopped_streams: np.ndarray
     stop_indices: tuple[int, ...]
 
-    def to_dict(self, include_streams: bool = False) -> dict:
-        out = {
-            "iteration_index": self.iteration_index,
-            "core_sum": self.core_sum,
-            "excluded_sum": self.excluded_sum,
-            "excluded_capped": self.excluded_capped,
-            "excluded_cap_binds": self.excluded_cap_binds,
-            "stopped_sum": self.stopped_sum,
-            "ambiguous_term": self.ambiguous_term,
-            "bad_contribution": self.bad_contribution,
-            "total": self.total,
-            "coin": self.coin,
-            "good_event": self.good_event,
-            "alpha_prime": self.alpha_prime,
-            "beta_quarter": self.beta_quarter,
-            "stop_indices": list(self.stop_indices),
-        }
-        if include_streams:
-            out["complete_streams"] = self.complete_streams.tolist()
-            out["excluded_streams"] = self.excluded_streams.tolist()
-            out["stopped_streams"] = self.stopped_streams.tolist()
-        return out
-
 
 def run_iteration(config: IterationConfig, iteration_index: int = 0) -> IterationRecord:
     """Simulate one round; round i always draws from substream (seed, i).

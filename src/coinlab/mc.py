@@ -6,7 +6,8 @@ and block ``i`` draws from ``SeedSequence((seed, i))``. Results are
 aggregated in block order, so the outcome depends only on (seed, trials,
 block size) and never on the worker count. Block size is itself a fixed
 function of the walk length, so a given experiment is reproducible byte for
-byte.
+byte. Each experiment makes one ``run_blocks`` call; fact3 and lemma71 read
+every threshold of their sweep from that one sample.
 """
 from __future__ import annotations
 
@@ -202,9 +203,12 @@ def _walk_sums(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
     return np.cumsum(draw_steps(rng, (count, length)), axis=1, dtype=np.int32)
 
 
-def _max_ge_counter(rng, count, start, *, length, threshold):
+def _tail_counter(rng, count, start, *, length, thresholds):
+    # hits of the running max at each threshold, then of the endpoint
     sums = _walk_sums(rng, count, length)
-    return [int(np.count_nonzero(sums.max(axis=1) >= threshold))]
+    levels = np.asarray(thresholds)[:, None]
+    return np.concatenate([np.count_nonzero(sums.max(axis=1) >= levels, axis=1),
+                           np.count_nonzero(sums[:, -1] >= levels, axis=1)])
 
 
 def _directional_hit_counter(rng, count, start, *, length, threshold):
@@ -235,38 +239,35 @@ def _two_phase_counter(rng, count, start, *, n_core, n_full, direction,
     ]
 
 
-def _max_vs_endpoint_counter(rng, count, start, *, length, threshold):
-    sums = _walk_sums(rng, count, length)
-    x_hits = int(np.count_nonzero(sums.max(axis=1) >= threshold))
-    y_hits = int(np.count_nonzero(sums[:, -1] >= threshold))
-    return [x_hits, y_hits]
-
-
 # --- experiments ---
 
-def verify_fact3_mc(n: int, r: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: int = 0,
-                    workers: int = 1) -> VerificationVerdict:
-    """Estimate Pr(running max of an n-step walk reaches r) and compare it
-    against the exact bound 2 Pr(S_n >= r)."""
-    if r < 1:
-        raise ValueError("threshold r must be >= 1")
-    counter = partial(_max_ge_counter, length=n, threshold=int(r))
-    hits = run_blocks(counter, trials, seed, _bounded_block_size(n, trials), workers)
-    est = McEstimate.from_counts(int(hits[0]), trials, seed)
-    bound = float(2 * prob_sum_ge(n, r))
-    exact = float(prob_max_ge_reflection(n, r))
-    return verdict_for(
-        claim_id=f"max_tail_le_twice_sum_tail_n{n}_r{r}",
-        empirical=est,
-        bound=bound,
-        relation="<=",
-        details={
-            "walk_length": n,
-            "threshold": int(r),
-            "exact_probability": exact,
-            "ci_covers_exact": bool(est.ci_low <= exact <= est.ci_high),
-        },
-    )
+def verify_fact3_mc(n: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: int = 0,
+                    workers: int = 1) -> list[VerificationVerdict]:
+    """For each r = 1..n, estimate Pr(running max of an n-step walk reaches
+    r) and compare it against the exact bound 2 Pr(S_n >= r). All n
+    thresholds are read off one sample of walks."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    block_size = _bounded_block_size(n, trials)
+    counter = partial(_tail_counter, length=n, thresholds=range(1, n + 1))
+    hits = run_blocks(counter, trials, seed, block_size, workers)
+    verdicts = []
+    for r in range(1, n + 1):
+        est = McEstimate.from_counts(int(hits[r - 1]), trials, seed)
+        exact = float(prob_max_ge_reflection(n, r))
+        verdicts.append(verdict_for(
+            claim_id=f"max_tail_le_twice_sum_tail_n{n}_r{r}",
+            empirical=est,
+            bound=float(2 * prob_sum_ge(n, r)),
+            relation="<=",
+            details={
+                "walk_length": n,
+                "threshold": r,
+                "exact_probability": exact,
+                "ci_covers_exact": bool(est.ci_low <= exact <= est.ci_high),
+            },
+        ))
+    return verdicts
 
 
 def _strict_excess_threshold(x: float) -> int:
@@ -387,40 +388,43 @@ def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE,
 
 
 def verify_lemma71(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE, seed: int = 0,
-                   workers: int = 1, threshold: float | None = None) -> VerificationVerdict:
+                   workers: int = 1) -> list[VerificationVerdict]:
     """Running max X of a c1*m*n*t-step walk versus endpoint sum Y of an
-    equal-length walk: check Pr(X >= tau) <= 2 Pr(Y >= tau) up to CI slack.
+    equal-length walk: check Pr(X >= tau) <= 2 Pr(Y >= tau) up to CI slack,
+    at tau = (beta/6) * c1 * m and at 0.5, 1 and 2 sigma = sqrt(length).
 
-    Both indicators are measured on the same walks (the coupling does not
-    bias either marginal). tau defaults to (beta/6) * c1 * m.
+    Both indicators, at all four thresholds, are read off one sample of
+    walks (the coupling does not bias either marginal).
     """
     n, t, m, c1 = params.n, params.t, params.m, params.c1
     raw_length = c1 * m * n * t
     length = int(round(raw_length))
     if length < 1:
         raise ValueError(f"walk length c1*m*n*t = {raw_length} must round to >= 1")
-    thresholds = derive(params)
-    tau = (thresholds.beta / 6.0) * c1 * m if threshold is None else float(threshold)
-    int_tau = int(math.ceil(tau)) if tau > 0 else int(math.floor(tau))
-    counter = partial(_max_vs_endpoint_counter, length=length, threshold=tau)
-    tallies = run_blocks(counter, trials, seed, _bounded_block_size(length, trials), workers)
-    x_hits, y_hits = (int(v) for v in tallies)
-    est_x = McEstimate.from_counts(x_hits, trials, seed)
-    est_y = McEstimate.from_counts(y_hits, trials, seed)
-    slack = (est_x.ci_high - est_x.p_hat) + 2.0 * (est_y.p_hat - est_y.ci_low)
-    bound = 2.0 * est_y.p_hat + slack
-    holds = est_x.p_hat <= bound
-    return VerificationVerdict(
-        claim_id="running_max_tail_le_twice_endpoint_tail",
-        empirical=est_x,
-        analytic_bound=bound,
-        relation="<=",
-        verdict="pass" if holds else "fail",
-        details={
-            "walk_length": length,
-            "threshold": tau,
-            "effective_integer_threshold": int_tau,
-            "endpoint_estimate": asdict(est_y),
-            "ci_slack": slack,
-        },
-    )
+    sigma = math.sqrt(length)
+    sweep = {"default_threshold": (derive(params).beta / 6.0) * c1 * m,
+             **{f"{mult}sigma": mult * sigma for mult in (0.5, 1.0, 2.0)}}
+    counter = partial(_tail_counter, length=length, thresholds=tuple(sweep.values()))
+    maxima, endpoints = run_blocks(counter, trials, seed, _bounded_block_size(length, trials),
+                                   workers).reshape(2, -1)
+    verdicts = []
+    for (label, tau), x_hits, y_hits in zip(sweep.items(), maxima, endpoints):
+        est_x = McEstimate.from_counts(int(x_hits), trials, seed)
+        est_y = McEstimate.from_counts(int(y_hits), trials, seed)
+        slack = (est_x.ci_high - est_x.p_hat) + 2.0 * (est_y.p_hat - est_y.ci_low)
+        bound = 2.0 * est_y.p_hat + slack
+        verdicts.append(VerificationVerdict(
+            claim_id=f"running_max_vs_endpoint@{label}",
+            empirical=est_x,
+            analytic_bound=bound,
+            relation="<=",
+            verdict="pass" if est_x.p_hat <= bound else "fail",
+            details={
+                "walk_length": length,
+                "threshold": tau,
+                "effective_integer_threshold": math.ceil(tau) if tau > 0 else math.floor(tau),
+                "endpoint_estimate": asdict(est_y),
+                "ci_slack": slack,
+            },
+        ))
+    return verdicts

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinlab.cli import _COMMON_FLAGS, _EXPERIMENTS, run
+from coinlab.cli import _COMMON_FLAGS, _EXPERIMENTS, _FLAG_KINDS, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -51,6 +51,9 @@ def test_bad_format_rejected():
     ["lemma52-1", "--seed", "0", "--t", "0", "--trials", "0"],
     ["lemma52-1", "--seed", "0", "--t", "0", "--trials", "-5"],
     ["lemma71", "--seed", "0", "--c1", "inf"],  # found by the argv fuzz test below
+    ["spectral", "--seed", "0", "--trials", "5", "--n", "4", "--m", "2", "--epsilon", "1e308"],
+    ["constants", "--seed", "0", "--epsilon", "1e308"],  # norm threshold overflows
+    ["constants", "--seed", "0", "--m", "1" + "0" * 400],  # too large for a float
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -221,9 +224,38 @@ def test_stdout_when_no_out_file(capsys):
     assert json.loads(printed)["subcommand"] == "constants"
 
 
-def test_iteration_flags_rejected_on_plain_experiments():
-    assert run(["fact3", "--seed", "1", "--iterations", "5"]) == 2
-    assert run(["all", "--seed", "1", "--n", "8"]) == 2
+def test_iteration_flags_rejected_on_plain_experiments(capsys):
+    # each subcommand takes only the flags its experiment reads
+    for argv in (
+        ["fact3", "--seed", "1", "--iterations", "5"],
+        ["all", "--seed", "1", "--n", "8"],
+        ["fact3", "--seed", "1", "--t", "100"],
+        ["agreement", "--seed", "1", "--iterations", "9"],
+        ["agreement", "--seed", "1", "--epsilon", "3"],
+        ["coin-iter", "--seed", "1", "--max-iterations", "5"],
+        ["constants", "--seed", "1", "--c1", "7"],
+    ):
+        assert run(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_all_draws_one_sample_per_stream_experiment(monkeypatch):
+    import coinlab.matrices
+    import coinlab.mc
+
+    calls = []
+    original = coinlab.mc.run_blocks
+
+    def counting_run_blocks(counter, *args, **kwargs):
+        calls.append(counter.func.__name__)
+        return original(counter, *args, **kwargs)
+
+    monkeypatch.setattr(coinlab.mc, "run_blocks", counting_run_blocks)
+    monkeypatch.setattr(coinlab.matrices, "run_blocks", counting_run_blocks)
+    with redirect_stdout(io.StringIO()):
+        assert run(["all", "--seed", "0", "--trials", "200"]) == 0
+    # fact3, lemma52-1, lemma52-2, lemma71, spectral
+    assert len(calls) == 5, calls
 
 
 def test_report_version_matches_pyproject(tmp_path):
@@ -253,7 +285,8 @@ def _flag_values(name, kind):
 
 @st.composite
 def _argv(draw, subcommand):
-    kinds = dict(_COMMON_FLAGS + (_EXPERIMENTS[subcommand][2] if subcommand != "all" else ()))
+    flags = _COMMON_FLAGS + (_EXPERIMENTS[subcommand][2] if subcommand != "all" else ())
+    kinds = {name: _FLAG_KINDS[name] for name in flags}
     del kinds["out"], kinds["config"]  # paths, covered by the tests above
     optional = sorted(set(kinds) - set(_ALWAYS))
     chosen = [name for name in _ALWAYS if name in kinds]
@@ -281,3 +314,50 @@ def test_any_small_argv_exits_cleanly(subcommand, data):
 @given(argv=_argv("all"))
 def test_any_small_all_argv_exits_cleanly(argv):
     _assert_clean_exit(argv)
+
+
+# Sampled tallies of small runs at --seed 0: every `successes` in each
+# verdict row, in report order (for lemma52-1 the total, then the + and -
+# directions; for lemma52-2 p_first, p_adversary_max, p_full; for lemma71
+# the running max, then the endpoint).
+_PINNED_VERSION = "0.2.1"
+_PINNED_SUCCESSES = {
+    "fact3 --n 8 --trials 4000": {
+        f"max_tail_le_twice_sum_tail_n8_r{r}": [hits]
+        for r, hits in enumerate((2898, 2037, 1214, 744, 292, 166, 31, 13), start=1)
+    },
+    "lemma52-1 --n 24 --t 3 --trials 4000": {"stopped_stream_deviation_tail": [1625, 795, 830]},
+    "lemma52-2 --n 30 --t 1 --trials 1500": {
+        "two_phase_structural_decomposition": [108, 116, 168],
+    },
+    "lemma71 --trials 3000": {
+        "running_max_vs_endpoint@default_threshold": [1265, 612],
+        "running_max_vs_endpoint@0.5sigma": [1577, 926],
+        "running_max_vs_endpoint@1.0sigma": [784, 363],
+        "running_max_vs_endpoint@2.0sigma": [111, 59],
+    },
+    "spectral --n 8 --m 8 --trials 64": {"iteration_sum_norm_exceedance": [0]},
+}
+
+
+def _successes(obj):
+    if isinstance(obj, dict):
+        found = [obj["successes"]] if "successes" in obj else []
+        return found + [s for value in obj.values() for s in _successes(value)]
+    if isinstance(obj, list):
+        return [s for value in obj for s in _successes(value)]
+    return []
+
+
+@pytest.mark.parametrize("command", list(_PINNED_SUCCESSES))
+def test_sampled_tallies_are_pinned(command):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        run(command.split() + ["--seed", "0"])
+    report = json.loads(out.getvalue())
+    tallies = {row["claim_id"]: _successes(row) for row in report["results"]
+               if _successes(row)}
+    assert (report["tool_version"], tallies) == (_PINNED_VERSION, _PINNED_SUCCESSES[command]), (
+        "a sampled tally or the version moved: a change to reported numbers must bump "
+        "the version in pyproject.toml, then re-pin _PINNED_VERSION and _PINNED_SUCCESSES"
+    )

@@ -142,16 +142,6 @@ def test_iterations_are_independent_substreams():
     assert a.total == again.total
 
 
-def test_record_serialization():
-    record = run_iteration(BASE, 0)
-    d = record.to_dict()
-    assert d["total"] == record.total
-    assert "complete_streams" not in d
-    full = record.to_dict(include_streams=True)
-    assert np.array_equal(np.asarray(full["complete_streams"]),
-                          record.complete_streams)
-
-
 def test_agreement_no_adversary_terminates_fast():
     result = run_agreement(IterationConfig(n=60, t=0, seed=5), 1000, keep_records=False)
     assert result.agreed

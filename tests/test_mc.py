@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -116,17 +117,20 @@ def test_verdict_three_ways():
 
 
 def test_fact3_mc_matches_exact_probability():
-    verdict = verify_fact3_mc(10, 3, trials=40_000, seed=21)
+    verdicts = verify_fact3_mc(10, trials=40_000, seed=21)
+    assert [v.details["threshold"] for v in verdicts] == list(range(1, 11))
+    verdict = verdicts[2]  # r = 3
     exact = float(prob_max_ge_reflection(10, 3))
+    assert verdict.claim_id == "max_tail_le_twice_sum_tail_n10_r3"
     assert verdict.details["exact_probability"] == pytest.approx(exact, rel=1e-12)
     assert verdict.empirical.ci_low <= exact <= verdict.empirical.ci_high
     assert verdict.verdict in ("pass", "inconclusive")
 
 
 def test_fact3_mc_deterministic():
-    a = verify_fact3_mc(12, 2, trials=10_000, seed=5)
-    b = verify_fact3_mc(12, 2, trials=10_000, seed=5, workers=3)
-    assert a.empirical.successes == b.empirical.successes
+    a = verify_fact3_mc(12, trials=10_000, seed=5)
+    b = verify_fact3_mc(12, trials=10_000, seed=5, workers=3)
+    assert [v.empirical.successes for v in a] == [v.empirical.successes for v in b]
 
 
 def test_lemma52_part1_zero_adversary_short_circuits():
@@ -163,18 +167,21 @@ def test_lemma52_part2_direction_symmetry_structural():
 
 def test_lemma71_default_threshold_and_verdict():
     params = Params(n=40, t=2, m=10, c1=0.05)
-    verdict = verify_lemma71(params, trials=20_000, seed=11)
+    verdict = verify_lemma71(params, trials=20_000, seed=11)[0]
+    assert verdict.claim_id == "running_max_vs_endpoint@default_threshold"
     assert verdict.details["walk_length"] == 40
     expected_tau = derive(params).beta / 6.0 * 0.05 * 10
     assert verdict.details["threshold"] == pytest.approx(expected_tau, rel=1e-9)
     assert verdict.verdict == "pass"
 
 
-def test_lemma71_custom_threshold():
-    verdict = verify_lemma71(Params(n=40, t=2, m=10, c1=0.05), trials=10_000, seed=11,
-                             threshold=2.0)
-    assert verdict.details["threshold"] == 2.0
-    assert verdict.verdict == "pass"
+def test_lemma71_sigma_thresholds():
+    sweep = verify_lemma71(Params(n=40, t=2, m=10, c1=0.05), trials=10_000, seed=11)
+    assert [v.claim_id for v in sweep[1:]] == [
+        f"running_max_vs_endpoint@{mult}sigma" for mult in (0.5, 1.0, 2.0)]
+    assert [v.details["threshold"] for v in sweep[1:]] == [
+        mult * math.sqrt(40) for mult in (0.5, 1.0, 2.0)]
+    assert all(v.verdict == "pass" for v in sweep)
 
 
 def test_lemma71_rejects_empty_walk():
@@ -196,3 +203,20 @@ def test_counter_agrees_with_walk_layer():
         assert trace.run_max == max(0, sums[i].max())
         stopped = apply_stop(trace, StoppingStrategy.no_stop())
         assert stopped.value == sums[i, -1]
+
+
+@pytest.mark.parametrize("length, thresholds", [
+    (25, (1, 2, 5, 25, 26)),
+    (25, (-3, -0.5, 0.5, 2.7, 4.2)),
+    (6, (-7, -6.5, 6.5, 7)),  # beyond +-length: every walk or none
+])
+def test_tail_counter_matches_direct_counts(length, thresholds):
+    from coinlab.mc import _tail_counter, _walk_sums
+
+    block = np.random.SeedSequence((7, 3))
+    sums = _walk_sums(np.random.default_rng(block), 500, length)
+    tallies = _tail_counter(np.random.default_rng(block), 500, 0, length=length,
+                            thresholds=thresholds)
+    expected = [np.count_nonzero(sums.max(axis=1) >= tau) for tau in thresholds]
+    expected += [np.count_nonzero(sums[:, -1] >= tau) for tau in thresholds]
+    assert tallies.tolist() == expected
