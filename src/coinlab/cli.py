@@ -4,7 +4,8 @@ Every numeric field of a report is a pure function of (subcommand,
 parameters, seed, trials); wall times are reported but excluded from that
 guarantee. Exit status: 0 when no experiment fails (inconclusive CI
 straddles are reported but non-blocking), 1 on any failure, including a
-spectral norm whose certificate misses its tolerance, 2 on usage errors,
+spectral norm whose certificate misses its tolerance and a worker process
+that dies, 2 on usage errors,
 including parameters an experiment rejects and config-file values of the
 wrong type.
 
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -317,28 +319,38 @@ _FLAG_KINDS: dict[str, type] = {
     "t_excluded": int, "t_stopped": int, "ambiguous": int, "direction": int,
     "iterations": int, "max_iterations": int,
 }
-_COMMON_FLAGS = ("seed", "workers", "trials", "out", "format", "config")
+_COMMON_FLAGS = ("seed", "workers", "out", "format", "config")
 _ROUND_FLAGS = ("n", "t", "t_excluded", "t_stopped", "ambiguous", "direction")
 
 # name -> (runner, defaults, the flags beyond _COMMON_FLAGS that the runner
 # reads): the subparsers, `all`, and config-file key checking and casting
 # are all derived from it.
 _EXPERIMENTS: dict[str, tuple] = {
-    "fact3": (_run_fact3, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, ("n",)),
+    "fact3": (_run_fact3, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, ("trials", "n")),
     "lemma52-1": (_run_lemma52_1, {"n": 200, "t": 1, "trials": DEFAULT_TRIALS_SINGLE},
-                  ("n", "t")),
+                  ("trials", "n", "t")),
     "lemma52-2": (_run_lemma52_2, {"n": 60, "t": 3, "trials": DEFAULT_TRIALS_COMPOSITE},
-                  ("n", "t")),
+                  ("trials", "n", "t")),
     "lemma71": (_run_lemma71, {"n": 40, "t": 2, "m": 10, "c1": 0.05,
-                               "trials": DEFAULT_TRIALS_COMPOSITE}, ("n", "t", "c1", "m")),
+                               "trials": DEFAULT_TRIALS_COMPOSITE},
+                ("trials", "n", "t", "c1", "m")),
     "coin-iter": (_run_coin_iter, {"n": 60, "t": 3, "t_excluded": 1, "t_stopped": 2,
                                    "iterations": 1000}, _ROUND_FLAGS + ("iterations",)),
     "agreement": (_run_agreement, {"n": 60, "t": 0, "max_iterations": 1000},
                   _ROUND_FLAGS + ("max_iterations",)),
     "spectral": (_run_spectral, {"n": 32, "t": 1, "m": 32, "epsilon": 0.1, "trials": 1000},
-                 ("n", "t", "epsilon", "m")),
+                 ("trials", "n", "t", "epsilon", "m")),
     "constants": (_run_constants, {"n": 1000, "t": 5}, ("n", "t", "epsilon", "m")),
 }
+# `all` has no runner or defaults of its own; its --trials reaches every
+# experiment that samples
+_ALL_FLAGS = ("trials",)
+
+
+def _flags_of(subcommand: str) -> tuple[str, ...]:
+    """Every flag the subcommand accepts, on argv and in a config file."""
+    own = _EXPERIMENTS[subcommand][2] if subcommand in _EXPERIMENTS else _ALL_FLAGS
+    return _COMMON_FLAGS + own
 
 
 # --- configuration plumbing ---
@@ -369,19 +381,18 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in flags:
             p.add_argument(f"--{name.replace('_', '-')}", type=_FLAG_KINDS[name], default=None)
 
-    for name, (_, _, flags) in _EXPERIMENTS.items():
+    for name in _EXPERIMENTS:
         # no prefix matching, so `fact3 --t 1` is refused, not read as --trials
-        add_flags(sub.add_parser(name, allow_abbrev=False), _COMMON_FLAGS + flags)
+        add_flags(sub.add_parser(name, allow_abbrev=False), _flags_of(name))
     p_all = sub.add_parser("all", allow_abbrev=False,
                            help="run every experiment with its documented defaults")
-    add_flags(p_all, _COMMON_FLAGS)
+    add_flags(p_all, _flags_of("all"))
     return parser
 
 
 def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
-    # `all` has no runner, defaults or flags of its own
-    _, defaults, flags = _EXPERIMENTS.get(subcommand, (None, {}, ()))
-    kinds = {name: _FLAG_KINDS[name] for name in _COMMON_FLAGS + flags}
+    defaults = _EXPERIMENTS[subcommand][1] if subcommand in _EXPERIMENTS else {}
+    kinds = {name: _FLAG_KINDS[name] for name in _flags_of(subcommand)}
     cfg = {"workers": 1, "format": "json", "out": None, **defaults}
     if args.config:
         file_values = _load_config_file(args.config)
@@ -424,7 +435,7 @@ def _timed_run(name: str, runner, cfg: dict) -> list[dict]:
     start = time.perf_counter()
     try:
         rows = runner(cfg)
-    except (ConvergenceError, SpectralCheckError) as exc:
+    except (ConvergenceError, SpectralCheckError, BrokenProcessPool) as exc:
         rows = [{
             "experiment": name,
             "kind": "error",

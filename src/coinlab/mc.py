@@ -8,6 +8,12 @@ block size) and never on the worker count. Block size is itself a fixed
 function of the walk length, so a given experiment is reproducible byte for
 byte. Each experiment makes one ``run_blocks`` call; fact3 and lemma71 read
 every threshold of their sweep from that one sample.
+
+The block counters never hold a walk's prefix sums. They ask
+``walks.segment_stats`` for the endpoint and the running max and min of each
+segment, which it reads off the same coins ``walks.draw_steps`` draws, eight
+per byte-table lookup, so every tally equals the one a full ``np.cumsum``
+of those coins gives.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from scipy.stats import beta as _beta_dist
 
 from .bounds import Params, derive, lemma52_part1_bound
 from .exact import prob_max_ge_reflection, prob_sum_ge
-from .walks import StoppingStrategy, apply_stop, draw_steps
+from .walks import segment_stats
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -47,8 +53,9 @@ DEFAULT_TRIALS_COMPOSITE = 10**5  # multi-phase / multi-stream experiments
 
 _MAX_BLOCK = 8192
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
-# Hard cap on one block's walk matrix (about 6 bytes per entry across the
-# int8 draw and the int32 scan), since walks are scanned whole, not in chunks.
+# Hard cap on one block's walk matrix, since walks are drawn whole, not in
+# chunks. A block holds one raw byte per entry; the bit mask and byte-table
+# rows of the segment being scanned bring the peak to about 2.5 bytes.
 _MAX_BLOCK_ENTRIES = 2**26
 
 
@@ -199,36 +206,35 @@ def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: st
 
 # --- block counters (module level so worker processes can unpickle them) ---
 
-def _walk_sums(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
-    return np.cumsum(draw_steps(rng, (count, length)), axis=1, dtype=np.int32)
-
-
 def _tail_counter(rng, count, start, *, length, thresholds):
     # hits of the running max at each threshold, then of the endpoint
-    sums = _walk_sums(rng, count, length)
+    ends, tops, _ = segment_stats(rng, count, length)
     levels = np.asarray(thresholds)[:, None]
-    return np.concatenate([np.count_nonzero(sums.max(axis=1) >= levels, axis=1),
-                           np.count_nonzero(sums[:, -1] >= levels, axis=1)])
+    return np.concatenate([np.count_nonzero(tops[:, 0] >= levels, axis=1),
+                           np.count_nonzero(ends[:, 0] >= levels, axis=1)])
 
 
 def _directional_hit_counter(rng, count, start, *, length, threshold):
     # Trials alternate target direction by global index: even -> +, odd -> -.
-    sums = _walk_sums(rng, count, length)
+    _, tops, bottoms = segment_stats(rng, count, length)
     plus = (np.arange(start, start + count) % 2) == 0
-    plus_hits = int(np.count_nonzero(sums[plus].max(axis=1) >= threshold)) if plus.any() else 0
-    minus = ~plus
-    minus_hits = int(np.count_nonzero(sums[minus].min(axis=1) <= -threshold)) if minus.any() else 0
-    return [plus_hits, minus_hits, int(plus.sum()), int(minus.sum())]
+    plus_hits = int(np.count_nonzero(tops[plus, 0] >= threshold))
+    minus_hits = int(np.count_nonzero(bottoms[~plus, 0] <= -threshold))
+    return [plus_hits, minus_hits, int(plus.sum()), int(count - plus.sum())]
 
 
 def _two_phase_counter(rng, count, start, *, n_core, n_full, direction,
                        alpha, beta_quarter, alpha_prime):
-    sums = _walk_sums(rng, count, n_full)
+    ends, tops, bottoms = segment_stats(rng, count, n_full, (n_core,))
+    core = ends[:, 0]
+    # The adversary's most damaging stop in the window n_core..n_full is
+    # the window's extreme against the direction (analysed in the + frame
+    # by mirror symmetry); walks.apply_stop with omniscient_extreme(-1,
+    # (n_core, n_full)) on the prefix sums states the same stop.
     if direction < 0:
-        sums = -sums  # mirror symmetry: analyse everything in the + frame
-    core = sums[:, n_core - 1]
-    # the adversary's most damaging stop inside the window
-    stopped = apply_stop(sums, StoppingStrategy.omniscient_extreme(-1, (n_core, n_full))).value
+        core, stopped = -core, -np.maximum(core, tops[:, 1])
+    else:
+        stopped = np.minimum(core, bottoms[:, 1])
     first = core >= alpha
     adversary = core - stopped >= beta_quarter
     full = stopped >= alpha_prime

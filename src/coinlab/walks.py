@@ -7,6 +7,9 @@ to a clairvoyant stop at the most extreme prefix sum inside a window.
 Every module draws its coins with ``draw_steps`` and lets ``apply_stop``
 choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
 sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
+The Monte Carlo counters, which need only a few statistics per walk, read
+them from ``segment_stats``: it scans the same coins as ``draw_steps`` eight
+at a time, one byte-table lookup per eight coins.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ __all__ = [
     "StoppingStrategy",
     "StoppedStream",
     "draw_steps",
+    "segment_stats",
     "generate_walk",
     "apply_stop",
 ]
@@ -75,6 +79,75 @@ class WalkTrace:
 def draw_steps(rng: np.random.Generator, shape) -> np.ndarray:
     """Draw fair +/-1 steps (int8) of the given shape from ``rng``."""
     return rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+
+
+def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Byte b holds eight coins, coin i in bit i. Per byte: the sum of its
+    # steps, and its highest and lowest prefix sum measured from its end.
+    walks = np.cumsum(((np.arange(256)[:, None] >> np.arange(8)) & 1) * 2 - 1, axis=1)
+    total = walks[:, -1]
+    return (total.astype(np.int16), (walks.max(axis=1) - total).astype(np.int16),
+            (walks.min(axis=1) - total).astype(np.int16))
+
+
+_BYTE_SUM, _BYTE_TOP, _BYTE_BOTTOM = _byte_tables()
+
+
+def segment_stats(rng: np.random.Generator, count: int, length: int, cuts=()):
+    """Draw ``count`` walks of ``length`` steps and summarise each segment.
+
+    The coins are those ``draw_steps(rng, (count, length))`` draws, and
+    ``rng`` ends in the same state: ``integers(0, 2, dtype=int8)`` reads bit
+    7 of consecutive bytes of ``rng.bytes``, in blocks of four. ``cuts`` are
+    prefix indices ``0 <= c_1 <= ... <= length``; segment ``j`` holds the
+    prefix sums ``S_k`` for ``c_j < k <= c_{j+1}``, with ``c_0 = 0`` and a
+    last bound of ``length``. Returns three int64 arrays of shape
+    ``(count, len(cuts) + 1)``: the prefix sum at each segment's right end,
+    and the max and min over the prefix sums inside it (both equal to the
+    end value for an empty segment).
+
+    A segment is scanned one byte of eight coins at a time. Its highest
+    prefix sum is the max over bytes of (sum before the byte + the byte's
+    highest prefix), so the running sum only runs over length / 8 columns;
+    the at most seven coins past the segment's last whole byte are added
+    one column at a time.
+    """
+    if count < 1 or length < 1:
+        raise ValueError(f"need count >= 1 and length >= 1, got {count} x {length}")
+    bounds = [0, *(int(c) for c in cuts), length]
+    if any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError(f"cuts {tuple(cuts)} must be sorted within [0, {length}]")
+    entries = count * length
+    raw = np.frombuffer(rng.bytes(-(-entries // 4) * 4), dtype=np.uint8)[:entries]
+    raw = raw.reshape(count, length)
+    # |every prefix sum| <= length, so a short walk is scanned in int16
+    scan = np.int16 if length < 2**15 else np.int32
+    value = np.zeros(count, dtype=np.int64)
+    ends, tops, bottoms = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(3))
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        highs, lows = [], []
+        whole = lo + (hi - lo) // 8 * 8
+        if whole > lo:
+            # the width is a multiple of 8, so packing flat keeps walks apart
+            packed = np.packbits(raw[:, lo:whole] >= 128, bitorder="little")
+            packed = packed.reshape(count, -1).T
+            run = np.take(_BYTE_SUM, packed).astype(scan, copy=False)
+            # rows are bytes, columns walks: np.cumsum would run one scalar
+            # chain per walk, while adding whole rows vectorises over walks
+            for k in range(1, run.shape[0]):
+                run[k] += run[k - 1]
+            highs.append(value + (run + np.take(_BYTE_TOP, packed)).max(axis=0))
+            lows.append(value + (run + np.take(_BYTE_BOTTOM, packed)).min(axis=0))
+            value = value + run[-1]
+        for k in range(whole, hi):
+            value = value + np.where(raw[:, k] >= 128, 1, -1)
+            highs.append(value)
+            lows.append(value)
+        ends[:, j] = value
+        # an empty segment holds no prefix sum and reports its end instead
+        tops[:, j] = np.max(highs, axis=0) if highs else value
+        bottoms[:, j] = np.min(lows, axis=0) if lows else value
+    return ends, tops, bottoms
 
 
 def generate_walk(length: int, rng: np.random.Generator) -> WalkTrace:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinlab.cli import _COMMON_FLAGS, _EXPERIMENTS, _FLAG_KINDS, run
+from coinlab.cli import _EXPERIMENTS, _FLAG_KINDS, _flags_of, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -116,7 +118,7 @@ def test_config_file_alone_supplies_seed(tmp_path):
 @pytest.mark.parametrize("subcommand, key", [
     ("constants", "wibble"),
     ("fact3", "iterations"),  # a flag of coin-iter and agreement only
-    ("all", "n"),  # `all` takes only the common flags
+    ("all", "n"),  # `all` takes only the common flags and --trials
 ], ids=["constants-wibble", "fact3-iterations", "all-n"])
 def test_config_file_unknown_key(tmp_path, capsys, subcommand, key):
     cfg = tmp_path / "run.cfg"
@@ -234,6 +236,8 @@ def test_iteration_flags_rejected_on_plain_experiments(capsys):
         ["agreement", "--seed", "1", "--epsilon", "3"],
         ["coin-iter", "--seed", "1", "--max-iterations", "5"],
         ["constants", "--seed", "1", "--c1", "7"],
+        ["coin-iter", "--seed", "1", "--trials", "5"],
+        ["agreement", "--seed", "1", "--trials", "5"],
     ):
         assert run(argv) == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err, argv
@@ -256,6 +260,29 @@ def test_all_draws_one_sample_per_stream_experiment(monkeypatch):
         assert run(["all", "--seed", "0", "--trials", "200"]) == 0
     # fact3, lemma52-1, lemma52-2, lemma71, spectral
     assert len(calls) == 5, calls
+
+
+def _counter_that_kills_its_worker(rng, count, start, **kwargs):
+    # the worker process dies without a word, as an out-of-memory kill would
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("ran outside a worker process")
+    os._exit(1)
+
+
+def test_dead_worker_is_an_error_row(monkeypatch, tmp_path):
+    import coinlab.mc
+
+    monkeypatch.setattr(coinlab.mc, "_tail_counter", _counter_that_kills_its_worker)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 even on one CPU
+    out = tmp_path / "r.json"
+    # n = 1 makes blocks of 8192 walks, so 8193 trials are two blocks for two workers
+    assert run(["fact3", "--seed", "0", "--n", "1", "--trials", "8193", "--workers", "2",
+                "--out", str(out)]) == 1
+    report = _load(out)
+    error = report["results"][0]
+    assert (error["kind"], error["verdict"]) == ("error", "fail")
+    assert error["error"].startswith("BrokenProcessPool:")
+    assert report["summary"]["fail"] == 1
 
 
 def test_report_version_matches_pyproject(tmp_path):
@@ -285,8 +312,7 @@ def _flag_values(name, kind):
 
 @st.composite
 def _argv(draw, subcommand):
-    flags = _COMMON_FLAGS + (_EXPERIMENTS[subcommand][2] if subcommand != "all" else ())
-    kinds = {name: _FLAG_KINDS[name] for name in flags}
+    kinds = {name: _FLAG_KINDS[name] for name in _flags_of(subcommand)}
     del kinds["out"], kinds["config"]  # paths, covered by the tests above
     optional = sorted(set(kinds) - set(_ALWAYS))
     chosen = [name for name in _ALWAYS if name in kinds]

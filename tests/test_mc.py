@@ -18,7 +18,7 @@ from coinlab.mc import (
     verify_lemma71,
 )
 from coinlab.exact import prob_max_ge_reflection
-from coinlab.walks import StoppingStrategy, WalkTrace, apply_stop
+from coinlab.walks import StoppingStrategy, WalkTrace, apply_stop, draw_steps, segment_stats
 
 
 def _sum_counter(rng, count, start):
@@ -191,18 +191,20 @@ def test_lemma71_rejects_empty_walk():
 
 def test_counter_agrees_with_walk_layer():
     # the vectorized counters must see exactly the walks the walk layer sees
-    from coinlab.mc import _walk_sums
-
     rng_a = np.random.default_rng(np.random.SeedSequence((42, 0)))
-    sums = _walk_sums(rng_a, 8, 25)
+    ends, tops, _ = segment_stats(rng_a, 8, 25)
     rng_b = np.random.default_rng(np.random.SeedSequence((42, 0)))
     steps = rng_b.integers(0, 2, size=(8, 25), dtype=np.int8) * 2 - 1
     for i in range(8):
         trace = WalkTrace.from_steps(steps[i])
-        assert trace.prefix_sums[-1] == sums[i, -1]
-        assert trace.run_max == max(0, sums[i].max())
+        assert trace.prefix_sums[-1] == ends[i, 0]
+        assert trace.run_max == max(0, tops[i, 0])
         stopped = apply_stop(trace, StoppingStrategy.no_stop())
-        assert stopped.value == sums[i, -1]
+        assert stopped.value == ends[i, 0]
+
+
+def _block_sums(block, count, length):
+    return np.cumsum(draw_steps(np.random.default_rng(block), (count, length)), axis=1)
 
 
 @pytest.mark.parametrize("length, thresholds", [
@@ -211,12 +213,34 @@ def test_counter_agrees_with_walk_layer():
     (6, (-7, -6.5, 6.5, 7)),  # beyond +-length: every walk or none
 ])
 def test_tail_counter_matches_direct_counts(length, thresholds):
-    from coinlab.mc import _tail_counter, _walk_sums
+    from coinlab.mc import _tail_counter
 
     block = np.random.SeedSequence((7, 3))
-    sums = _walk_sums(np.random.default_rng(block), 500, length)
+    sums = _block_sums(block, 500, length)
     tallies = _tail_counter(np.random.default_rng(block), 500, 0, length=length,
                             thresholds=thresholds)
     expected = [np.count_nonzero(sums.max(axis=1) >= tau) for tau in thresholds]
     expected += [np.count_nonzero(sums[:, -1] >= tau) for tau in thresholds]
     assert tallies.tolist() == expected
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("n, t", [(9, 1), (23, 5), (6, 0)])  # n_core 63, 299 and 36 = n_full
+def test_two_phase_counter_matches_apply_stop(n, t, direction):
+    # walks.apply_stop is the specification of the adversary's stop
+    from coinlab.mc import _two_phase_counter
+
+    n_core, n_full = n * (n - 2 * t), n * (n - t)
+    levels = {"alpha": 0.5 * math.sqrt(n_core), "alpha_prime": 0.25 * math.sqrt(n_core),
+              "beta_quarter": max(1.0, 0.5 * math.sqrt(n_full - n_core))}
+    block = np.random.SeedSequence((5, 2))
+    sums = direction * _block_sums(block, 400, n_full)
+    core = sums[:, n_core - 1]
+    stopped = apply_stop(sums, StoppingStrategy.omniscient_extreme(-1, (n_core, n_full))).value
+    expected = [np.count_nonzero(core >= levels["alpha"]),
+                np.count_nonzero(core - stopped >= levels["beta_quarter"]),
+                np.count_nonzero(stopped >= levels["alpha_prime"])]
+    tallies = _two_phase_counter(np.random.default_rng(block), 400, 0, n_core=n_core,
+                                 n_full=n_full, direction=direction, **levels)
+    assert tallies == expected
+    assert 0 < expected[0] < 400 and 0 < expected[2] < 400

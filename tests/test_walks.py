@@ -8,7 +8,9 @@ from coinlab.walks import (
     StoppingStrategy,
     WalkTrace,
     apply_stop,
+    draw_steps,
     generate_walk,
+    segment_stats,
 )
 
 step_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=60)
@@ -209,3 +211,61 @@ def test_batched_stop_matches_reference_row_by_row(case):
         assert (int(batched.stop_index[i]), int(batched.value[i])) == expected
         scalar = apply_stop(WalkTrace.from_steps(row), strategy)
         assert (scalar.stop_index, scalar.value) == expected
+
+
+def _assert_stats_match_cumsum(count, length, cuts, seed):
+    ends, tops, bottoms = segment_stats(np.random.default_rng(seed), count, length, cuts)
+    sums = np.cumsum(draw_steps(np.random.default_rng(seed), (count, length)), axis=1)
+    bounds = [0, *cuts, length]
+    assert ends.shape == tops.shape == bottoms.shape == (count, len(bounds) - 1)
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        end = sums[:, hi - 1] if hi else np.zeros(count, dtype=sums.dtype)
+        inside = sums[:, lo:hi] if hi > lo else end[:, None]  # empty: the end value
+        assert np.array_equal(ends[:, j], end)
+        assert np.array_equal(tops[:, j], inside.max(axis=1))
+        assert np.array_equal(bottoms[:, j], inside.min(axis=1))
+
+
+@st.composite
+def stats_cases(draw):
+    count = draw(st.integers(1, 40))
+    length = draw(st.integers(1, 70))
+    cut = st.integers(0, length) | st.integers(0, length // 8).map(lambda k: 8 * k)
+    cuts = sorted(draw(st.lists(cut, max_size=4)))
+    return count, length, cuts, draw(st.integers(0, 2**32 - 1))
+
+
+@given(stats_cases())
+@example((3, 20, [8, 8, 13], 0))  # equal cuts: an empty segment
+@example((2, 5, [0, 5], 1))  # empty first and last segments
+@example((4, 70, [3, 64], 2))  # whole bytes plus up to seven odd coins
+@settings(max_examples=200, deadline=None)
+def test_segment_stats_match_cumsum_of_draw_steps(case):
+    _assert_stats_match_cumsum(*case)
+
+
+def test_segment_stats_long_walks_scan_wider():
+    # past 2**15 steps a prefix sum may leave int16, so the scan widens
+    _assert_stats_match_cumsum(2, 40_000, [12_345], 5)
+
+
+def test_segment_stats_rejects_bad_cuts():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [6, 4])
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [11])
+    with pytest.raises(ValueError):
+        segment_stats(rng, 0, 10)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (7, 3), (13, 1), (8, 8), (57, 60)])
+def test_int8_coins_are_bit_7_of_generator_bytes(shape):
+    # segment_stats reads draw_steps' coins this way; if a NumPy release
+    # changes how integers() draws, this fails instead of reports moving
+    by_integers, by_bytes = np.random.default_rng(9), np.random.default_rng(9)
+    coins = by_integers.integers(0, 2, size=shape, dtype=np.int8)
+    total = shape[0] * shape[1]
+    raw = np.frombuffer(by_bytes.bytes(-(-total // 4) * 4), dtype=np.uint8)[:total]
+    assert np.array_equal(coins, (raw >> 7).reshape(shape))
+    assert by_integers.integers(0, 2**63) == by_bytes.integers(0, 2**63)
