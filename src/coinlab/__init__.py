@@ -17,8 +17,10 @@ from .iteration import (
     AgreementResult,
     IterationConfig,
     IterationRecord,
+    Rounds,
     run_agreement,
     run_iteration,
+    run_rounds,
 )
 from .matrices import (
     ConvergenceError,

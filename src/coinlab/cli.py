@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__
 from .bounds import Params, check_claims, derive, lemma52_part1_bound
 from .exact import prob_max_ge_enumeration, prob_max_ge_reflection, prob_sum_ge
-from .iteration import IterationConfig, run_agreement, run_iteration
+from .iteration import IterationConfig, rounds_per_block, run_agreement, run_rounds
 from .matrices import (
     ConvergenceError,
     SpectralCheckError,
@@ -159,24 +160,31 @@ def _iteration_config(cfg: dict) -> IterationConfig:
     )
 
 
-def _recompute_components(record) -> dict:
-    direction = record.config.adversary_direction
-    core = int(record.complete_streams.sum())
-    excluded = int(record.excluded_streams.sum())
-    stopped = 0
-    extremes_ok = True
-    for row, k in zip(record.stopped_streams, record.stop_indices):
-        prefix = np.cumsum(row)
-        value = int(prefix[k - 1]) if k >= 1 else 0
-        extreme = int(prefix.min()) if direction > 0 else int(prefix.max())
-        extremes_ok = extremes_ok and value == extreme
-        stopped += value
-    return {
-        "core": core,
-        "excluded": excluded,
-        "stopped": stopped,
-        "stop_values_are_extremes": extremes_ok,
-    }
+def _round_blocks(config: IterationConfig, count: int):
+    """Rounds 0 .. count-1 of ``config``, one ``run_rounds`` block at a time."""
+    size = rounds_per_block(config)
+    for start in range(0, count, size):
+        yield run_rounds(config, start, min(size, count - start))
+
+
+def _component_failures(rounds) -> tuple[int, int]:
+    """Rounds whose components, recomputed from the raw streams, do not add
+    up to the reported total, and rounds with a stop off the extreme."""
+    config = rounds.config
+    k = config.complete_count
+    stopped_from = k + config.t_excluded
+    core = rounds.streams[:, :k].sum(axis=(1, 2))
+    excluded = rounds.streams[:, k:stopped_from].sum(axis=(1, 2))
+    walks = np.cumsum(rounds.streams[:, stopped_from:], axis=-1, dtype=np.int32)
+    # prefix[..., k] is the sum of the first k coins, so a stop at 0 is worth 0
+    prefix = np.concatenate([np.zeros(walks.shape[:-1] + (1,), walks.dtype), walks], axis=-1)
+    value = np.take_along_axis(prefix, rounds.stop_indices[..., None], axis=-1)[..., 0]
+    extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
+    rebuilt = (core + excluded + value.sum(axis=-1)
+               + rounds.ambiguous_term + config.bad_contribution)
+    additive = np.count_nonzero((rebuilt != rounds.total) | (core != rounds.core_sum))
+    extremes = np.count_nonzero((value != extreme).any(axis=-1))
+    return int(additive), int(extremes)
 
 
 def _run_coin_iter(cfg: dict) -> list[dict]:
@@ -191,18 +199,13 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
     additive_failures = 0
     extreme_failures = 0
     good_hits = 0
-    for i in range(iterations):
-        record = run_iteration(config, i)
-        if i < probe:
-            base_events.append(record.good_event)
-        parts = _recompute_components(record)
-        rebuilt = (parts["core"] + parts["excluded"] + parts["stopped"]
-                   + record.ambiguous_term + record.bad_contribution)
-        if rebuilt != record.total or parts["core"] != record.core_sum:
-            additive_failures += 1
-        if not parts["stop_values_are_extremes"]:
-            extreme_failures += 1
-        good_hits += record.good_event
+    for rounds in _round_blocks(config, iterations):
+        if rounds.start < probe:
+            base_events.extend(rounds.good_event[: probe - rounds.start].tolist())
+        additive, extremes = _component_failures(rounds)
+        additive_failures += additive
+        extreme_failures += extremes
+        good_hits += int(np.count_nonzero(rounds.good_event))
     frequency = McEstimate.from_counts(good_hits, iterations, config.seed)
 
     variants = [
@@ -210,7 +213,8 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
         replace(config, bad_contribution=-config.adversary_direction * config.t * config.n),
     ]
     invariant = all(
-        [run_iteration(v, i).good_event for i in range(probe)] == base_events
+        [event for rounds in _round_blocks(v, probe) for event in rounds.good_event.tolist()]
+        == base_events
         for v in variants
     )
     return [
@@ -369,6 +373,7 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coinlab",

@@ -16,12 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Params, derive
+from .mc import _MAX_BLOCK_ENTRIES, block_size_for
 from .walks import StoppingStrategy, apply_stop, draw_steps
 
 __all__ = [
     "IterationConfig",
     "IterationRecord",
+    "Rounds",
     "AgreementResult",
+    "rounds_per_block",
+    "run_rounds",
     "run_iteration",
     "run_agreement",
 ]
@@ -107,69 +111,136 @@ class IterationRecord:
     stop_indices: tuple[int, ...]
 
 
-def run_iteration(config: IterationConfig, iteration_index: int = 0) -> IterationRecord:
-    """Simulate one round; round i always draws from substream (seed, i).
+@dataclass(frozen=True, eq=False)
+class Rounds:
+    """Rounds ``start .. start+count-1`` of one config, one entry per round.
 
-    Stream layout is fixed: the n-t good streams are drawn as one matrix,
-    complete streams first, then excluded, then stopped, so the core does
-    not depend on the adversary's behavioral choices.
+    ``streams[j]`` holds round ``start + j``'s n-t good streams, complete
+    first, then excluded, then stopped. The per-round fields are arrays of
+    length count (``stop_indices`` has one column per stopped stream); the
+    fields every round shares are scalars.
     """
-    if iteration_index < 0:
-        raise ValueError("iteration_index must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, iteration_index)))
+
+    config: IterationConfig
+    start: int
+    streams: np.ndarray
+    core_sum: np.ndarray
+    excluded_sum: np.ndarray
+    excluded_capped: np.ndarray
+    excluded_cap_binds: np.ndarray
+    stopped_sum: np.ndarray
+    stop_indices: np.ndarray
+    total: np.ndarray
+    coin: np.ndarray
+    good_event: np.ndarray
+    ambiguous_term: int
+    alpha_prime: float
+    beta_quarter: float
+
+    def __len__(self) -> int:
+        return len(self.total)
+
+    def record(self, j: int) -> IterationRecord:
+        """Round ``start + j`` as an ``IterationRecord``."""
+        config = self.config
+        k = config.complete_count
+        streams = self.streams[j]
+        return IterationRecord(
+            config=config,
+            iteration_index=self.start + j,
+            core_sum=int(self.core_sum[j]),
+            excluded_sum=int(self.excluded_sum[j]),
+            excluded_capped=float(self.excluded_capped[j]),
+            excluded_cap_binds=bool(self.excluded_cap_binds[j]),
+            stopped_sum=int(self.stopped_sum[j]),
+            ambiguous_term=self.ambiguous_term,
+            bad_contribution=config.bad_contribution,
+            total=int(self.total[j]),
+            coin=int(self.coin[j]),
+            good_event=bool(self.good_event[j]),
+            alpha_prime=self.alpha_prime,
+            beta_quarter=self.beta_quarter,
+            complete_streams=streams[:k],
+            excluded_streams=streams[k : k + config.t_excluded],
+            stopped_streams=streams[k + config.t_excluded :],
+            stop_indices=tuple(self.stop_indices[j].tolist()),
+        )
+
+
+def rounds_per_block(config: IterationConfig) -> int:
+    """Rounds per ``run_rounds`` block, sized from a round's (n-t)*n coins
+    the way ``mc.block_size_for`` sizes walk blocks, down to one round."""
+    return block_size_for((config.n - config.t) * config.n, minimum=1)
+
+
+def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
+    """Simulate rounds ``start .. start+count-1``; round i always draws its
+    n-t good streams as one matrix from substream (seed, i).
+
+    The stream layout is fixed, complete streams first, then excluded, then
+    stopped, so the core does not depend on the adversary's behavioral
+    choices. Memory is O(count * (n-t) * n); a round is drawn whole, so one
+    of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw.
+    """
+    if start < 0:
+        raise ValueError(f"round index must be non-negative, got {start}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     n, good = config.n, config.n - config.t
-    streams = draw_steps(rng, (good, n))
+    if good * n > _MAX_BLOCK_ENTRIES:
+        raise ValueError(f"a round of {good} streams of {n} coins holds {good * n} entries, "
+                         f"over the limit of {_MAX_BLOCK_ENTRIES}")
+    streams = np.empty((count, good, n), dtype=np.int8)
+    for j in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, start + j)))
+        streams[j] = draw_steps(rng, (good, n))
     k = config.complete_count
-    complete = streams[:k]
-    excluded = streams[k : k + config.t_excluded]
-    stopped = streams[k + config.t_excluded :]
+    stopped_from = k + config.t_excluded
 
     thresholds = derive(Params(n=config.n, t=config.t))
     direction = config.adversary_direction
 
-    core_sum = int(complete.sum())
-    excluded_sum = int(excluded.sum())
+    core_sum = streams[:, :k].sum(axis=(1, 2), dtype=np.int64)
+    excluded_sum = streams[:, k:stopped_from].sum(axis=(1, 2), dtype=np.int64)
     cap = thresholds.beta_quarter
-    if abs(excluded_sum) > cap:
-        excluded_capped = float(np.sign(excluded_sum)) * cap
-        cap_binds = True
-    else:
-        excluded_capped = float(excluded_sum)
-        cap_binds = False
+    cap_binds = np.abs(excluded_sum) > cap
+    excluded_capped = np.where(cap_binds, np.sign(excluded_sum) * cap, excluded_sum)
 
     # Stopped streams are truncated at the opposing extreme over the whole round.
     strategy = StoppingStrategy.omniscient_extreme(direction=-direction, window=(1, n))
-    result = apply_stop(np.cumsum(stopped, axis=-1, dtype=np.int64), strategy)
-    stopped_sum = int(result.value.sum())
+    result = apply_stop(np.cumsum(streams[:, stopped_from:], axis=-1, dtype=np.int32), strategy)
+    stopped_sum = result.value.sum(axis=-1, dtype=np.int64)
 
     ambiguous_term = -direction * config.ambiguous_allowance
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution
-    coin = +1 if total >= 0 else -1  # ties resolve to +
+    coin = np.where(total >= 0, 1, -1)  # ties resolve to +
     if direction > 0:
         good_event = core_sum >= thresholds.alpha_prime
     else:
         good_event = core_sum <= -thresholds.alpha_prime
 
-    return IterationRecord(
+    return Rounds(
         config=config,
-        iteration_index=iteration_index,
+        start=start,
+        streams=streams,
         core_sum=core_sum,
         excluded_sum=excluded_sum,
         excluded_capped=excluded_capped,
         excluded_cap_binds=cap_binds,
         stopped_sum=stopped_sum,
-        ambiguous_term=ambiguous_term,
-        bad_contribution=config.bad_contribution,
-        total=int(total),
+        stop_indices=result.stop_index,
+        total=total,
         coin=coin,
-        good_event=bool(good_event),
+        good_event=good_event,
+        ambiguous_term=ambiguous_term,
         alpha_prime=thresholds.alpha_prime,
         beta_quarter=thresholds.beta_quarter,
-        complete_streams=complete,
-        excluded_streams=excluded,
-        stopped_streams=stopped,
-        stop_indices=tuple(result.stop_index.tolist()),
     )
+
+
+def run_iteration(config: IterationConfig, iteration_index: int = 0) -> IterationRecord:
+    """Simulate one round: round ``iteration_index`` of ``run_rounds``."""
+    return run_rounds(config, iteration_index, 1).record(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +255,25 @@ class AgreementResult:
 def run_agreement(config: IterationConfig, max_iterations: int,
                   keep_records: bool = True) -> AgreementResult:
     """Iterate rounds until the coin matches the good direction with total
-    deviation at least alpha_prime, or the round budget runs out."""
+    deviation at least alpha_prime, or the round budget runs out.
+
+    Rounds are drawn in chunks that double from one up to a block, so at
+    most about twice the rounds used are drawn.
+    """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    block = rounds_per_block(config)
     records: list[IterationRecord] = []
-    for i in range(max_iterations):
-        record = run_iteration(config, i)
+    start, size = 0, 1
+    while start < max_iterations:
+        rounds = run_rounds(config, start, min(size, max_iterations - start))
+        hits = np.flatnonzero((rounds.coin == config.adversary_direction)
+                              & (np.abs(rounds.total) >= rounds.alpha_prime))
+        used = int(hits[0]) + 1 if hits.size else len(rounds)
         if keep_records:
-            records.append(record)
-        if record.coin == config.adversary_direction and abs(record.total) >= record.alpha_prime:
-            return AgreementResult(agreed=True, iterations_used=i + 1, records=tuple(records))
+            records.extend(rounds.record(j) for j in range(used))
+        if hits.size:
+            return AgreementResult(agreed=True, iterations_used=start + used,
+                                   records=tuple(records))
+        start, size = start + len(rounds), min(2 * size, block)
     return AgreementResult(agreed=False, iterations_used=max_iterations, records=tuple(records))

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .bounds import Params, derive, lemma52_part1_bound
 from .exact import prob_max_ge_reflection, prob_sum_ge
@@ -59,9 +59,9 @@ _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 _MAX_BLOCK_ENTRIES = 2**26
 
 
-def block_size_for(walk_length: int) -> int:
+def block_size_for(walk_length: int, minimum: int = 128) -> int:
     """Trials per block, sized to keep a block's walk matrix modest."""
-    return max(128, min(_MAX_BLOCK, _BLOCK_BUDGET // max(walk_length, 1)))
+    return max(minimum, min(_MAX_BLOCK, _BLOCK_BUDGET // max(walk_length, 1)))
 
 
 def _bounded_block_size(walk_length: int, trials: int) -> int:
@@ -126,8 +126,10 @@ def clopper_pearson(successes: int, trials: int, confidence: float = DEFAULT_CON
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
     tail = (1.0 - confidence) / 2.0
-    low = 0.0 if successes == 0 else float(_beta_dist.ppf(tail, successes, trials - successes + 1))
-    high = 1.0 if successes == trials else float(_beta_dist.ppf(1.0 - tail, successes + 1, trials - successes))
+    # the Beta(a, b) quantile at q is betaincinv(a, b, q); scipy.special
+    # spares importing scipy.stats
+    low = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, tail))
+    high = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
     return low, high
 
 

@@ -6,8 +6,10 @@ import multiprocessing
 import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,14 +58,19 @@ def test_bad_format_rejected():
     ["spectral", "--seed", "0", "--trials", "5", "--n", "4", "--m", "2", "--epsilon", "1e308"],
     ["constants", "--seed", "0", "--epsilon", "1e308"],  # norm threshold overflows
     ["constants", "--seed", "0", "--m", "1" + "0" * 400],  # too large for a float
+    # one round of 8192 x 8194 coins, just over the cap, is refused before any draw
+    ["coin-iter", "--seed", "0", "--n", "8194", "--t", "2"],
+    ["agreement", "--seed", "0", "--n", "8194", "--t", "2"],
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
-    if argv[0] == "coin-iter":
+    if "--iterations" in argv:
         assert "iterations must be >= 1" in err
+    if "8194" in argv:
+        assert "over the limit" in err
 
 
 def test_fact3_json_report(tmp_path):
@@ -211,6 +218,47 @@ def test_coin_iter_rows(tmp_path):
     assert "verdict" not in by_id["good_event_frequency_vs_benchmark"]
 
 
+def test_coin_iter_report_does_not_depend_on_block_size(monkeypatch):
+    import coinlab.cli
+
+    argv = ["coin-iter", "--seed", "5", "--iterations", "450", "--t-stopped", "3"]
+    whole = _untimed_report(argv)
+    # blocks of 7 rounds split the 200-round invariance probe across 29 blocks
+    monkeypatch.setattr(coinlab.cli, "rounds_per_block", lambda config: 7)
+    assert _untimed_report(argv) == whole
+
+
+def _coin_iter_check(monkeypatch, corrupt):
+    import coinlab.cli
+    from coinlab.iteration import run_rounds
+
+    def corrupted_rounds(config, start, count):
+        rounds = run_rounds(config, start, count)
+        return replace(rounds, **corrupt(rounds))
+
+    monkeypatch.setattr(coinlab.cli, "run_rounds", corrupted_rounds)
+    _, report = _untimed_report(["coin-iter", "--seed", "1", "--iterations", "30"])
+    return report["results"][0]
+
+
+def test_coin_iter_check_counts_rounds_that_do_not_add_up(monkeypatch):
+    def every_third_total_off_by_one(rounds):
+        index = rounds.start + np.arange(len(rounds))
+        return {"total": rounds.total + (index % 3 == 0)}
+
+    row = _coin_iter_check(monkeypatch, every_third_total_off_by_one)
+    assert (row["additive_failures"], row["stop_extreme_failures"], row["verdict"]) == (
+        10, 0, "fail")
+
+
+def test_coin_iter_check_counts_stops_off_the_extreme(monkeypatch):
+    def stop_at_the_end(rounds):
+        return {"stop_indices": np.full_like(rounds.stop_indices, rounds.config.n)}
+
+    row = _coin_iter_check(monkeypatch, stop_at_the_end)
+    assert row["stop_extreme_failures"] > 0 and row["verdict"] == "fail"
+
+
 def test_agreement_row(tmp_path):
     out = tmp_path / "r.json"
     assert run(["agreement", "--seed", "4", "--out", str(out)]) == 0
@@ -224,6 +272,40 @@ def test_stdout_when_no_out_file(capsys):
     assert run(["constants", "--seed", "1"]) == 0
     printed = capsys.readouterr().out
     assert json.loads(printed)["subcommand"] == "constants"
+
+
+def _untimed_report(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    if code == 2:
+        return code, None
+    report = json.loads(out.getvalue())
+    report["results"] = [r for r in report["results"] if r.get("kind") != "timing"]
+    return code, report
+
+
+def test_runs_in_one_process_match_fresh_runs():
+    # the parser is built once per process and must carry nothing from one
+    # run to the next, a refused one included
+    from coinlab.cli import _build_parser
+
+    sequence = [
+        ["coin-iter", "--seed", "2", "--iterations", "40", "--t-stopped", "0"],
+        ["fact3", "--seed", "2", "--n", "5", "--trials", "300", "--bogus", "1"],
+        ["agreement", "--seed", "2", "--t", "3", "--t-stopped", "2"],
+        ["coin-iter", "--seed", "2", "--iterations", "0"],
+        ["fact3", "--seed", "2", "--n", "5", "--trials", "300"],
+        ["coin-iter", "--seed", "2", "--iterations", "40", "--direction", "-1"],
+        ["agreement", "--seed", "2"],
+    ]
+    in_one_process = [_untimed_report(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        fresh.append(_untimed_report(argv))
+    assert [code for code, _ in in_one_process] == [0, 2, 0, 2, 0, 0, 0]
+    assert in_one_process == fresh
 
 
 def test_iteration_flags_rejected_on_plain_experiments(capsys):
@@ -363,7 +445,17 @@ _PINNED_SUCCESSES = {
         "running_max_vs_endpoint@2.0sigma": [111, 59],
     },
     "spectral --n 8 --m 8 --trials 64": {"iteration_sum_norm_exceedance": [0]},
+    "coin-iter --iterations 3000 --direction 1": {"good_event_frequency_vs_benchmark": [431]},
+    "coin-iter --iterations 3000 --direction -1": {"good_event_frequency_vs_benchmark": [438]},
+    "coin-iter --iterations 3000 --t-stopped 0": {"good_event_frequency_vs_benchmark": [458]},
 }
+# `iterations_used` of `agreement --t 3 --t-excluded 1 --t-stopped 2` at --seed 0..9
+_PINNED_ITERATIONS_USED = [2, 4, 3, 27, 7, 10, 15, 14, 19, 11]
+_REPIN_MESSAGE = (
+    "a sampled tally or the version moved: a change to reported numbers must bump "
+    "the version in pyproject.toml, then re-pin _PINNED_VERSION, _PINNED_SUCCESSES "
+    "and _PINNED_ITERATIONS_USED"
+)
 
 
 def _successes(obj):
@@ -375,15 +467,25 @@ def _successes(obj):
     return []
 
 
-@pytest.mark.parametrize("command", list(_PINNED_SUCCESSES))
-def test_sampled_tallies_are_pinned(command):
+def _report(argv):
     out = io.StringIO()
     with redirect_stdout(out):
-        run(command.split() + ["--seed", "0"])
-    report = json.loads(out.getvalue())
+        run(argv)
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("command", list(_PINNED_SUCCESSES))
+def test_sampled_tallies_are_pinned(command):
+    report = _report(command.split() + ["--seed", "0"])
     tallies = {row["claim_id"]: _successes(row) for row in report["results"]
                if _successes(row)}
     assert (report["tool_version"], tallies) == (_PINNED_VERSION, _PINNED_SUCCESSES[command]), (
-        "a sampled tally or the version moved: a change to reported numbers must bump "
-        "the version in pyproject.toml, then re-pin _PINNED_VERSION and _PINNED_SUCCESSES"
-    )
+        _REPIN_MESSAGE)
+
+
+def test_agreement_rounds_are_pinned():
+    reports = [_report(["agreement", "--t", "3", "--t-excluded", "1", "--t-stopped", "2",
+                        "--seed", str(seed)]) for seed in range(len(_PINNED_ITERATIONS_USED))]
+    used = [report["results"][0]["iterations_used"] for report in reports]
+    versions = {report["tool_version"] for report in reports}
+    assert (versions, used) == ({_PINNED_VERSION}, _PINNED_ITERATIONS_USED), _REPIN_MESSAGE

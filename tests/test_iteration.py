@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coinlab.iteration
 from coinlab.bounds import Params, derive
 from coinlab.iteration import (
     IterationConfig,
     run_agreement,
     run_iteration,
+    run_rounds,
 )
+from coinlab.walks import draw_steps
 
 BASE = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5)
 
@@ -173,3 +180,93 @@ def test_agreement_budget_exhaustion():
             not (r.coin == -1 and abs(r.total) >= r.alpha_prime)
             for r in result.records
         )
+
+
+def _reference_round(config, i):
+    """Round i by hand: its own generator, np.cumsum and Python min/max."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
+    streams = draw_steps(rng, (config.n - config.t, config.n))
+    k, stopped_from = config.complete_count, config.complete_count + config.t_excluded
+    thresholds = derive(Params(n=config.n, t=config.t))
+    core = int(streams[:k].sum())
+    excluded = int(streams[k:stopped_from].sum())
+    cap = thresholds.beta_quarter
+    capped = (cap if excluded > 0 else -cap) if abs(excluded) > cap else float(excluded)
+    stops, stopped = [], 0
+    for row in streams[stopped_from:]:
+        prefix = np.cumsum(row).tolist()
+        # the adversary stops at the extreme against its own direction, first on ties
+        extreme = min(prefix) if config.adversary_direction > 0 else max(prefix)
+        stops.append(prefix.index(extreme) + 1)
+        stopped += extreme
+    ambiguous = -config.adversary_direction * config.ambiguous_allowance
+    total = core + excluded + stopped + ambiguous + config.bad_contribution
+    if config.adversary_direction > 0:
+        good = core >= thresholds.alpha_prime
+    else:
+        good = core <= -thresholds.alpha_prime
+    return {
+        "streams": streams, "core_sum": core, "excluded_sum": excluded,
+        "excluded_capped": capped, "excluded_cap_binds": abs(excluded) > cap,
+        "stopped_sum": stopped, "stop_indices": stops, "total": total,
+        "coin": 1 if total >= 0 else -1, "good_event": good,
+        "ambiguous_term": ambiguous,
+        "agrees": (1 if total >= 0 else -1) == config.adversary_direction
+                  and abs(total) >= thresholds.alpha_prime,
+    }
+
+
+@st.composite
+def _configs(draw):
+    n = draw(st.integers(1, 14))
+    t = draw(st.integers(0, (n - 1) // 2))
+    t_excluded = draw(st.integers(0, t))
+    t_stopped = draw(st.integers(0, min(t, n - t - t_excluded - 1)))
+    return IterationConfig(
+        n=n, t=t, t_excluded=t_excluded, t_stopped=t_stopped,
+        ambiguous_allowance=draw(st.integers(-1, t)),
+        adversary_direction=draw(st.sampled_from([1, -1])),
+        bad_contribution=draw(st.integers(-t * n, t * n)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_configs(), start=st.integers(0, 40), count=st.integers(1, 40))
+def test_run_rounds_matches_a_plain_loop(config, start, count):
+    rounds = run_rounds(config, start, count)
+    assert (rounds.start, len(rounds)) == (start, count)
+    for j in range(count):
+        want = _reference_round(config, start + j)
+        assert np.array_equal(rounds.streams[j], want["streams"])
+        got = {
+            "core_sum": int(rounds.core_sum[j]),
+            "excluded_sum": int(rounds.excluded_sum[j]),
+            "excluded_capped": float(rounds.excluded_capped[j]),
+            "excluded_cap_binds": bool(rounds.excluded_cap_binds[j]),
+            "stopped_sum": int(rounds.stopped_sum[j]),
+            "stop_indices": rounds.stop_indices[j].tolist(),
+            "total": int(rounds.total[j]),
+            "coin": int(rounds.coin[j]),
+            "good_event": bool(rounds.good_event[j]),
+            "ambiguous_term": rounds.ambiguous_term,
+        }
+        assert got == {key: want[key] for key in got}, start + j
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_configs(), budget=st.integers(1, 30), block=st.integers(1, 5),
+       keep=st.booleans())
+def test_run_agreement_matches_a_plain_loop(config, budget, block, keep):
+    # small blocks make the doubling chunks (1, 2, 4, ...) hit their cap
+    with mock.patch.object(coinlab.iteration, "rounds_per_block", lambda config: block):
+        result = run_agreement(config, budget, keep_records=keep)
+    agrees = [_reference_round(config, i)["agrees"] for i in range(budget)]
+    used = agrees.index(True) + 1 if any(agrees) else budget
+    assert (result.agreed, result.iterations_used) == (any(agrees), used)
+    if keep:
+        assert [r.iteration_index for r in result.records] == list(range(used))
+        assert [r.total for r in result.records] == [
+            _reference_round(config, i)["total"] for i in range(used)]
+    else:
+        assert result.records == ()

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +106,34 @@ def test_clopper_pearson_coverage():
         low, high = clopper_pearson(successes, 1000, 0.99)
         covered += low <= 0.5 <= high
     assert covered >= 95
+
+
+def test_clopper_pearson_equals_beta_quantiles():
+    # reports carry these floats, so the interval must match scipy.stats'
+    # Beta quantiles bit for bit, at every edge count up to 10^6 trials
+    from scipy.stats import beta
+
+    for trials in sorted({1, 2, 3, 5, 7, *(int(10 ** (k / 4)) for k in range(4, 25))}):
+        counts = {0, 1, 2, trials // 3, trials // 2, trials - 2, trials - 1, trials}
+        for successes in sorted(c for c in counts if 0 <= c <= trials):
+            for confidence in (0.95, 0.99, 0.999):
+                tail = (1.0 - confidence) / 2.0
+                low = 0.0 if successes == 0 else float(
+                    beta.ppf(tail, successes, trials - successes + 1))
+                high = 1.0 if successes == trials else float(
+                    beta.ppf(1.0 - tail, successes + 1, trials - successes))
+                assert clopper_pearson(successes, trials, confidence) == (low, high), (
+                    successes, trials, confidence)
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    code = "import sys, coinlab.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verdict_three_ways():
