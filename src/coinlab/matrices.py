@@ -4,9 +4,11 @@ A round's coin matrix holds each processor's stream as a column; the
 adversary may truncate some columns, which splits the matrix into an
 unstopped +/-1 matrix plus a correction supported on the truncated
 suffixes. Summing columns across rounds gives the iteration-sum matrix
-whose operator norm the concentration claim controls. Norms come from one
-batched symmetric eigensolve of the stacked Gram matrices, each certified
-by the residual of its top eigenvector.
+whose operator norm the concentration claim controls. ``build_G`` and the
+norm experiment's block counter share one round-sum routine over the raw
+coin bytes of ``walks.coin_bytes``; the counter reads a chunk of trials in
+one draw. Norms come from one batched symmetric eigensolve of the stacked
+Gram matrices, each certified by the residual of its top eigenvector.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from .bounds import Params, derive
-from .mc import McEstimate, VerificationVerdict, run_blocks, verdict_for
-from .walks import StoppingStrategy, apply_stop, draw_steps
+from .mc import _MAX_BLOCK_ENTRIES, McEstimate, VerificationVerdict, run_blocks, verdict_for
+from .walks import StoppingStrategy, apply_stop, coin_bytes, draw_steps
 
 __all__ = [
     "StoppedCoinMatrix",
@@ -37,6 +39,7 @@ __all__ = [
 
 # Matrices stay small (hundreds of rows/columns); dense numpy throughout.
 _NORM_TRIAL_BLOCK = 64
+_CHUNK_COINS = 2**18  # coins read in one draw, unless one trial holds more
 
 
 class ConvergenceError(RuntimeError):
@@ -84,15 +87,6 @@ class StoppedCoinMatrix:
             raise SpectralCheckError("stopped is not unstopped truncated at the stop points")
 
 
-def _truncate(coins: np.ndarray, adversary: StoppingStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Stop each column of ``coins`` (shape (..., n, columns), one stream per column); return
-    the stop points and the correction that cancels each column below its stop point."""
-    sums = np.cumsum(np.swapaxes(coins, -1, -2), axis=-1, dtype=np.int64)
-    stops = apply_stop(sums, adversary).stop_index
-    kept = np.arange(coins.shape[-2])[:, None] < stops[..., None, :]
-    return stops, np.where(kept, 0, -coins)
-
-
 def build_H(n: int, t_stopped: int, adversary: StoppingStrategy, seed,
             stopped_columns=None) -> StoppedCoinMatrix:
     """Fill an n x n coin matrix and let ``adversary`` truncate the chosen
@@ -118,8 +112,9 @@ def build_H(n: int, t_stopped: int, adversary: StoppingStrategy, seed,
         seed = np.random.default_rng(np.random.SeedSequence(int(seed)))
     cols = list(stopped_columns)
     unstopped = draw_steps(seed, (n, n)).astype(np.int64)
+    stops = apply_stop(np.cumsum(unstopped[:, cols].T, axis=-1), adversary).stop_index
     correction = np.zeros_like(unstopped)
-    stops, correction[:, cols] = _truncate(unstopped[:, cols], adversary)
+    correction[:, cols] = np.where(np.arange(n)[:, None] < stops, 0, -unstopped[:, cols])
     return StoppedCoinMatrix(
         stopped=unstopped + correction,
         unstopped=unstopped,
@@ -151,6 +146,19 @@ class IterationSumMatrices:
             raise SpectralCheckError("bad columns must be identically zero")
 
 
+def _iteration_sums(heads: np.ndarray, t: int, adversary: StoppingStrategy, bad_columns):
+    """Stopped, full and correction column sums, each (..., m, n), of the coin
+    matrices ``heads`` (..., m, n, n), True for +1, whose first t columns the
+    adversary stops: a stopped column's correction is its value minus its sum."""
+    n = heads.shape[-1]
+    full = 2 * heads.sum(axis=-2) - n
+    full[..., list(bad_columns)] = 0
+    sums = np.cumsum(np.where(np.swapaxes(heads[..., :t], -1, -2), 1, -1), axis=-1)
+    correction = np.zeros_like(full)
+    correction[..., :t] = apply_stop(sums, adversary).value - sums[..., -1]
+    return full + correction, full, correction
+
+
 def build_G(params: Params, adversary: StoppingStrategy, seed,
             bad_columns=None) -> IterationSumMatrices:
     """Build the m x n iteration-sum matrices for ``params``.
@@ -169,21 +177,12 @@ def build_G(params: Params, adversary: StoppingStrategy, seed,
     if overlap:
         raise ValueError(f"bad columns {sorted(overlap)} collide with stopped columns")
     if isinstance(seed, np.random.Generator):
-        rngs = [seed] * m
+        raw = coin_bytes(seed, n * n, m)
     else:
-        rngs = [np.random.default_rng(np.random.SeedSequence((int(seed), i))) for i in range(m)]
-    coins = np.stack([draw_steps(rng, (n, n)) for rng in rngs])
-    keep = np.ones(n, dtype=np.int64)
-    keep[list(bad_columns)] = 0
-    full_sums = coins.sum(axis=1, dtype=np.int64) * keep
-    correction_sums = np.zeros((m, n), dtype=np.int64)
-    correction_sums[:, :t] = _truncate(coins[:, :, :t], adversary)[1].sum(axis=1)
-    return IterationSumMatrices(
-        stopped_sums=full_sums + correction_sums,
-        full_sums=full_sums,
-        correction_sums=correction_sums,
-        bad_columns=bad_columns,
-    )
+        raw = np.concatenate([coin_bytes(np.random.default_rng(np.random.SeedSequence((int(seed), i))),
+                                         n * n) for i in range(m)])
+    heads = raw.reshape(m, n, n) >= 128
+    return IterationSumMatrices(*_iteration_sums(heads, t, adversary, bad_columns), bad_columns)
 
 
 @dataclass(frozen=True)
@@ -262,11 +261,16 @@ def norm_2x2(matrix) -> float:
 
 def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
                         rel_tol) -> list:
+    # the coins build_G(params, adversary, rng) would draw trial after trial,
+    # read a chunk of trials at a time
     params = Params(**params_dict)
-    sums = np.empty((3, count, params.m, params.n))
-    for i in range(count):
-        mats = build_G(params, adversary, rng)
-        sums[:, i] = mats.stopped_sums, mats.full_sums, mats.correction_sums
+    n, t, m = params.n, params.t, params.m
+    chunk = max(1, _CHUNK_COINS // (m * n * n))
+    sums = np.empty((3, count, m, n))
+    for lo in range(0, count, chunk):
+        size = min(chunk, count - lo)
+        heads = coin_bytes(rng, n * n, size * m).reshape(size, m, n, n) >= 128
+        sums[:, lo:lo + size] = _iteration_sums(heads, t, adversary, range(n - t, n))
     g_norm, r_norm, z_norm = (spectral_norms(stack, rel_tol)[0] for stack in sums)
     allowance = 10.0 * rel_tol * (r_norm + z_norm) + 1e-9
     violated = np.flatnonzero(g_norm > r_norm + z_norm + allowance)
@@ -309,10 +313,14 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers
     Verifies Pr(|G| > (6+2eps) sqrt(n(m+n))) against the 2/(m+n) bound,
     reports the unstopped and correction norms against the half threshold
     (the union-bound split), and hard-fails on any triangle-inequality
-    violation between the three computed norms.
+    violation between the three computed norms. A trial of more than
+    ``_MAX_BLOCK_ENTRIES`` coins (m * n * n) is refused before any draw.
     """
     if adversary is None:
         adversary = StoppingStrategy.omniscient_extreme(direction=-1)
+    if params.m * params.n**2 > _MAX_BLOCK_ENTRIES:
+        raise ValueError(f"a trial of {params.m} rounds of {params.n} x {params.n} coins is over "
+                         f"the limit of {_MAX_BLOCK_ENTRIES} coins")
     thresholds = derive(params)
     threshold = thresholds.norm_threshold
     counter = partial(

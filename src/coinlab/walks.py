@@ -7,9 +7,10 @@ to a clairvoyant stop at the most extreme prefix sum inside a window.
 Every module draws its coins with ``draw_steps`` and lets ``apply_stop``
 choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
 sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
-The Monte Carlo counters, which need only a few statistics per walk, read
-them from ``segment_stats``: it scans the same coins as ``draw_steps`` eight
-at a time, one byte-table lookup per eight coins.
+Bulk draws read the same coins as raw bytes from ``coin_bytes``. The Monte
+Carlo counters, which need only a few statistics per walk, read them from
+``segment_stats``: it scans them eight at a time, one byte-table lookup
+per eight coins.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ __all__ = [
     "StoppingStrategy",
     "StoppedStream",
     "draw_steps",
+    "coin_bytes",
     "segment_stats",
     "generate_walk",
     "apply_stop",
@@ -81,6 +83,17 @@ def draw_steps(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
 
 
+def coin_bytes(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarray:
+    """The (calls, size) uint8 bytes behind ``calls`` successive ``draw_steps``
+    draws of ``size`` coins, leaving ``rng`` in the same state; a coin is +1
+    where its byte is >= 128. ``integers(0, 2, dtype=int8)`` reads bit 7 of
+    consecutive bytes of ``rng.bytes``, padding each draw to whole 4-byte words."""
+    if size < 1 or calls < 1:
+        raise ValueError(f"need size >= 1 and calls >= 1, got {size} x {calls}")
+    padded = -(-size // 4) * 4
+    return np.frombuffer(rng.bytes(calls * padded), dtype=np.uint8).reshape(calls, padded)[:, :size]
+
+
 def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Byte b holds eight coins, coin i in bit i. Per byte: the sum of its
     # steps, and its highest and lowest prefix sum measured from its end.
@@ -96,9 +109,8 @@ _BYTE_SUM, _BYTE_TOP, _BYTE_BOTTOM = _byte_tables()
 def segment_stats(rng: np.random.Generator, count: int, length: int, cuts=()):
     """Draw ``count`` walks of ``length`` steps and summarise each segment.
 
-    The coins are those ``draw_steps(rng, (count, length))`` draws, and
-    ``rng`` ends in the same state: ``integers(0, 2, dtype=int8)`` reads bit
-    7 of consecutive bytes of ``rng.bytes``, in blocks of four. ``cuts`` are
+    The coins are those ``draw_steps(rng, (count, length))`` draws, read by
+    ``coin_bytes``, and ``rng`` ends in the same state. ``cuts`` are
     prefix indices ``0 <= c_1 <= ... <= length``; segment ``j`` holds the
     prefix sums ``S_k`` for ``c_j < k <= c_{j+1}``, with ``c_0 = 0`` and a
     last bound of ``length``. Returns three int64 arrays of shape
@@ -117,9 +129,7 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts=()):
     bounds = [0, *(int(c) for c in cuts), length]
     if any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts {tuple(cuts)} must be sorted within [0, {length}]")
-    entries = count * length
-    raw = np.frombuffer(rng.bytes(-(-entries // 4) * 4), dtype=np.uint8)[:entries]
-    raw = raw.reshape(count, length)
+    raw = coin_bytes(rng, count * length).reshape(count, length)
     # |every prefix sum| <= length, so a short walk is scanned in int16
     scan = np.int16 if length < 2**15 else np.int32
     value = np.zeros(count, dtype=np.int64)

@@ -61,6 +61,8 @@ def test_bad_format_rejected():
     # one round of 8192 x 8194 coins, just over the cap, is refused before any draw
     ["coin-iter", "--seed", "0", "--n", "8194", "--t", "2"],
     ["agreement", "--seed", "0", "--n", "8194", "--t", "2"],
+    # one spectral trial of 8193 x 8193 coins, just over the cap, likewise
+    ["spectral", "--seed", "0", "--n", "8193", "--t", "1", "--m", "1"],
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -69,7 +71,7 @@ def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     if "--iterations" in argv:
         assert "iterations must be >= 1" in err
-    if "8194" in argv:
+    if "8194" in argv or "8193" in argv:
         assert "over the limit" in err
 
 
@@ -451,10 +453,21 @@ _PINNED_SUCCESSES = {
 }
 # `iterations_used` of `agreement --t 3 --t-excluded 1 --t-stopped 2` at --seed 0..9
 _PINNED_ITERATIONS_USED = [2, 4, 3, 27, 7, 10, 15, 14, 19, 11]
+# The spectral summary of a run over three blocks (64, 64 and 2 trials) whose
+# 7 x 7 coin matrices leave 3 bytes of padding per draw, and its oracle row;
+# any change to the order the coins are read in moves the mean norms
+_PINNED_SPECTRAL_COMMAND = "spectral --n 7 --t 2 --m 5 --trials 130"
+_PINNED_SPECTRAL = {
+    "half_threshold_exceedances": {"correction_sums": 0, "full_sums": 0,
+                                   "half_threshold": 28.411969308726206},
+    "mean_norms": {"correction_sums": 5.940945159768028, "full_sums": 9.354677589516415,
+                   "stopped_sums": 9.17152327485019},
+    "worst_relative_difference": 3.8523806879340044e-16,
+}
 _REPIN_MESSAGE = (
     "a sampled tally or the version moved: a change to reported numbers must bump "
-    "the version in pyproject.toml, then re-pin _PINNED_VERSION, _PINNED_SUCCESSES "
-    "and _PINNED_ITERATIONS_USED"
+    "the version in pyproject.toml, then re-pin _PINNED_VERSION, _PINNED_SUCCESSES, "
+    "_PINNED_ITERATIONS_USED and _PINNED_SPECTRAL"
 )
 
 
@@ -489,3 +502,11 @@ def test_agreement_rounds_are_pinned():
     used = [report["results"][0]["iterations_used"] for report in reports]
     versions = {report["tool_version"] for report in reports}
     assert (versions, used) == ({_PINNED_VERSION}, _PINNED_ITERATIONS_USED), _REPIN_MESSAGE
+
+
+def test_spectral_norms_are_pinned():
+    report = _report(_PINNED_SPECTRAL_COMMAND.split() + ["--seed", "0"])
+    summary, oracle = report["results"][1:3]
+    pinned = {key: summary[key] for key in ("half_threshold_exceedances", "mean_norms")}
+    pinned["worst_relative_difference"] = oracle["worst_relative_difference"]
+    assert (report["tool_version"], pinned) == (_PINNED_VERSION, _PINNED_SPECTRAL), _REPIN_MESSAGE

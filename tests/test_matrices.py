@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coinlab import matrices
 from coinlab.bounds import Params
 from coinlab.matrices import (
     ConvergenceError,
@@ -225,3 +228,44 @@ def test_verify_norm_bound_worker_invariance():
     assert a.exceedance.empirical.successes == b.exceedance.empirical.successes
     assert a.mean_norms == b.mean_norms
 
+
+
+@st.composite
+def norm_trial_cases(draw):
+    n = draw(st.integers(1, 9))
+    params = Params(n=n, t=draw(st.integers(0, (n - 1) // 2)), m=draw(st.integers(1, 4)))
+    adversary = draw(st.sampled_from([
+        StoppingStrategy.omniscient_extreme(direction=1),
+        StoppingStrategy.omniscient_extreme(direction=-1),
+        StoppingStrategy.first_hit(draw(st.integers(1, 3)), direction=draw(st.sampled_from([1, -1]))),
+    ]))
+    # chunks of 1 to 4 trials, so a block of up to 9 trials splits unevenly
+    chunk_coins = draw(st.integers(1, 4)) * params.m * n * n
+    return params, adversary, draw(st.integers(1, 9)), chunk_coins, draw(st.floats(0.0, 8.0))
+
+
+@given(norm_trial_cases(), st.integers(0, 2**32))
+@example((Params(n=7, t=2, m=5), ADV, 7, 2 * 5 * 49, 3.0), 0)
+@settings(max_examples=150, deadline=None)
+def test_norm_trial_counter_matches_build_G_per_trial(case, seed):
+    # the block engine reads whole chunks of trials at once; it must tally
+    # what build_G gives trial after trial on the same generator, and leave
+    # the generator where build_G does
+    params, adversary, count, chunk_coins, scale = case
+    threshold = scale * np.sqrt(params.n * params.m)
+    engine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(matrices, "_CHUNK_COINS", chunk_coins):
+        tallies = matrices._norm_trial_counter(
+            engine, count, 0, params_dict={"n": params.n, "t": params.t, "m": params.m},
+            adversary=adversary, threshold=threshold, rel_tol=1e-6)
+    norms = []
+    for _ in range(count):
+        G = build_G(params, adversary, reference)
+        norms.append([spectral_norms(sums[None])[0][0]
+                      for sums in (G.stopped_sums, G.full_sums, G.correction_sums)])
+    g, r, z = np.array(norms).T
+    expected = [int(np.count_nonzero(g > threshold)), int(np.count_nonzero(r > threshold / 2)),
+                int(np.count_nonzero(z > threshold / 2)), float(g.sum()), float(r.sum()),
+                float(z.sum())]
+    assert tallies == expected
+    assert engine.bit_generator.state == reference.bit_generator.state

@@ -8,6 +8,7 @@ from coinlab.walks import (
     StoppingStrategy,
     WalkTrace,
     apply_stop,
+    coin_bytes,
     draw_steps,
     generate_walk,
     segment_stats,
@@ -259,9 +260,9 @@ def test_segment_stats_rejects_bad_cuts():
         segment_stats(rng, 0, 10)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (7, 3), (13, 1), (8, 8), (57, 60)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (7, 3), (13, 1), (8, 8), (57, 60), (5, 5)])
 def test_int8_coins_are_bit_7_of_generator_bytes(shape):
-    # segment_stats reads draw_steps' coins this way; if a NumPy release
+    # coin_bytes reads draw_steps' coins this way; if a NumPy release
     # changes how integers() draws, this fails instead of reports moving
     by_integers, by_bytes = np.random.default_rng(9), np.random.default_rng(9)
     coins = by_integers.integers(0, 2, size=shape, dtype=np.int8)
@@ -269,3 +270,22 @@ def test_int8_coins_are_bit_7_of_generator_bytes(shape):
     raw = np.frombuffer(by_bytes.bytes(-(-total // 4) * 4), dtype=np.uint8)[:total]
     assert np.array_equal(coins, (raw >> 7).reshape(shape))
     assert by_integers.integers(0, 2**63) == by_bytes.integers(0, 2**63)
+    # successive draws each pad to whole words of 4 bytes: three draws of
+    # (5, 5) coins read 3 x 28 bytes, and coin_bytes reads them the same way
+    calls = 3
+    by_integers, by_bytes, by_coin_bytes = (np.random.default_rng(9) for _ in range(3))
+    coins = np.stack([by_integers.integers(0, 2, size=shape, dtype=np.int8) for _ in range(calls)])
+    padded = -(-total // 4) * 4
+    raw = np.frombuffer(by_bytes.bytes(calls * padded), dtype=np.uint8).reshape(calls, padded)
+    assert np.array_equal(coins, (raw[:, :total] >> 7).reshape(calls, *shape))
+    assert np.array_equal(coin_bytes(by_coin_bytes, total, calls), raw[:, :total])
+    ends = {rng.integers(0, 2**63) for rng in (by_integers, by_bytes, by_coin_bytes)}
+    assert len(ends) == 1
+
+
+def test_coin_bytes_rejects_empty_draws():
+    # rng.bytes(0) and integers(size=0) leave different generator states
+    with pytest.raises(ValueError):
+        coin_bytes(np.random.default_rng(0), 0)
+    with pytest.raises(ValueError):
+        coin_bytes(np.random.default_rng(0), 4, calls=0)
