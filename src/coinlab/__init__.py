@@ -5,6 +5,16 @@ of summed coin streams under adversarial stopping, a one-round global-coin
 simulator, and spectral-norm concentration checks for iteration-sum
 matrices.
 """
+import os
+
+# One BLAS thread per process: the lab runs in parallel with processes
+# (--workers), and a cold multi-threaded OpenBLAS can stall its first
+# eigh call for about a second. This only takes effect if NumPy is not
+# loaded yet, and a value the caller set is kept.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .bounds import ClaimReport, DerivedThresholds, Params, check_claims, derive, lemma52_part1_bound
 from .exact import (
     chernoff_tail,

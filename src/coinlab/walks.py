@@ -9,8 +9,9 @@ choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
 sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
 Bulk draws read the same coins as raw bytes from ``coin_bytes``. The Monte
 Carlo counters, which need only a few statistics per walk, read them from
-``segment_stats``: it scans them eight at a time, one byte-table lookup
-per eight coins.
+``segment_stats``: it packs them eight to a byte, reads each segment's end
+from its head count and scans only the extremes a counter asks for, one
+byte-table lookup per eight coins.
 """
 from __future__ import annotations
 
@@ -87,77 +88,102 @@ def coin_bytes(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarra
     """The (calls, size) uint8 bytes behind ``calls`` successive ``draw_steps``
     draws of ``size`` coins, leaving ``rng`` in the same state; a coin is +1
     where its byte is >= 128. ``integers(0, 2, dtype=int8)`` reads bit 7 of
-    consecutive bytes of ``rng.bytes``, padding each draw to whole 4-byte words."""
+    consecutive bytes of ``rng.bytes``, padding each draw to whole 4-byte words.
+    ``rng.bytes`` is itself little-endian uint32 words from ``rng.integers``,
+    so the words are drawn here and viewed as bytes, sparing its copies."""
     if size < 1 or calls < 1:
         raise ValueError(f"need size >= 1 and calls >= 1, got {size} x {calls}")
-    padded = -(-size // 4) * 4
-    return np.frombuffer(rng.bytes(calls * padded), dtype=np.uint8).reshape(calls, padded)[:, :size]
+    words = -(-size // 4)
+    drawn = rng.integers(0, 2**32, size=calls * words, dtype=np.uint32).astype("<u4", copy=False)
+    return drawn.view(np.uint8).reshape(calls, 4 * words)[:, :size]
 
 
-def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _byte_tables() -> tuple[np.ndarray, np.ndarray]:
     # Byte b holds eight coins, coin i in bit i. Per byte: the sum of its
-    # steps, and its highest and lowest prefix sum measured from its end.
+    # steps, and its highest prefix sum measured from its end.
     walks = np.cumsum(((np.arange(256)[:, None] >> np.arange(8)) & 1) * 2 - 1, axis=1)
     total = walks[:, -1]
-    return (total.astype(np.int16), (walks.max(axis=1) - total).astype(np.int16),
-            (walks.min(axis=1) - total).astype(np.int16))
+    return total.astype(np.int16), (walks.max(axis=1) - total).astype(np.int16)
 
 
-_BYTE_SUM, _BYTE_TOP, _BYTE_BOTTOM = _byte_tables()
+_BYTE_SUM, _BYTE_TOP = _byte_tables()
+_EXTREMES = {None: 0, "max": +1, "min": -1}
 
 
-def segment_stats(rng: np.random.Generator, count: int, length: int, cuts=()):
+def _pack(raw: np.ndarray) -> np.ndarray:
+    # Each row's coins, coin i of a byte in bit i, padded with zero bits to
+    # whole bytes so that one flat pack keeps the rows apart.
+    count, width = raw.shape
+    bits = np.zeros((count, -(-width // 8) * 8), dtype=bool)
+    np.greater_equal(raw, 128, out=bits[:, :width])
+    return np.packbits(bits, bitorder="little").reshape(count, -1)
+
+
+def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extremes,
+                  signs=1):
     """Draw ``count`` walks of ``length`` steps and summarise each segment.
 
     The coins are those ``draw_steps(rng, (count, length))`` draws, read by
-    ``coin_bytes``, and ``rng`` ends in the same state. ``cuts`` are
-    prefix indices ``0 <= c_1 <= ... <= length``; segment ``j`` holds the
-    prefix sums ``S_k`` for ``c_j < k <= c_{j+1}``, with ``c_0 = 0`` and a
-    last bound of ``length``. Returns three int64 arrays of shape
-    ``(count, len(cuts) + 1)``: the prefix sum at each segment's right end,
-    and the max and min over the prefix sums inside it (both equal to the
-    end value for an empty segment).
+    ``coin_bytes``, and ``rng`` ends in the same state. ``signs`` (+1 or -1,
+    one for all walks or one per walk) mirrors a walk: walk ``i`` is read as
+    ``signs[i]`` times the drawn one. ``cuts`` are prefix indices
+    ``0 <= c_1 <= ... <= length``; segment ``j`` holds the prefix sums
+    ``S_k`` for ``c_j < k <= c_{j+1}``, with ``c_0 = 0`` and a last bound of
+    ``length``. ``extremes`` names, per segment, the statistic to scan
+    besides its end: ``"max"``, ``"min"`` or ``None``. Returns two int64
+    arrays of shape ``(count, len(cuts) + 1)``: the prefix sum at each
+    segment's right end, and the named extreme over the prefix sums inside
+    it (the end value where none is named or the segment is empty).
 
-    A segment is scanned one byte of eight coins at a time. Its highest
+    A segment's coins are packed eight to a byte. Its end comes from the
+    head count, ``np.bitwise_count`` of the packed bytes. Its highest
     prefix sum is the max over bytes of (sum before the byte + the byte's
-    highest prefix), so the running sum only runs over length / 8 columns;
-    the at most seven coins past the segment's last whole byte are added
-    one column at a time.
+    highest prefix), so the running sum only runs over length / 8 rows; a
+    lowest prefix sum is the negated highest one of the mirrored walk, read
+    by flipping the packed bits. The zero bits that pad a segment's last
+    byte are -1 steps past its end, which cannot raise a highest prefix.
     """
     if count < 1 or length < 1:
         raise ValueError(f"need count >= 1 and length >= 1, got {count} x {length}")
     bounds = [0, *(int(c) for c in cuts), length]
     if any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
         raise ValueError(f"cuts {tuple(cuts)} must be sorted within [0, {length}]")
+    extremes = tuple(extremes)
+    if len(extremes) != len(bounds) - 1 or any(e not in _EXTREMES for e in extremes):
+        raise ValueError(f"extremes {extremes} must name None, 'max' or 'min' "
+                         f"for each of {len(bounds) - 1} segments")
+    signs = np.asarray(signs, dtype=np.int64)
+    if signs.shape not in ((), (count,)) or not np.all(np.abs(signs) == 1):
+        raise ValueError("signs must be +1 or -1, once or once per walk")
     raw = coin_bytes(rng, count * length).reshape(count, length)
-    # |every prefix sum| <= length, so a short walk is scanned in int16
-    scan = np.int16 if length < 2**15 else np.int32
-    value = np.zeros(count, dtype=np.int64)
-    ends, tops, bottoms = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(3))
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        highs, lows = [], []
-        whole = lo + (hi - lo) // 8 * 8
-        if whole > lo:
-            # the width is a multiple of 8, so packing flat keeps walks apart
-            packed = np.packbits(raw[:, lo:whole] >= 128, bitorder="little")
-            packed = packed.reshape(count, -1).T
-            run = np.take(_BYTE_SUM, packed).astype(scan, copy=False)
-            # rows are bytes, columns walks: np.cumsum would run one scalar
-            # chain per walk, while adding whole rows vectorises over walks
-            for k in range(1, run.shape[0]):
-                run[k] += run[k - 1]
-            highs.append(value + (run + np.take(_BYTE_TOP, packed)).max(axis=0))
-            lows.append(value + (run + np.take(_BYTE_BOTTOM, packed)).min(axis=0))
-            value = value + run[-1]
-        for k in range(whole, hi):
-            value = value + np.where(raw[:, k] >= 128, 1, -1)
-            highs.append(value)
-            lows.append(value)
-        ends[:, j] = value
-        # an empty segment holds no prefix sum and reports its end instead
-        tops[:, j] = np.max(highs, axis=0) if highs else value
-        bottoms[:, j] = np.min(lows, axis=0) if lows else value
-    return ends, tops, bottoms
+    value = np.zeros(count, dtype=np.int64)  # the drawn walk's, before any mirror
+    ends, peaks = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(2))
+    for j, (lo, hi, extreme) in enumerate(zip(bounds, bounds[1:], extremes)):
+        width, start = hi - lo, value
+        if width:
+            packed = _pack(raw[:, lo:hi])
+            value = start + 2 * np.bitwise_count(packed).sum(axis=1, dtype=np.int64) - width
+        ends[:, j] = signs * value
+        if extreme is None or not width:
+            # an empty segment holds no prefix sum and reports its end instead
+            peaks[:, j] = ends[:, j]
+            continue
+        # scan the walk read as mirror * (drawn walk) for its highest prefix
+        mirror = signs * _EXTREMES[extreme]
+        real = np.full(packed.shape[1], 0xFF, dtype=np.uint8)
+        real[-1] >>= -width % 8  # the pad bits stay 0, -1 steps
+        packed ^= real * (mirror < 0)[..., None]
+        packed = packed.T  # rows are bytes, columns walks
+        # |every prefix sum inside the segment, pad steps too| < width + 8
+        scan = np.int16 if width < 2**15 - 8 else np.int32
+        run = np.take(_BYTE_SUM, packed).astype(scan, copy=False)
+        # np.cumsum would run one scalar chain per walk, while adding whole
+        # rows vectorises over walks
+        for k in range(1, run.shape[0]):
+            run[k] += run[k - 1]
+        run += np.take(_BYTE_TOP, packed)
+        peaks[:, j] = _EXTREMES[extreme] * (mirror * start + run.max(axis=0))
+    return ends, peaks
 
 
 def generate_walk(length: int, rng: np.random.Generator) -> WalkTrace:

@@ -126,14 +126,29 @@ def test_clopper_pearson_equals_beta_quantiles():
                     successes, trials, confidence)
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
-    code = "import sys, coinlab.cli; print('scipy.stats' in sys.modules)"
+def _python_with_src(code, **env_vars):
+    # stdout of `python -c code` with this checkout's src on the path; an
+    # env var given as None is unset
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars}
+    env = {k: v for k, v in env.items() if v is not None}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    code = "import sys, coinlab.cli; print('scipy.stats' in sys.modules)"
+    assert _python_with_src(code) == "False"
+
+
+def test_importing_coinlab_pins_blas_threads_unless_set():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, coinlab; print(*(os.environ.get(name) for name in {names}))"
+    unset = dict.fromkeys(names)
+    assert _python_with_src(code, **unset) == "1 1 1"
+    assert _python_with_src(code, **{**unset, "OMP_NUM_THREADS": "3"}) == "1 3 1"
 
 
 def test_verdict_three_ways():
@@ -223,7 +238,7 @@ def test_lemma71_rejects_empty_walk():
 def test_counter_agrees_with_walk_layer():
     # the vectorized counters must see exactly the walks the walk layer sees
     rng_a = np.random.default_rng(np.random.SeedSequence((42, 0)))
-    ends, tops, _ = segment_stats(rng_a, 8, 25)
+    ends, tops = segment_stats(rng_a, 8, 25, (), ["max"])
     rng_b = np.random.default_rng(np.random.SeedSequence((42, 0)))
     steps = rng_b.integers(0, 2, size=(8, 25), dtype=np.int8) * 2 - 1
     for i in range(8):
@@ -253,6 +268,23 @@ def test_tail_counter_matches_direct_counts(length, thresholds):
     expected = [np.count_nonzero(sums.max(axis=1) >= tau) for tau in thresholds]
     expected += [np.count_nonzero(sums[:, -1] >= tau) for tau in thresholds]
     assert tallies.tolist() == expected
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_directional_hit_counter_matches_direct_counts(start):
+    # even global indices target +, odd ones -, whichever walk a block starts on
+    from coinlab.mc import _directional_hit_counter
+
+    block = np.random.SeedSequence((3, 1))
+    sums = _block_sums(block, 400, 30)
+    plus = np.arange(start, start + 400) % 2 == 0
+    expected = [np.count_nonzero(sums[plus].max(axis=1) >= 6),
+                np.count_nonzero(sums[~plus].min(axis=1) <= -6),
+                np.count_nonzero(plus), np.count_nonzero(~plus)]
+    tallies = _directional_hit_counter(np.random.default_rng(block), 400, start, length=30,
+                                       threshold=6)
+    assert tallies == expected
+    assert 0 < expected[0] < 200 and 0 < expected[1] < 200
 
 
 @pytest.mark.parametrize("direction", [+1, -1])

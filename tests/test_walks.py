@@ -214,17 +214,24 @@ def test_batched_stop_matches_reference_row_by_row(case):
         assert (scalar.stop_index, scalar.value) == expected
 
 
-def _assert_stats_match_cumsum(count, length, cuts, seed):
-    ends, tops, bottoms = segment_stats(np.random.default_rng(seed), count, length, cuts)
-    sums = np.cumsum(draw_steps(np.random.default_rng(seed), (count, length)), axis=1)
+def _assert_stats_match_cumsum(count, length, cuts, seed, extremes, signs):
+    rng = np.random.default_rng(seed)
+    ends, peaks = segment_stats(rng, count, length, cuts, extremes, signs)
+    reference = np.random.default_rng(seed)
+    sums = np.asarray(signs)[..., None] * np.cumsum(draw_steps(reference, (count, length)), axis=1)
+    assert rng.bit_generator.state == reference.bit_generator.state
     bounds = [0, *cuts, length]
-    assert ends.shape == tops.shape == bottoms.shape == (count, len(bounds) - 1)
+    assert ends.shape == peaks.shape == (count, len(bounds) - 1)
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         end = sums[:, hi - 1] if hi else np.zeros(count, dtype=sums.dtype)
         inside = sums[:, lo:hi] if hi > lo else end[:, None]  # empty: the end value
         assert np.array_equal(ends[:, j], end)
-        assert np.array_equal(tops[:, j], inside.max(axis=1))
-        assert np.array_equal(bottoms[:, j], inside.min(axis=1))
+        if extremes[j] is None:
+            assert np.array_equal(peaks[:, j], end)
+        elif extremes[j] == "max":
+            assert np.array_equal(peaks[:, j], inside.max(axis=1))
+        else:
+            assert np.array_equal(peaks[:, j], inside.min(axis=1))
 
 
 @st.composite
@@ -233,13 +240,18 @@ def stats_cases(draw):
     length = draw(st.integers(1, 70))
     cut = st.integers(0, length) | st.integers(0, length // 8).map(lambda k: 8 * k)
     cuts = sorted(draw(st.lists(cut, max_size=4)))
-    return count, length, cuts, draw(st.integers(0, 2**32 - 1))
+    extremes = draw(st.lists(st.sampled_from([None, "max", "min"]),
+                             min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    sign = st.sampled_from([-1, 1])
+    signs = draw(sign | st.lists(sign, min_size=count, max_size=count).map(np.array))
+    return count, length, cuts, draw(st.integers(0, 2**32 - 1)), extremes, signs
 
 
 @given(stats_cases())
-@example((3, 20, [8, 8, 13], 0))  # equal cuts: an empty segment
-@example((2, 5, [0, 5], 1))  # empty first and last segments
-@example((4, 70, [3, 64], 2))  # whole bytes plus up to seven odd coins
+@example((3, 20, [8, 8, 13], 0, ["max", "min", "max", "min"], 1))  # equal cuts: an empty segment
+@example((2, 5, [0, 5], 1, ["min", "max", "max"], -1))  # empty first and last segments
+@example((4, 70, [3, 64], 2, ["max", "min", "max"], np.array([1, -1, -1, 1])))  # whole and odd bytes
+@example((5, 23, [16], 3, [None, "min"], np.array([-1, 1, 1, -1, 1])))  # the two-phase reading
 @settings(max_examples=200, deadline=None)
 def test_segment_stats_match_cumsum_of_draw_steps(case):
     _assert_stats_match_cumsum(*case)
@@ -247,17 +259,25 @@ def test_segment_stats_match_cumsum_of_draw_steps(case):
 
 def test_segment_stats_long_walks_scan_wider():
     # past 2**15 steps a prefix sum may leave int16, so the scan widens
-    _assert_stats_match_cumsum(2, 40_000, [12_345], 5)
+    _assert_stats_match_cumsum(2, 40_000, [12_345], 5, ["min", "max"], np.array([1, -1]))
 
 
 def test_segment_stats_rejects_bad_cuts():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [6, 4])
+        segment_stats(rng, 2, 10, [6, 4], ["max"] * 3)
     with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [11])
+        segment_stats(rng, 2, 10, [11], ["max"] * 2)
     with pytest.raises(ValueError):
-        segment_stats(rng, 0, 10)
+        segment_stats(rng, 0, 10, [], ["max"])
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [4], ["max"])  # one name per segment
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [], ["mean"])
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [], ["max"], np.array([1, 0]))
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [], ["max"], np.array([1, -1, 1]))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (7, 3), (13, 1), (8, 8), (57, 60), (5, 5)])
@@ -269,6 +289,7 @@ def test_int8_coins_are_bit_7_of_generator_bytes(shape):
     total = shape[0] * shape[1]
     raw = np.frombuffer(by_bytes.bytes(-(-total // 4) * 4), dtype=np.uint8)[:total]
     assert np.array_equal(coins, (raw >> 7).reshape(shape))
+    _assert_same_generators(by_integers, by_bytes)
     assert by_integers.integers(0, 2**63) == by_bytes.integers(0, 2**63)
     # successive draws each pad to whole words of 4 bytes: three draws of
     # (5, 5) coins read 3 x 28 bytes, and coin_bytes reads them the same way
@@ -279,8 +300,19 @@ def test_int8_coins_are_bit_7_of_generator_bytes(shape):
     raw = np.frombuffer(by_bytes.bytes(calls * padded), dtype=np.uint8).reshape(calls, padded)
     assert np.array_equal(coins, (raw[:, :total] >> 7).reshape(calls, *shape))
     assert np.array_equal(coin_bytes(by_coin_bytes, total, calls), raw[:, :total])
+    _assert_same_generators(by_integers, by_bytes, by_coin_bytes)
     ends = {rng.integers(0, 2**63) for rng in (by_integers, by_bytes, by_coin_bytes)}
     assert len(ends) == 1
+
+
+def _assert_same_generators(*rngs):
+    # A 64-bit draw cannot tell generators apart that differ only in the
+    # buffered half of a uint32 word, so compare the whole state, then one
+    # more draw of an odd number of words (3) from each.
+    assert all(rng.bit_generator.state == rngs[0].bit_generator.state for rng in rngs)
+    draws = [coin_bytes(rng, 9) for rng in rngs]
+    assert all(np.array_equal(draw, draws[0]) for draw in draws)
+    assert all(rng.bit_generator.state == rngs[0].bit_generator.state for rng in rngs)
 
 
 def test_coin_bytes_rejects_empty_draws():
