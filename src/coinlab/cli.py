@@ -175,10 +175,13 @@ def _component_failures(rounds) -> tuple[int, int]:
     stopped_from = k + config.t_excluded
     core = rounds.streams[:, :k].sum(axis=(1, 2))
     excluded = rounds.streams[:, k:stopped_from].sum(axis=(1, 2))
-    walks = np.cumsum(rounds.streams[:, stopped_from:], axis=-1, dtype=np.int32)
-    # prefix[..., k] is the sum of the first k coins, so a stop at 0 is worth 0
-    prefix = np.concatenate([np.zeros(walks.shape[:-1] + (1,), walks.dtype), walks], axis=-1)
-    value = np.take_along_axis(prefix, rounds.stop_indices[..., None], axis=-1)[..., 0]
+    # summed in place: np.cumsum(..., dtype=np.int32) would first cast the
+    # streams to a second int32 copy
+    walks = rounds.streams[:, stopped_from:].astype(np.int32)
+    np.cumsum(walks, axis=-1, out=walks)
+    # walks[..., k - 1] is the sum of the first k coins; a stop at 0 is worth 0
+    stop = rounds.stop_indices
+    value = np.where(stop > 0, np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0], 0)
     extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
     rebuilt = (core + excluded + value.sum(axis=-1)
                + rounds.ambiguous_term + config.bad_contribution)

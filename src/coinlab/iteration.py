@@ -8,6 +8,11 @@ worst moment, and an ambiguity allowance it always sets to the extreme
 opposing value. The "core" is the complete, untouched good streams; the
 round is useful when the core alone deviates past alpha_prime in the good
 direction.
+
+``run_rounds`` draws each round's coins as raw bytes with
+``walks.coin_bytes`` (the coins ``walks.draw_steps`` would draw) into one
+block, turns the block into +/-1 steps in place and scores it with array
+operations.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import _MAX_BLOCK_ENTRIES, block_size_for
-from .walks import StoppingStrategy, apply_stop, draw_steps
+from .walks import StoppingStrategy, apply_stop, coin_bytes
 
 __all__ = [
     "IterationConfig",
@@ -179,8 +184,9 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
 
     The stream layout is fixed, complete streams first, then excluded, then
     stopped, so the core does not depend on the adversary's behavioral
-    choices. Memory is O(count * (n-t) * n); a round is drawn whole, so one
-    of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw.
+    choices. The block holds one byte per coin, as int8 steps, plus int32
+    prefix sums of the stopped streams; a round is drawn whole, so one of
+    more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw.
     """
     if start < 0:
         raise ValueError(f"round index must be non-negative, got {start}")
@@ -190,10 +196,16 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     if good * n > _MAX_BLOCK_ENTRIES:
         raise ValueError(f"a round of {good} streams of {n} coins holds {good * n} entries, "
                          f"over the limit of {_MAX_BLOCK_ENTRIES}")
-    streams = np.empty((count, good, n), dtype=np.int8)
+    raw = np.empty((count, good * n), dtype=np.uint8)
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, start + j)))
-        streams[j] = draw_steps(rng, (good, n))
+        raw[j] = coin_bytes(rng, good * n)[0]
+    # +1 where a byte is >= 128, else -1, in place: a block-sized temporary
+    # would double the round engine's peak memory
+    raw >>= 7
+    raw <<= 1
+    raw -= 1
+    streams = raw.view(np.int8).reshape(count, good, n)
     k = config.complete_count
     stopped_from = k + config.t_excluded
 
@@ -208,7 +220,9 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
 
     # Stopped streams are truncated at the opposing extreme over the whole round.
     strategy = StoppingStrategy.omniscient_extreme(direction=-direction, window=(1, n))
-    result = apply_stop(np.cumsum(streams[:, stopped_from:], axis=-1, dtype=np.int32), strategy)
+    walks = streams[:, stopped_from:].astype(np.int32)
+    np.cumsum(walks, axis=-1, out=walks)  # in place: a cast inside cumsum would copy again
+    result = apply_stop(walks, strategy)
     stopped_sum = result.value.sum(axis=-1, dtype=np.int64)
 
     ambiguous_term = -direction * config.ambiguous_allowance

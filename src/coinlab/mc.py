@@ -12,8 +12,9 @@ every threshold of their sweep from that one sample.
 The block counters never hold a walk's prefix sums. They ask
 ``walks.segment_stats`` for each segment's endpoint and at most the one
 extreme they read, of walks mirrored where a direction calls for it. It
-reads these off the same coins ``walks.draw_steps`` draws, eight per byte,
-so every tally equals the one a full ``np.cumsum`` of those coins gives.
+reads these off the same coins ``walks.draw_steps`` draws, taken from the
+generator's raw 64-bit outputs and scanned eight per byte, so every tally
+equals the one a full ``np.cumsum`` of those coins gives.
 """
 from __future__ import annotations
 
@@ -55,10 +56,14 @@ _MAX_BLOCK = 8192
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # Hard cap on one block's walk matrix, since walks are drawn whole, not in
 # chunks. A block holds one raw byte per entry, the bit mask of the segment
-# being packed one more, and a segment scanned for an extreme its byte-table
-# rows. Traced peaks (tracemalloc), in bytes per entry: 2.08 for lemma52-2's
-# block of 2452 walks of 3420 coins, 2.88 for 128 walks of 10^5 coins
-# scanned whole for their max.
+# being packed one more, and a segment scanned for an extreme its running-sum
+# and byte-table rows. Traced peaks (tracemalloc), in bytes per entry: 2.08
+# for lemma52-2's block of 2452 walks of 3420 coins, 2.83 for lemma52-1's
+# 8192 walks of 200, 5.02 for fact3's 8192 walks of 16, and 2.88 for 128
+# walks of 10^5 coins scanned whole for their max. A block of rounds
+# (iteration.run_rounds) holds one byte per coin plus int32 prefix sums of
+# its stopped streams: 1.29 at coin-iter's defaults, 1.03 for 40 rounds of
+# n = 400 with one stopped stream.
 _MAX_BLOCK_ENTRIES = 2**26
 
 

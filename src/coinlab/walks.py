@@ -7,11 +7,12 @@ to a clairvoyant stop at the most extreme prefix sum inside a window.
 Every module draws its coins with ``draw_steps`` and lets ``apply_stop``
 choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
 sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
-Bulk draws read the same coins as raw bytes from ``coin_bytes``. The Monte
-Carlo counters, which need only a few statistics per walk, read them from
+Bulk draws read the same coins as raw bytes from ``coin_bytes``, which
+takes PCG64's 64-bit outputs straight from ``random_raw``. The Monte Carlo
+counters, which need only a few statistics per walk, read them from
 ``segment_stats``: it packs them eight to a byte, reads each segment's end
 from its head count and scans only the extremes a counter asks for, one
-byte-table lookup per eight coins.
+popcount and one byte-table lookup per eight coins.
 """
 from __future__ import annotations
 
@@ -88,25 +89,52 @@ def coin_bytes(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarra
     """The (calls, size) uint8 bytes behind ``calls`` successive ``draw_steps``
     draws of ``size`` coins, leaving ``rng`` in the same state; a coin is +1
     where its byte is >= 128. ``integers(0, 2, dtype=int8)`` reads bit 7 of
-    consecutive bytes of ``rng.bytes``, padding each draw to whole 4-byte words.
-    ``rng.bytes`` is itself little-endian uint32 words from ``rng.integers``,
-    so the words are drawn here and viewed as bytes, sparing its copies."""
+    consecutive bytes of ``rng.bytes``, padding each draw to whole 4-byte words,
+    and ``rng.bytes`` is little-endian uint32 words of ``rng.integers``.
+
+    For ``PCG64``, the bit generator of ``default_rng``, the words come
+    straight from ``random_raw``: its ``next_uint32`` returns the low half of
+    a 64-bit output and buffers the high half for the next word. A half-word
+    buffered on entry is word 0, and the buffer is written back on exit,
+    including the stale half-word NumPy keeps once it is used, so
+    ``bit_generator.state`` ends as ``integers`` leaves it. Any other bit
+    generator draws its words through ``rng.integers``."""
     if size < 1 or calls < 1:
         raise ValueError(f"need size >= 1 and calls >= 1, got {size} x {calls}")
     words = -(-size // 4)
-    drawn = rng.integers(0, 2**32, size=calls * words, dtype=np.uint32).astype("<u4", copy=False)
+    if type(rng.bit_generator) is np.random.PCG64:
+        drawn = _pcg64_words(rng.bit_generator, calls * words)
+    else:
+        drawn = rng.integers(0, 2**32, size=calls * words, dtype=np.uint32).astype("<u4", copy=False)
     return drawn.view(np.uint8).reshape(calls, 4 * words)[:, :size]
 
 
-def _byte_tables() -> tuple[np.ndarray, np.ndarray]:
-    # Byte b holds eight coins, coin i in bit i. Per byte: the sum of its
-    # steps, and its highest prefix sum measured from its end.
+def _pcg64_words(bit_generator: np.random.PCG64, total: int) -> np.ndarray:
+    # the next ``total`` words of next_uint32, as little-endian uint32
+    state = bit_generator.state
+    buffered = state["has_uint32"]
+    need = total - buffered
+    outputs = bit_generator.random_raw(-(-need // 2)).astype("<u8", copy=False)
+    drawn = outputs.view("<u4")[:need]
+    if buffered:
+        drawn = np.concatenate([np.array([state["uinteger"]], dtype="<u4"), drawn])
+    if outputs.size:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = need % 2, int(outputs[-1] >> 32)
+    else:  # the buffered half-word was the whole draw
+        state["has_uint32"] = 0
+    bit_generator.state = state
+    return drawn
+
+
+def _byte_top() -> np.ndarray:
+    # Byte b holds eight coins, coin i in bit i: its highest prefix sum,
+    # measured from its end.
     walks = np.cumsum(((np.arange(256)[:, None] >> np.arange(8)) & 1) * 2 - 1, axis=1)
-    total = walks[:, -1]
-    return total.astype(np.int16), (walks.max(axis=1) - total).astype(np.int16)
+    return (walks.max(axis=1) - walks[:, -1]).astype(np.int16)
 
 
-_BYTE_SUM, _BYTE_TOP = _byte_tables()
+_BYTE_TOP = _byte_top()
 _EXTREMES = {None: 0, "max": +1, "min": -1}
 
 
@@ -135,13 +163,16 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
     segment's right end, and the named extreme over the prefix sums inside
     it (the end value where none is named or the segment is empty).
 
-    A segment's coins are packed eight to a byte. Its end comes from the
-    head count, ``np.bitwise_count`` of the packed bytes. Its highest
-    prefix sum is the max over bytes of (sum before the byte + the byte's
-    highest prefix), so the running sum only runs over length / 8 rows; a
-    lowest prefix sum is the negated highest one of the mirrored walk, read
-    by flipping the packed bits. The zero bits that pad a segment's last
-    byte are -1 steps past its end, which cannot raise a highest prefix.
+    A segment's coins are packed eight to a byte, and a byte's step sum is
+    2 * popcount - 8. With no extreme named, the segment's end comes from
+    the head count, ``np.bitwise_count`` of the packed bytes. Otherwise a
+    running sum of byte sums runs over length / 8 rows: the highest prefix
+    sum is the max over bytes of (sum before the byte + the byte's highest
+    prefix), and the end is the last row. A lowest prefix sum is the
+    negated highest one of the mirrored walk, read by flipping the packed
+    bits. The zero bits that pad a segment's last byte are -1 steps past
+    its end, which cannot raise a highest prefix and are added back to the
+    end.
     """
     if count < 1 or length < 1:
         raise ValueError(f"need count >= 1 and length >= 1, got {count} x {length}")
@@ -160,27 +191,31 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
     ends, peaks = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(2))
     for j, (lo, hi, extreme) in enumerate(zip(bounds, bounds[1:], extremes)):
         width, start = hi - lo, value
-        if width:
-            packed = _pack(raw[:, lo:hi])
-            value = start + 2 * np.bitwise_count(packed).sum(axis=1, dtype=np.int64) - width
-        ends[:, j] = signs * value
         if extreme is None or not width:
+            if width:
+                heads = np.bitwise_count(_pack(raw[:, lo:hi])).sum(axis=1, dtype=np.int64)
+                value = start + 2 * heads - width
             # an empty segment holds no prefix sum and reports its end instead
-            peaks[:, j] = ends[:, j]
+            ends[:, j] = peaks[:, j] = signs * value
             continue
-        # scan the walk read as mirror * (drawn walk) for its highest prefix
+        # scan the walk read as mirror * (drawn walk) for its highest prefix,
+        # one row of bytes per eight coins, each column a walk
         mirror = signs * _EXTREMES[extreme]
-        real = np.full(packed.shape[1], 0xFF, dtype=np.uint8)
+        real = np.full(-(-width // 8), 0xFF, dtype=np.uint8)
         real[-1] >>= -width % 8  # the pad bits stay 0, -1 steps
-        packed ^= real * (mirror < 0)[..., None]
-        packed = packed.T  # rows are bytes, columns walks
+        packed = np.ascontiguousarray(_pack(raw[:, lo:hi]).T)
+        packed ^= real[:, None] * (mirror < 0)
         # |every prefix sum inside the segment, pad steps too| < width + 8
         scan = np.int16 if width < 2**15 - 8 else np.int32
-        run = np.take(_BYTE_SUM, packed).astype(scan, copy=False)
+        run = np.bitwise_count(packed).astype(scan)
+        run <<= 1
+        run -= 8  # a byte's step sum is 2 * popcount - 8
         # np.cumsum would run one scalar chain per walk, while adding whole
         # rows vectorises over walks
         for k in range(1, run.shape[0]):
             run[k] += run[k - 1]
+        value = start + mirror * (run[-1] + -width % 8)  # less the -1 pad steps
+        ends[:, j] = signs * value
         run += np.take(_BYTE_TOP, packed)
         peaks[:, j] = _EXTREMES[extreme] * (mirror * start + run.max(axis=0))
     return ends, peaks

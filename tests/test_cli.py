@@ -261,6 +261,27 @@ def test_coin_iter_check_counts_stops_off_the_extreme(monkeypatch):
     assert row["stop_extreme_failures"] > 0 and row["verdict"] == "fail"
 
 
+def test_coin_iter_check_reads_a_stop_at_0_as_worth_0(monkeypatch):
+    checked = []
+
+    def stop_at_0(rounds):
+        checked.append(rounds)
+        return {"stop_indices": np.zeros_like(rounds.stop_indices)}
+
+    row = _coin_iter_check(monkeypatch, stop_at_0)
+    # the invariance probe's variants run under other configs
+    checked = [rounds for rounds in checked if rounds.config == checked[0].config]
+    config = checked[0].config
+    stopped = np.concatenate([rounds.streams[:, config.complete_count + config.t_excluded:]
+                              for rounds in checked])
+    walks = np.cumsum(stopped, axis=-1)
+    extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
+    stopped_sum = np.concatenate([rounds.stopped_sum for rounds in checked])
+    assert stopped.shape[:2] == (30, config.t_stopped) and config.t_stopped > 0
+    assert (row["additive_failures"], row["stop_extreme_failures"], row["verdict"]) == (
+        np.count_nonzero(stopped_sum), np.count_nonzero((extreme != 0).any(axis=-1)), "fail")
+
+
 def test_agreement_row(tmp_path):
     out = tmp_path / "r.json"
     assert run(["agreement", "--seed", "4", "--out", str(out)]) == 0

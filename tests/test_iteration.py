@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -270,3 +271,19 @@ def test_run_agreement_matches_a_plain_loop(config, budget, block, keep):
             _reference_round(config, i)["total"] for i in range(used)]
     else:
         assert result.records == ()
+
+
+def test_run_rounds_turns_coin_bytes_into_steps_in_place():
+    # A wide block of rounds peaks at about its own int8 steps: the drawn
+    # bytes become +/-1 in place, with no block-sized temporary.
+    config = IterationConfig(n=400, t=20, t_stopped=1, seed=3)
+    count = 40
+    run_rounds(config, 0, 1)
+    tracemalloc.start()
+    try:
+        rounds = run_rounds(config, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds.streams.dtype == np.int8
+    assert peak < 1.5 * count * (config.n - config.t) * config.n + 2**20

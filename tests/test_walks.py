@@ -305,14 +305,22 @@ def test_int8_coins_are_bit_7_of_generator_bytes(shape):
     assert len(ends) == 1
 
 
+def _same_state(a, b):
+    # bit_generator.state dicts; Philox and MT19937 hold arrays in theirs
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 def _assert_same_generators(*rngs):
     # A 64-bit draw cannot tell generators apart that differ only in the
     # buffered half of a uint32 word, so compare the whole state, then one
     # more draw of an odd number of words (3) from each.
-    assert all(rng.bit_generator.state == rngs[0].bit_generator.state for rng in rngs)
+    assert all(_same_state(rng.bit_generator.state, rngs[0].bit_generator.state) for rng in rngs)
     draws = [coin_bytes(rng, 9) for rng in rngs]
     assert all(np.array_equal(draw, draws[0]) for draw in draws)
-    assert all(rng.bit_generator.state == rngs[0].bit_generator.state for rng in rngs)
+    assert all(_same_state(rng.bit_generator.state, rngs[0].bit_generator.state) for rng in rngs)
 
 
 def test_coin_bytes_rejects_empty_draws():
@@ -321,3 +329,37 @@ def test_coin_bytes_rejects_empty_draws():
         coin_bytes(np.random.default_rng(0), 0)
     with pytest.raises(ValueError):
         coin_bytes(np.random.default_rng(0), 4, calls=0)
+
+
+def _integers_bytes(rng, size, calls):
+    # coin_bytes' bytes as NumPy's bounded-integer path gives them
+    words = -(-size // 4)
+    drawn = rng.integers(0, 2**32, size=calls * words, dtype=np.uint32).astype("<u4", copy=False)
+    return drawn.view(np.uint8).reshape(calls, 4 * words)[:, :size]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), before=st.integers(0, 3), size=st.integers(1, 70),
+       calls=st.integers(1, 4))
+@example(seed=0, before=1, size=1, calls=1)  # the buffered half-word is the whole draw
+@example(seed=0, before=1, size=8, calls=1)  # it is word 0, and no half-word is left
+def test_coin_bytes_matches_integers_words(seed, before, size, calls):
+    # PCG64 words come from random_raw: same bytes and same buffered half-word
+    by_raw, by_integers = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (by_raw, by_integers):
+        rng.integers(0, 2**32, size=before, dtype=np.uint32)
+    assert np.array_equal(coin_bytes(by_raw, size, calls), _integers_bytes(by_integers, size, calls))
+    _assert_same_generators(by_raw, by_integers)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.SFC64,
+                                           np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("before", [0, 1])
+def test_coin_bytes_of_other_bit_generators_are_integers_words(bit_generator, before):
+    by_coin_bytes, by_integers = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    for rng in (by_coin_bytes, by_integers):
+        rng.integers(0, 2**32, size=before, dtype=np.uint32)
+    for size, calls in ((5, 3), (8, 1), (3, 1)):
+        assert np.array_equal(coin_bytes(by_coin_bytes, size, calls),
+                              _integers_bytes(by_integers, size, calls))
+    _assert_same_generators(by_coin_bytes, by_integers)
