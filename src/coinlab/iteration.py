@@ -9,10 +9,11 @@ opposing value. The "core" is the complete, untouched good streams; the
 round is useful when the core alone deviates past alpha_prime in the good
 direction.
 
-``run_rounds`` draws each round's coins as raw bytes with
-``walks.coin_bytes`` (the coins ``walks.draw_steps`` would draw) into one
-block, turns the block into +/-1 steps in place and scores it with array
-operations.
+``run_rounds`` draws a block of rounds with one ``walks.substream_bytes``
+call: round i's raw bytes are those ``walks.coin_bytes`` draws from
+``SeedSequence((seed, i))`` (the coins ``walks.draw_steps`` would draw),
+with no generator built per round. It turns the block into +/-1 steps in
+place and scores it with array operations.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import _MAX_BLOCK_ENTRIES, block_size_for
-from .walks import StoppingStrategy, apply_stop, coin_bytes
+from .walks import StoppingStrategy, apply_stop, substream_bytes
 
 __all__ = [
     "IterationConfig",
@@ -196,10 +197,7 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     if good * n > _MAX_BLOCK_ENTRIES:
         raise ValueError(f"a round of {good} streams of {n} coins holds {good * n} entries, "
                          f"over the limit of {_MAX_BLOCK_ENTRIES}")
-    raw = np.empty((count, good * n), dtype=np.uint8)
-    for j in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, start + j)))
-        raw[j] = coin_bytes(rng, good * n)[0]
+    raw = substream_bytes(config.seed, start, count, good * n)
     # +1 where a byte is >= 128, else -1, in place: a block-sized temporary
     # would double the round engine's peak memory
     raw >>= 7

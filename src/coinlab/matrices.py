@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import _MAX_BLOCK_ENTRIES, McEstimate, VerificationVerdict, run_blocks, verdict_for
-from .walks import StoppingStrategy, apply_stop, coin_bytes, draw_steps
+from .walks import StoppingStrategy, apply_stop, coin_bytes, draw_steps, substream_bytes
 
 __all__ = [
     "StoppedCoinMatrix",
@@ -179,8 +179,7 @@ def build_G(params: Params, adversary: StoppingStrategy, seed,
     if isinstance(seed, np.random.Generator):
         raw = coin_bytes(seed, n * n, m)
     else:
-        raw = np.concatenate([coin_bytes(np.random.default_rng(np.random.SeedSequence((int(seed), i))),
-                                         n * n) for i in range(m)])
+        raw = substream_bytes(int(seed), 0, m, n * n)
     heads = raw.reshape(m, n, n) >= 128
     return IterationSumMatrices(*_iteration_sums(heads, t, adversary, bad_columns), bad_columns)
 

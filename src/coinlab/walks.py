@@ -8,7 +8,10 @@ Every module draws its coins with ``draw_steps`` and lets ``apply_stop``
 choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
 sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
 Bulk draws read the same coins as raw bytes from ``coin_bytes``, which
-takes PCG64's 64-bit outputs straight from ``random_raw``. The Monte Carlo
+takes PCG64's 64-bit outputs straight from ``random_raw``, and a block of
+per-round substreams (seed, i) from ``substream_bytes``, which derives every
+round's PCG64 state from one vectorised run of SeedSequence's hash instead
+of building a generator per round. The Monte Carlo
 counters, which need only a few statistics per walk, read them from
 ``segment_stats``: it packs them eight to a byte, reads each segment's end
 from its head count and scans only the extremes a counter asks for, one
@@ -16,6 +19,8 @@ popcount and one byte-table lookup per eight coins.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,7 @@ __all__ = [
     "StoppedStream",
     "draw_steps",
     "coin_bytes",
+    "substream_bytes",
     "segment_stats",
     "generate_walk",
     "apply_stop",
@@ -125,6 +131,167 @@ def _pcg64_words(bit_generator: np.random.PCG64, total: int) -> np.ndarray:
         state["has_uint32"] = 0
     bit_generator.state = state
     return drawn
+
+
+# NumPy's SeedSequence hash, with its default pool of four uint32 words, and
+# PCG64's seeding multiplier (numpy/random/bit_generator.pyx and pcg64.h).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Rows seeded per hash, which bounds the hash's temporaries.
+_SEED_CHUNK = 4096
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    # Hash call k XORs its value with c_k and multiplies it by c_(k+1),
+    # where c_0 = init and c_(k+1) = mult * c_k mod 2**32: the constants do
+    # not depend on the values, so one (calls, 1) column serves every row.
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+@functools.cache
+def _mix_constants(words: int) -> tuple[np.ndarray, ...]:
+    # The hash constants of mixing ``words`` entropy words into the pool:
+    # (4, 1) columns for hashing the first four words (zeros past the end),
+    # then a (steps, 4, 1) stack, one step per pool word mixed into the other
+    # three, its own row unused, then one per word past the fourth.
+    extra = max(words - _POOL, 0)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    stacks = np.zeros((2, _POOL + extra, _POOL, 1), dtype=np.uint32)
+    k = _POOL
+    for src in range(_POOL):
+        others = [dst for dst in range(_POOL) if dst != src]
+        stacks[:, src, others] = xor[k : k + 3], mul[k : k + 3]
+        k += 3
+    stacks[:, _POOL:] = xor[k:].reshape(-1, _POOL, 1), mul[k:].reshape(-1, _POOL, 1)
+    return xor[:_POOL], mul[:_POOL], *stacks
+
+
+# generate_state(4, uint64) hashes the pool twice over into eight words
+_GENERATE_XOR, _GENERATE_MUL = (c.reshape(2, _POOL, 1)
+                                for c in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+
+
+# The hash runs once per block of rounds, so its fixed cost counts on small
+# blocks: every ufunc below writes in place through a positional ``out``,
+# which NumPy parses faster than an ``out=`` keyword or an augmented operator.
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray, out: np.ndarray) -> None:
+    np.bitwise_xor(values, xor, out)
+    np.multiply(out, mul, out)
+    np.bitwise_xor(out, np.right_shift(out, _XSHIFT), out)
+
+
+def _int_words(value: int) -> list[int]:
+    # SeedSequence's uint32 words of a non-negative int: little-endian, [0] for 0
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pooled_state(entropy: list, count: int) -> np.ndarray:
+    # SeedSequence(entropy).generate_state(4, uint64) for ``count`` entropy
+    # lists at once, as a (count, 4) array: each word of ``entropy`` is a
+    # (1,) or (count,) uint32 array. The pool is (4, count), and each mixing
+    # step updates all four rows at once.
+    first_xor, first_mul, step_xor, step_mul = _mix_constants(len(entropy))
+    pool = np.zeros((_POOL, count), dtype=np.uint32)
+    for row, word in zip(pool, entropy[:_POOL]):
+        row[:] = word
+    _hashmix(pool, first_xor, first_mul, pool)
+    hashed = np.empty_like(pool)
+    for step, (xor, mul) in enumerate(zip(step_xor, step_mul)):
+        # steps 0-3 mix pool word ``step`` into the other three, which it
+        # leaves as it was; later steps mix in entropy word ``step``
+        source = pool[step].copy() if step < _POOL else entropy[step]
+        _hashmix(source, xor, mul, hashed)
+        np.multiply(pool, _MIX_MULT_L, pool)
+        np.multiply(hashed, _MIX_MULT_R, hashed)
+        np.subtract(pool, hashed, pool)
+        np.bitwise_xor(pool, np.right_shift(pool, _XSHIFT), pool)
+        if step < _POOL:
+            pool[step] = source
+    # the eight words as (count, 8) little-endian uint32, read as uint64 pairs
+    state = np.empty((2, _POOL, count), dtype=np.uint32)
+    _hashmix(pool, _GENERATE_XOR, _GENERATE_MUL, state)
+    return np.ascontiguousarray(state.reshape(2 * _POOL, count).T, dtype="<u4").view("<u8")
+
+
+def _substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for
+    ``i = start .. start+count-1``, as a (count, 4) uint64 array.
+
+    The entropy of (seed, i) is the uint32 words of ``seed``, then those of
+    ``i``. Between multiples of 2**32 only the low word of ``i`` changes, so
+    each such piece is hashed as one array."""
+    head = [np.array([word], dtype=np.uint32) for word in _int_words(seed)]
+    pieces, first, end = [], start, start + count
+    while first < end:
+        high = first >> 32
+        last = min(end, high + 1 << 32)
+        low = np.arange(first - (high << 32), last - (high << 32), dtype=np.uint32)
+        tail = [np.array([word], dtype=np.uint32) for word in _int_words(high)] if high else []
+        pieces.append(_pooled_state(head + [low] + tail, last - first))
+        first = last
+    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
+    # PCG64's state once seeded with the words generate_state(4, uint64)
+    # gives: pcg_setseq_128_srandom_r with initstate w0:w1 and initseq w2:w3,
+    # in 128-bit arithmetic
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return {"bit_generator": "PCG64",
+            "state": {"state": ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+_SEEDING = threading.local()
+
+
+def _seeding_generator() -> np.random.PCG64:
+    # One PCG64 per thread, kept between calls: building one takes ~10 us,
+    # about a sixth of a one-round call, and run_agreement makes many of
+    # those. substream_bytes sets the whole state before every row, so
+    # nothing carries from one call to the next.
+    if not hasattr(_SEEDING, "pcg64"):
+        _SEEDING.pcg64 = np.random.PCG64(0)
+    return _SEEDING.pcg64
+
+
+def substream_bytes(seed: int, start: int, count: int, size: int) -> np.ndarray:
+    """The (count, size) uint8 block whose row ``j`` is
+    ``coin_bytes(np.random.default_rng(np.random.SeedSequence((seed, i))), size)[0]``
+    for ``i = start + j``, without a ``SeedSequence`` or a ``Generator`` per row.
+
+    The rows' seeds come from one vectorised run of SeedSequence's hash per
+    chunk of rows, and each row's PCG64 state from Python-int arithmetic; one
+    ``PCG64`` per thread takes each state in turn and writes ``ceil(size / 8)``
+    outputs of ``random_raw`` into the row. A freshly seeded generator
+    buffers no half-word, so these are the words ``coin_bytes`` reads. Any
+    non-negative ``seed`` and ``start`` take this one route. The block is a
+    writable view of whole 8-byte rows."""
+    if seed < 0 or start < 0:
+        raise ValueError(f"need seed >= 0 and start >= 0, got {seed} and {start}")
+    if count < 1 or size < 1:
+        raise ValueError(f"need count >= 1 and size >= 1, got {count} x {size}")
+    outputs = -(-size // 8)
+    block = np.empty((count, outputs), dtype="<u8")
+    bit_generator = _seeding_generator()
+    for first in range(0, count, _SEED_CHUNK):
+        rows = block[first : first + _SEED_CHUNK]
+        for row, words in zip(rows, _substream_seeds(seed, start + first, len(rows)).tolist()):
+            bit_generator.state = _pcg64_state(*words)
+            row[:] = bit_generator.random_raw(outputs)
+    return block.view(np.uint8)[:, :size]
 
 
 def _byte_top() -> np.ndarray:

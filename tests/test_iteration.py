@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinlab.iteration
+import coinlab.walks
 from coinlab.bounds import Params, derive
 from coinlab.iteration import (
     IterationConfig,
@@ -14,7 +15,8 @@ from coinlab.iteration import (
     run_iteration,
     run_rounds,
 )
-from coinlab.walks import draw_steps
+from coinlab.matrices import build_G
+from coinlab.walks import StoppingStrategy, draw_steps
 
 BASE = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5)
 
@@ -232,9 +234,7 @@ def _configs(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(config=_configs(), start=st.integers(0, 40), count=st.integers(1, 40))
-def test_run_rounds_matches_a_plain_loop(config, start, count):
+def _assert_rounds_match_reference(config, start, count):
     rounds = run_rounds(config, start, count)
     assert (rounds.start, len(rounds)) == (start, count)
     for j in range(count):
@@ -253,6 +253,39 @@ def test_run_rounds_matches_a_plain_loop(config, start, count):
             "ambiguous_term": rounds.ambiguous_term,
         }
         assert got == {key: want[key] for key in got}, start + j
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_configs(), start=st.integers(0, 40), count=st.integers(1, 40))
+def test_run_rounds_matches_a_plain_loop(config, start, count):
+    _assert_rounds_match_reference(config, start, count)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_run_rounds_across_a_round_index_of_2_to_the_32(direction):
+    # round 2**32 is the first whose index SeedSequence splits into two words
+    config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2,
+                             adversary_direction=direction, seed=5)
+    _assert_rounds_match_reference(config, 2**32 - 2, 4)
+
+
+def test_round_draws_build_no_generator_per_round():
+    # run_rounds and build_G with an int seed derive every round's substream
+    # without a SeedSequence or a Generator per round; both modules reach
+    # these through np.random, so a return to per-round seeding raises here.
+    def per_round_seeding(*args, **kwargs):
+        raise AssertionError("a SeedSequence or a Generator was built for a round")
+
+    params = Params(n=12, t=2, m=8)
+    adversary = StoppingStrategy.omniscient_extreme(direction=-1)
+    want_rounds, want_G = run_rounds(BASE, 0, 64), build_G(params, adversary, 4)
+    with mock.patch.multiple(np.random, SeedSequence=per_round_seeding,
+                             default_rng=per_round_seeding):
+        assert coinlab.iteration.np.random.default_rng is per_round_seeding
+        assert coinlab.walks.np.random.SeedSequence is per_round_seeding
+        rounds, G = run_rounds(BASE, 0, 64), build_G(params, adversary, 4)
+    assert np.array_equal(rounds.streams, want_rounds.streams)
+    assert np.array_equal(G.stopped_sums, want_G.stopped_sums)
 
 
 @settings(max_examples=60, deadline=None)

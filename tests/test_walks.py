@@ -12,7 +12,9 @@ from coinlab.walks import (
     draw_steps,
     generate_walk,
     segment_stats,
+    substream_bytes,
 )
+from coinlab.walks import _pcg64_state, _substream_seeds
 
 step_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=60)
 
@@ -363,3 +365,40 @@ def test_coin_bytes_of_other_bit_generators_are_integers_words(bit_generator, be
         assert np.array_equal(coin_bytes(by_coin_bytes, size, calls),
                               _integers_bytes(by_integers, size, calls))
     _assert_same_generators(by_coin_bytes, by_integers)
+
+
+def _words(k):
+    # ints of exactly k uint32 words, as SeedSequence splits them
+    return st.integers(2 ** (32 * (k - 1)) if k > 1 else 0, 2 ** (32 * k) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(1, 8).flatmap(_words),
+       start=st.one_of(st.integers(0, 2**70),
+                       st.builds(lambda edge, back: edge - back,
+                                 st.sampled_from([2**32, 2**64]), st.integers(1, 5))),
+       count=st.integers(1, 6), size=st.one_of(st.integers(1, 70), st.just(3420)))
+@example(seed=0, start=0, count=1, size=1)
+@example(seed=2**32 - 1, start=2**32 - 2, count=4, size=3420)
+@example(seed=2**32, start=2**64 - 3, count=6, size=9)
+@example(seed=2**96 + 5, start=2**32 - 1, count=2, size=8)
+@example(seed=2**256 - 1, start=2**64 - 1, count=3, size=70)
+def test_substream_bytes_match_a_generator_per_round(seed, start, count, size):
+    # Row j is what coin_bytes draws from default_rng(SeedSequence((seed,
+    # start + j))); the hash and the seeded state are NumPy's own, so a NumPy
+    # release that changes either algorithm fails here.
+    block = substream_bytes(seed, start, count, size)
+    seeds = _substream_seeds(seed, start, count)
+    assert block.shape == (count, size) and block.dtype == np.uint8
+    for j, words in enumerate(seeds):
+        sequence = np.random.SeedSequence((seed, start + j))
+        rng = np.random.default_rng(sequence)
+        assert np.array_equal(words, sequence.generate_state(4, np.uint64))
+        assert _pcg64_state(*words.tolist()) == rng.bit_generator.state
+        assert np.array_equal(block[j], coin_bytes(rng, size)[0])
+
+
+def test_substream_bytes_rejects_bad_arguments():
+    for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            substream_bytes(*args)
