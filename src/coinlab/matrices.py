@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import _MAX_BLOCK_ENTRIES, McEstimate, VerificationVerdict, run_blocks, verdict_for
-from .walks import StoppingStrategy, apply_stop, coin_bytes, draw_steps, substream_bytes
+from .walks import (_CHUNK_COINS, StoppingStrategy, apply_stop, coin_bytes, draw_steps,
+                    substream_bytes)
 
 __all__ = [
     "StoppedCoinMatrix",
@@ -39,7 +40,6 @@ __all__ = [
 
 # Matrices stay small (hundreds of rows/columns); dense numpy throughout.
 _NORM_TRIAL_BLOCK = 64
-_CHUNK_COINS = 2**18  # coins read in one draw, unless one trial holds more
 
 
 class ConvergenceError(RuntimeError):

@@ -54,22 +54,29 @@ DEFAULT_TRIALS_COMPOSITE = 10**5  # multi-phase / multi-stream experiments
 
 _MAX_BLOCK = 8192
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
-# Hard cap on one block's walk matrix, since walks are drawn whole, not in
-# chunks. A block holds one raw byte per entry, the bit mask of the segment
-# being packed one more, and a segment scanned for an extreme its running-sum
-# and byte-table rows. Traced peaks (tracemalloc), in bytes per entry: 2.08
-# for lemma52-2's block of 2452 walks of 3420 coins, 2.83 for lemma52-1's
-# 8192 walks of 200, 5.02 for fact3's 8192 walks of 16, and 2.88 for 128
-# walks of 10^5 coins scanned whole for their max. A block of rounds
-# (iteration.run_rounds) holds one byte per coin plus int32 prefix sums of
-# its stopped streams: 1.29 at coin-iter's defaults, 1.03 for 40 rounds of
-# n = 400 with one stopped stream.
+# Cap on one block's walk matrix, in entries (coins). It caps a block's
+# work, not its memory alone: segment_stats draws a block about
+# walks._CHUNK_COINS coins at a time and keeps, for the whole block, only
+# one bit per coin of a segment it scans for an extreme plus that segment's
+# int16 running-sum rows (int32 past 2**15 steps). Traced peaks
+# (tracemalloc), in bytes per entry: 0.083 for lemma52-2's block of 2452
+# walks of 3420 coins, 0.87 for lemma52-1's 8192 walks of 200, 5.2 for
+# fact3's 8192 walks of 16 (its per-walk arrays outweigh its 131k coins),
+# and 0.67 for 128 walks of 10^5 coins scanned whole for their max. A block
+# of rounds (iteration.run_rounds) is drawn whole, one byte per coin plus
+# int32 prefix sums of its stopped streams: 1.20 at coin-iter's defaults,
+# 1.03 for 40 rounds of n = 400 with one stopped stream; a round over the
+# cap is refused, and rounds_per_block keeps blocks near 2**20 coins.
 _MAX_BLOCK_ENTRIES = 2**26
 
 
-def block_size_for(walk_length: int, minimum: int = 128) -> int:
-    """Trials per block, sized to keep a block's walk matrix modest."""
-    return max(minimum, min(_MAX_BLOCK, _BLOCK_BUDGET // max(walk_length, 1)))
+def block_size_for(walk_length: int, minimum: int = 128, budget: int = _BLOCK_BUDGET) -> int:
+    """Trials per block: about ``budget`` entries of walk data, at most
+    ``_MAX_BLOCK`` trials and at least ``minimum``. Block i of a walk
+    experiment draws from ``SeedSequence((seed, i))``, so its size is part
+    of every tally and its budget stays; ``segment_stats`` draws a block a
+    chunk at a time, so that budget no longer sets the block's memory."""
+    return max(minimum, min(_MAX_BLOCK, budget // max(walk_length, 1)))
 
 
 def _bounded_block_size(walk_length: int, trials: int) -> int:

@@ -13,13 +13,15 @@ per-round substreams (seed, i) from ``substream_bytes``, which derives every
 round's PCG64 state from one vectorised run of SeedSequence's hash instead
 of building a generator per round. The Monte Carlo
 counters, which need only a few statistics per walk, read them from
-``segment_stats``: it packs them eight to a byte, reads each segment's end
-from its head count and scans only the extremes a counter asks for, one
-popcount and one byte-table lookup per eight coins.
+``segment_stats``: it draws a block a cache-sized chunk of walks at a time,
+packs each chunk eight coins to a byte, keeps each segment's head count or,
+for a segment it scans, its packed bytes, and scans only the extremes a
+counter asks for, one popcount and one byte-table lookup per eight coins.
 """
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -303,6 +305,10 @@ def _byte_top() -> np.ndarray:
 
 _BYTE_TOP = _byte_top()
 _EXTREMES = {None: 0, "max": +1, "min": -1}
+# Coins drawn and packed at a time, unless a few walks hold more: a chunk's
+# raw bytes and bit mask, 512 KB, stay in L2. The spectral counter draws
+# its coins in chunks of the same size.
+_CHUNK_COINS = 2**18
 
 
 def _pack(raw: np.ndarray) -> np.ndarray:
@@ -330,11 +336,16 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
     segment's right end, and the named extreme over the prefix sums inside
     it (the end value where none is named or the segment is empty).
 
-    A segment's coins are packed eight to a byte, and a byte's step sum is
-    2 * popcount - 8. With no extreme named, the segment's end comes from
-    the head count, ``np.bitwise_count`` of the packed bytes. Otherwise a
-    running sum of byte sums runs over length / 8 rows: the highest prefix
-    sum is the max over bytes of (sum before the byte + the byte's highest
+    The walks are drawn a chunk of whole walks at a time, about
+    ``_CHUNK_COINS`` coins, each chunk a whole number of 4-byte words so that
+    the chunks' bytes are the one-shot draw's. While a chunk is in cache,
+    each segment's coins are packed eight to a byte, and a byte's step sum
+    is 2 * popcount - 8. With no extreme named, the segment keeps only each
+    walk's head count, ``np.bitwise_count`` of the packed bytes. Otherwise
+    the packed bytes go into a (bytes, walks) array for the whole block, so
+    the block holds one bit per scanned coin, and a running sum of byte
+    sums runs over its rows once all chunks are in: the highest prefix sum
+    is the max over bytes of (sum before the byte + the byte's highest
     prefix), and the end is the last row. A lowest prefix sum is the
     negated highest one of the mirrored walk, read by flipping the packed
     bits. The zero bits that pad a segment's last byte are -1 steps past
@@ -350,31 +361,50 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
     if len(extremes) != len(bounds) - 1 or any(e not in _EXTREMES for e in extremes):
         raise ValueError(f"extremes {extremes} must name None, 'max' or 'min' "
                          f"for each of {len(bounds) - 1} segments")
-    signs = np.asarray(signs, dtype=np.int64)
-    if signs.shape not in ((), (count,)) or not np.all(np.abs(signs) == 1):
+    signs = np.asarray(signs)
+    # checked before the cast, which would read 1.5 or True as +1
+    if (signs.dtype == bool or signs.shape not in ((), (count,))
+            or not np.all((signs == 1) | (signs == -1))):
         raise ValueError("signs must be +1 or -1, once or once per walk")
-    raw = coin_bytes(rng, count * length).reshape(count, length)
+    signs = signs.astype(np.int64)
+    segments = list(zip(bounds, bounds[1:], extremes))
+    # per non-empty segment: head counts, or packed bytes with walks on axis 1
+    tallies = [None if lo == hi else np.empty(count, dtype=np.int64) if extreme is None
+               else np.empty((-(-(hi - lo) // 8), count), dtype=np.uint8)
+               for lo, hi, extreme in segments]
+    align = 4 // math.gcd(length, 4)  # fewest walks that fill whole 4-byte words
+    rows = max(align, _CHUNK_COINS // length // align * align)
+    for first in range(0, count, rows):
+        raw = coin_bytes(rng, min(rows, count - first) * length).reshape(-1, length)
+        last = first + len(raw)
+        for (lo, hi, extreme), tally in zip(segments, tallies):
+            if tally is None:
+                continue
+            packed = _pack(raw[:, lo:hi])
+            if extreme is None:
+                tally[first:last] = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+            else:
+                tally[:, first:last] = packed.T
     value = np.zeros(count, dtype=np.int64)  # the drawn walk's, before any mirror
     ends, peaks = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(2))
-    for j, (lo, hi, extreme) in enumerate(zip(bounds, bounds[1:], extremes)):
+    for j, ((lo, hi, extreme), tally) in enumerate(zip(segments, tallies)):
         width, start = hi - lo, value
         if extreme is None or not width:
             if width:
-                heads = np.bitwise_count(_pack(raw[:, lo:hi])).sum(axis=1, dtype=np.int64)
-                value = start + 2 * heads - width
+                value = start + 2 * tally - width
             # an empty segment holds no prefix sum and reports its end instead
             ends[:, j] = peaks[:, j] = signs * value
             continue
         # scan the walk read as mirror * (drawn walk) for its highest prefix,
         # one row of bytes per eight coins, each column a walk
         mirror = signs * _EXTREMES[extreme]
-        real = np.full(-(-width // 8), 0xFF, dtype=np.uint8)
+        real = np.full(tally.shape[0], 0xFF, dtype=np.uint8)
         real[-1] >>= -width % 8  # the pad bits stay 0, -1 steps
-        packed = np.ascontiguousarray(_pack(raw[:, lo:hi]).T)
-        packed ^= real[:, None] * (mirror < 0)
+        tally ^= real[:, None] * (mirror < 0)
         # |every prefix sum inside the segment, pad steps too| < width + 8
         scan = np.int16 if width < 2**15 - 8 else np.int32
-        run = np.bitwise_count(packed).astype(scan)
+        run = np.empty(tally.shape, dtype=scan)
+        np.bitwise_count(tally, out=run)
         run <<= 1
         run -= 8  # a byte's step sum is 2 * popcount - 8
         # np.cumsum would run one scalar chain per walk, while adding whole
@@ -383,7 +413,11 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
             run[k] += run[k - 1]
         value = start + mirror * (run[-1] + -width % 8)  # less the -1 pad steps
         ends[:, j] = signs * value
-        run += np.take(_BYTE_TOP, packed)
+        # take() reads its indices as intp, 8 bytes per packed byte, so the
+        # table is read a chunk's worth of rows at a time
+        group = max(1, _CHUNK_COINS // 8 // count)
+        for k in range(0, run.shape[0], group):
+            run[k : k + group] += np.take(_BYTE_TOP, tally[k : k + group])
         peaks[:, j] = _EXTREMES[extreme] * (mirror * start + run.max(axis=0))
     return ends, peaks
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import coinlab.iteration
 import coinlab.walks
 from coinlab.bounds import Params, derive
+from coinlab.cli import _component_failures
 from coinlab.iteration import (
     IterationConfig,
+    rounds_per_block,
     run_agreement,
     run_iteration,
     run_rounds,
@@ -320,3 +322,18 @@ def test_run_rounds_turns_coin_bytes_into_steps_in_place():
         tracemalloc.stop()
     assert rounds.streams.dtype == np.int8
     assert peak < 1.5 * count * (config.n - config.t) * config.n + 2**20
+
+
+def test_a_default_coin_iter_block_fits_in_a_small_budget():
+    # coin-iter's default round block, scored and then checked by the CLI,
+    # peaks at about its own raw bytes: (n-t)*n coins a round, about 1 MB
+    config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0)
+    count = rounds_per_block(config)
+    _component_failures(run_rounds(config, 0, 1))
+    tracemalloc.start()
+    try:
+        assert _component_failures(run_rounds(config, 0, count)) == (0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

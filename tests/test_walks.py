@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coinlab.walks
 from coinlab.walks import (
     MAX_STREAM_LENGTH,
     StoppingStrategy,
@@ -264,6 +268,55 @@ def test_segment_stats_long_walks_scan_wider():
     _assert_stats_match_cumsum(2, 40_000, [12_345], 5, ["min", "max"], np.array([1, -1]))
 
 
+@st.composite
+def chunked_stats_cases(draw):
+    # chunks of 8 to 64 coins: walks longer than a chunk, odd lengths (a chunk
+    # then holds four walks, so its bytes end on a 4-byte word) and counts
+    # that leave a partial last chunk
+    chunk_coins = draw(st.integers(8, 64))
+    length = draw(st.integers(1, 90))
+    count = draw(st.integers(1, 30))
+    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=3)))
+    extremes = draw(st.lists(st.sampled_from([None, "max", "min"]),
+                             min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    sign = st.sampled_from([-1, 1])
+    signs = draw(sign | st.lists(sign, min_size=count, max_size=count).map(np.array))
+    return chunk_coins, (count, length, cuts, draw(st.integers(0, 2**32 - 1)), extremes, signs)
+
+
+@given(chunked_stats_cases())
+@example((8, (7, 9, [4], 0, ["max", "min"], 1)))  # odd walks longer than a chunk
+@example((64, (30, 13, [13], 1, [None, "max"], -1)))  # four walks a chunk, a partial last
+@example((16, (5, 70, [3, 64], 2, ["min", None, "max"], np.array([1, -1, -1, 1, 1]))))
+@settings(max_examples=200, deadline=None)
+def test_segment_stats_chunks_match_one_shot_draw(case):
+    # chunk by chunk, the draws must join up to the one-shot draw and leave
+    # the generator where it does, which _assert_stats_match_cumsum checks
+    chunk_coins, stats_case = case
+    with mock.patch.object(coinlab.walks, "_CHUNK_COINS", chunk_coins):
+        _assert_stats_match_cumsum(*stats_case)
+
+
+@pytest.mark.parametrize("count, length, cuts, extremes, budget", [
+    # lemma52-2's block of 2452 two-phase walks (8.4 M coins): one chunk of
+    # raw coins, a head count per walk and one bit per scanned coin
+    (2452, 3420, (3240,), (None, "min"), 2 * 2**20),
+    # 12.8 M coins scanned whole: one bit and one int32 running sum per
+    # eight coins, and the byte table read a chunk of rows at a time
+    (128, 10**5, (), ("max",), 12 * 2**20),
+])
+def test_segment_stats_memory_is_a_chunk_not_a_block(count, length, cuts, extremes, budget):
+    segment_stats(np.random.default_rng(0), 8, length, cuts, extremes)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        segment_stats(rng, count, length, cuts, extremes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
 def test_segment_stats_rejects_bad_cuts():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -280,6 +333,10 @@ def test_segment_stats_rejects_bad_cuts():
         segment_stats(rng, 2, 10, [], ["max"], np.array([1, 0]))
     with pytest.raises(ValueError):
         segment_stats(rng, 2, 10, [], ["max"], np.array([1, -1, 1]))
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [], ["max"], 1.5)  # not read as +1
+    with pytest.raises(ValueError):
+        segment_stats(rng, 2, 10, [], ["max"], np.array([True, True]))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (7, 3), (13, 1), (8, 8), (57, 60), (5, 5)])
