@@ -4,10 +4,10 @@ Every numeric field of a report is a pure function of (subcommand,
 parameters, seed, trials); wall times are reported but excluded from that
 guarantee. Exit status: 0 when no experiment fails (inconclusive CI
 straddles are reported but non-blocking), 1 on any failure, including a
-spectral norm whose certificate misses its tolerance and a worker process
-that dies, 2 on usage errors,
-including parameters an experiment rejects and config-file values of the
-wrong type.
+spectral norm whose certificate misses its tolerance, a worker process
+that dies and a reader that closes standard output before the report is
+written, 2 on usage errors, including parameters an experiment rejects and
+config-file values of the wrong type.
 
 Each experiment is declared once, in ``_EXPERIMENTS``: its runner, its
 defaults and the flags it reads beyond the common ones. The subparsers,
@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -32,7 +33,8 @@ import numpy as np
 from . import __version__
 from .bounds import Params, check_claims, derive, lemma52_part1_bound
 from .exact import prob_max_ge_enumeration, prob_max_ge_reflection, prob_sum_ge
-from .iteration import IterationConfig, rounds_per_block, run_agreement, run_rounds
+from .iteration import (IterationConfig, _stopped_walks, rounds_per_block, run_agreement,
+                        run_rounds)
 from .matrices import (
     ConvergenceError,
     SpectralCheckError,
@@ -175,19 +177,19 @@ def _component_failures(rounds) -> tuple[int, int]:
     stopped_from = k + config.t_excluded
     core = rounds.streams[:, :k].sum(axis=(1, 2))
     excluded = rounds.streams[:, k:stopped_from].sum(axis=(1, 2))
-    # summed in place: np.cumsum(..., dtype=np.int32) would first cast the
-    # streams to a second int32 copy
-    walks = rounds.streams[:, stopped_from:].astype(np.int32)
-    np.cumsum(walks, axis=-1, out=walks)
-    # walks[..., k - 1] is the sum of the first k coins; a stop at 0 is worth 0
-    stop = rounds.stop_indices
-    value = np.where(stop > 0, np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0], 0)
-    extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
-    rebuilt = (core + excluded + value.sum(axis=-1)
-               + rounds.ambiguous_term + config.bad_contribution)
+    stopped = np.zeros(len(rounds), dtype=np.int64)
+    off_extreme = np.zeros(len(rounds), dtype=bool)
+    for rows, cols, walks in _stopped_walks(rounds.streams, stopped_from):
+        # walks[..., k - 1] is the sum of the first k coins; a stop at 0 is worth 0
+        stop = rounds.stop_indices[rows, cols]
+        at_stop = np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0]
+        value = np.where(stop > 0, at_stop, 0)
+        extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
+        stopped[rows] += value.sum(axis=-1)
+        off_extreme[rows] |= (value != extreme).any(axis=-1)
+    rebuilt = core + excluded + stopped + rounds.ambiguous_term + config.bad_contribution
     additive = np.count_nonzero((rebuilt != rounds.total) | (core != rounds.core_sum))
-    extremes = np.count_nonzero((value != extreme).any(axis=-1))
-    return int(additive), int(extremes)
+    return int(additive), int(np.count_nonzero(off_extreme))
 
 
 def _run_coin_iter(cfg: dict) -> list[dict]:
@@ -538,7 +540,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output before the report was written
+        # (``coinlab ... | head -1``): exit 1 without a traceback, with stdout
+        # pointed at devnull so the interpreter's last flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .walks import _CHUNK_COINS
+
 __all__ = [
     "MAX_ENUM_LENGTH",
     "prob_sum_eq",
@@ -68,19 +70,36 @@ def prob_max_ge_reflection(n: int, r: int) -> Fraction:
     return prob_sum_eq(n, r) + 2 * prob_sum_ge(n, r + 1)
 
 
+def _prefix_peaks(steps: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
+    # For each of the 2**steps walks of ``steps`` steps, walk w stepping +1
+    # at step k + 1 where bit k of w is set: its highest prefix sum, never
+    # below ``floor``, and its end. A walk of one more step is a shorter
+    # walk plus a top bit, so the arrays double once per step.
+    peak = np.full(1, floor, dtype=np.int64)
+    end = np.zeros(1, dtype=np.int64)
+    for _ in range(steps):
+        end = np.concatenate([end - 1, end + 1])
+        peak = np.maximum(np.concatenate([peak, peak]), end)
+    return peak, end
+
+
 @lru_cache(maxsize=None)
 def _running_max_tally(n: int) -> tuple[int, ...]:
     # tally[v + 1] = number of length-n walks whose running max over
     # prefixes 1..n equals v; v ranges over -1..n.
+    #
+    # The walks are enumerated a chunk at a time, each chunk about
+    # _CHUNK_COINS coins of walks that share their last n - low steps. The
+    # first ``low`` steps are scanned once: per head, the highest of the
+    # prefix sums 1..low (S_1 >= -1, so a floor of -1 changes none) and the
+    # end. A walk's max is then max(head peak, head end + the highest of
+    # its tail's prefix sums 0..n-low), with the tail fixed per chunk.
+    low = min(n, max(1, (_CHUNK_COINS // n).bit_length() - 1))
+    head_peak, head_end = _prefix_peaks(low, -1)
+    tail_peak, _ = _prefix_peaks(n - low, 0)
     tally = np.zeros(n + 2, dtype=np.int64)
-    chunk = 1 << min(n, 20)
-    offsets = np.arange(n, dtype=np.uint32)
-    for start in range(0, 1 << n, chunk):
-        codes = np.arange(start, start + chunk, dtype=np.uint32)
-        steps = (((codes[:, None] >> offsets) & 1) * 2 - 1).astype(np.int8)
-        sums = np.cumsum(steps, axis=1, dtype=np.int32)
-        maxima = sums.max(axis=1)
-        tally += np.bincount(maxima + 1, minlength=n + 2)
+    for top in tail_peak.tolist():
+        tally += np.bincount(np.maximum(head_peak, head_end + top) + 1, minlength=n + 2)
     return tuple(int(c) for c in tally)
 
 

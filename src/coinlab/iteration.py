@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import _MAX_BLOCK_ENTRIES, block_size_for
-from .walks import StoppingStrategy, apply_stop, substream_bytes
+from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, substream_bytes
 
 # Coins per block of rounds: a block holds about a byte per coin, so about
 # 1 MB. Each run_rounds call costs about 100 us however small, so smaller
@@ -187,15 +187,35 @@ def rounds_per_block(config: IterationConfig) -> int:
     return block_size_for((config.n - config.t) * config.n, minimum=1, budget=_ROUND_BUDGET)
 
 
+def _stopped_walks(streams: np.ndarray, first: int):
+    """Yield ``(rows, cols, walks)`` over the stopped streams
+    ``streams[:, first:]`` of a (rounds, streams, n) int8 block, a group of
+    whole streams at a time: ``walks`` is the int32 prefix sums of
+    ``streams[rows, first:][:, cols]``. A group holds about ``_CHUNK_COINS``
+    coins, whole rounds where they fit and else part of one round's
+    streams, so the prefix sums stay a chunk however wide a round is."""
+    count, good, n = streams.shape
+    stopped = good - first
+    per_group = max(1, _CHUNK_COINS // n)
+    rows_step, cols_step = max(1, per_group // max(stopped, 1)), max(1, min(stopped, per_group))
+    for r in range(0, count, rows_step):
+        for c in range(0, stopped, cols_step):
+            rows, cols = slice(r, r + rows_step), slice(c, c + cols_step)
+            walks = streams[rows, first + c : first + c + cols_step].astype(np.int32)
+            np.cumsum(walks, axis=-1, out=walks)  # in place: a cast inside cumsum would copy
+            yield rows, cols, walks
+
+
 def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     """Simulate rounds ``start .. start+count-1``; round i always draws its
     n-t good streams as one matrix from substream (seed, i).
 
     The stream layout is fixed, complete streams first, then excluded, then
     stopped, so the core does not depend on the adversary's behavioral
-    choices. The block holds one byte per coin, as int8 steps, plus int32
-    prefix sums of the stopped streams; a round is drawn whole, so one of
-    more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw.
+    choices. The block holds one byte per coin, as int8 steps; the stopped
+    streams' int32 prefix sums and their stop are taken a group of whole
+    streams at a time (``_stopped_walks``). A round is drawn whole, so one
+    of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw.
     """
     if start < 0:
         raise ValueError(f"round index must be non-negative, got {start}")
@@ -226,10 +246,12 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
 
     # Stopped streams are truncated at the opposing extreme over the whole round.
     strategy = StoppingStrategy.omniscient_extreme(direction=-direction, window=(1, n))
-    walks = streams[:, stopped_from:].astype(np.int32)
-    np.cumsum(walks, axis=-1, out=walks)  # in place: a cast inside cumsum would copy again
-    result = apply_stop(walks, strategy)
-    stopped_sum = result.value.sum(axis=-1, dtype=np.int64)
+    stop_indices = np.empty((count, config.t_stopped), dtype=np.intp)
+    stopped_sum = np.zeros(count, dtype=np.int64)
+    for rows, cols, walks in _stopped_walks(streams, stopped_from):
+        result = apply_stop(walks, strategy)
+        stop_indices[rows, cols] = result.stop_index
+        stopped_sum[rows] += result.value.sum(axis=-1, dtype=np.int64)
 
     ambiguous_term = -direction * config.ambiguous_allowance
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution
@@ -248,7 +270,7 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
         excluded_capped=excluded_capped,
         excluded_cap_binds=cap_binds,
         stopped_sum=stopped_sum,
-        stop_indices=result.stop_index,
+        stop_indices=stop_indices,
         total=total,
         coin=coin,
         good_event=good_event,

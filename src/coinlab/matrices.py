@@ -7,8 +7,9 @@ suffixes. Summing columns across rounds gives the iteration-sum matrix
 whose operator norm the concentration claim controls. ``build_G`` and the
 norm experiment's block counter share one round-sum routine over the raw
 coin bytes of ``walks.coin_bytes``; the counter reads a chunk of trials in
-one draw. Norms come from one batched symmetric eigensolve of the stacked
-Gram matrices, each certified by the residual of its top eigenvector.
+one draw and solves their norms a group of trials at a time. Norms come
+from one batched symmetric eigensolve of a stack of Gram matrices, each
+certified by the residual of its top eigenvector.
 """
 from __future__ import annotations
 
@@ -261,16 +262,36 @@ def norm_2x2(matrix) -> float:
 def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
                         rel_tol) -> list:
     # the coins build_G(params, adversary, rng) would draw trial after trial,
-    # read a chunk of trials at a time
+    # read a chunk of trials at a time. Norms are solved a group of trials
+    # at a time, whose three float stacks hold about _CHUNK_COINS entries, so
+    # memory does not grow with the block's m * n; a default block (64
+    # trials of 32 x 32) is one group. Each trial's norm is the same in any
+    # group, and the block's values are summed in trial order, so the sums
+    # are those of one solve.
     params = Params(**params_dict)
     n, t, m = params.n, params.t, params.m
     chunk = max(1, _CHUNK_COINS // (m * n * n))
-    sums = np.empty((3, count, m, n))
-    for lo in range(0, count, chunk):
-        size = min(chunk, count - lo)
-        heads = coin_bytes(rng, n * n, size * m).reshape(size, m, n, n) >= 128
-        sums[:, lo:lo + size] = _iteration_sums(heads, t, adversary, range(n - t, n))
-    g_norm, r_norm, z_norm = (spectral_norms(stack, rel_tol)[0] for stack in sums)
+    group = max(1, _CHUNK_COINS // (3 * m * n))
+    norms = np.empty((3, count))
+    missed = [None, None, None]
+    for lo in range(0, count, group):
+        size = min(group, count - lo)
+        sums = np.empty((3, size, m, n))
+        for first in range(0, size, chunk):
+            part = min(chunk, size - first)
+            heads = coin_bytes(rng, n * n, part * m).reshape(part, m, n, n) >= 128
+            sums[:, first:first + part] = _iteration_sums(heads, t, adversary, range(n - t, n))
+        for k, stack in enumerate(sums):
+            try:
+                norms[k, lo:lo + size] = spectral_norms(stack, rel_tol)[0]
+            except ConvergenceError as exc:
+                missed[k] = missed[k] or exc
+    # raised as one solve of the whole block would: the first trial that
+    # misses, in the first stack that has one
+    for exc in missed:
+        if exc is not None:
+            raise exc
+    g_norm, r_norm, z_norm = norms
     allowance = 10.0 * rel_tol * (r_norm + z_norm) + 1e-9
     violated = np.flatnonzero(g_norm > r_norm + z_norm + allowance)
     if violated.size:

@@ -55,18 +55,19 @@ DEFAULT_TRIALS_COMPOSITE = 10**5  # multi-phase / multi-stream experiments
 _MAX_BLOCK = 8192
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # Cap on one block's walk matrix, in entries (coins). It caps a block's
-# work, not its memory alone: segment_stats draws a block about
-# walks._CHUNK_COINS coins at a time and keeps, for the whole block, only
-# one bit per coin of a segment it scans for an extreme plus that segment's
-# int16 running-sum rows (int32 past 2**15 steps). Traced peaks
-# (tracemalloc), in bytes per entry: 0.083 for lemma52-2's block of 2452
-# walks of 3420 coins, 0.87 for lemma52-1's 8192 walks of 200, 5.2 for
-# fact3's 8192 walks of 16 (its per-walk arrays outweigh its 131k coins),
-# and 0.67 for 128 walks of 10^5 coins scanned whole for their max. A block
-# of rounds (iteration.run_rounds) is drawn whole, one byte per coin plus
-# int32 prefix sums of its stopped streams: 1.20 at coin-iter's defaults,
-# 1.03 for 40 rounds of n = 400 with one stopped stream; a round over the
-# cap is refused, and rounds_per_block keeps blocks near 2**20 coins.
+# work, and the parts of its memory that grow with the block; every other
+# buffer is a chunk of about walks._CHUNK_COINS entries. segment_stats keeps,
+# for the whole block, one bit per coin of a segment it scans for an
+# extreme plus that segment's int16 running-sum rows (int32 past 2**15
+# steps). Traced peaks (tracemalloc), in bytes per entry: 0.11 for
+# lemma52-2's block of 2452 walks of 3420 coins, 0.78 for lemma52-1's 8192
+# walks of 200, 5.9 for fact3's 8192 walks of 16 (its per-walk arrays
+# outweigh its 131k coins), and 0.67 for 128 walks of 10^5 coins scanned
+# whole for their max. A block of rounds (iteration.run_rounds) is drawn
+# whole, one byte per coin, while its stopped streams' int32 prefix sums
+# are taken a chunk at a time: 1.20 at coin-iter's defaults, 1.5 for two
+# rounds of n = 2000 with 900 of 1100 streams stopped; a round over the cap
+# is refused, and rounds_per_block keeps blocks near 2**20 coins.
 _MAX_BLOCK_ENTRIES = 2**26
 
 
@@ -223,12 +224,23 @@ def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: st
 
 # --- block counters (module level so worker processes can unpickle them) ---
 
+def _count_at_least(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # how many of the integer ``values`` reach each level, read off the
+    # suffix sums of one bincount over [min, max]: an integer reaches a
+    # float level when it reaches its ceiling
+    low = values.min()
+    at_least = np.zeros(values.max() - low + 2, dtype=np.int64)
+    at_least[:-1] = np.cumsum(np.bincount(values - low)[::-1])[::-1]
+    index = np.clip(np.ceil(levels) - low, 0, len(at_least) - 1)
+    return at_least[index.astype(np.int64)]
+
+
 def _tail_counter(rng, count, start, *, length, thresholds):
     # hits of the running max at each threshold, then of the endpoint
     ends, tops = segment_stats(rng, count, length, (), ("max",))
-    levels = np.asarray(thresholds)[:, None]
-    return np.concatenate([np.count_nonzero(tops[:, 0] >= levels, axis=1),
-                           np.count_nonzero(ends[:, 0] >= levels, axis=1)])
+    levels = np.asarray(thresholds, dtype=np.float64)
+    return np.concatenate([_count_at_least(tops[:, 0], levels),
+                           _count_at_least(ends[:, 0], levels)])
 
 
 def _directional_hit_counter(rng, count, start, *, length, threshold):

@@ -17,10 +17,13 @@ counters, which need only a few statistics per walk, read them from
 packs each chunk eight coins to a byte, keeps each segment's head count or,
 for a segment it scans, its packed bytes, and scans only the extremes a
 counter asks for, one popcount and one byte-table lookup per eight coins.
+Its bit mask, packed bytes and running sums live in one scratch buffer per
+thread, reused from call to call.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -306,18 +309,30 @@ def _byte_top() -> np.ndarray:
 _BYTE_TOP = _byte_top()
 _EXTREMES = {None: 0, "max": +1, "min": -1}
 # Coins drawn and packed at a time, unless a few walks hold more: a chunk's
-# raw bytes and bit mask, 512 KB, stay in L2. The spectral counter draws
-# its coins in chunks of the same size.
+# raw bytes and bit mask, 512 KB, stay in L2. Every engine sizes its working
+# memory from it: the spectral counter draws its coins and solves its norms
+# in chunks of about this size, the round engine takes stopped streams'
+# prefix sums, and exact enumeration its walks, a chunk at a time.
 _CHUNK_COINS = 2**18
+_SCRATCH = threading.local()
 
 
-def _pack(raw: np.ndarray) -> np.ndarray:
-    # Each row's coins, coin i of a byte in bit i, padded with zero bits to
-    # whole bytes so that one flat pack keeps the rows apart.
-    count, width = raw.shape
-    bits = np.zeros((count, -(-width // 8) * 8), dtype=bool)
-    np.greater_equal(raw, 128, out=bits[:, :width])
-    return np.packbits(bits, bitorder="little").reshape(count, -1)
+def _scratch(nbytes: int) -> np.ndarray:
+    # ``nbytes`` bytes of one buffer per thread, kept between calls and grown
+    # when a call needs more. A block's bit mask, packed bytes and running
+    # sums would otherwise land on fresh pages on every call: the allocator
+    # hands a call's freed high-water heap back to the kernel, and a
+    # lemma52-1 block then took 160-280 minor page faults growing it again.
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < nbytes:
+        buffer = _SCRATCH.buffer = np.empty(nbytes, dtype=np.uint8)
+    return buffer[:nbytes]
+
+
+def _scan_dtype(width: int) -> np.dtype:
+    # Running sums of a segment of ``width`` coins, its pad steps too, stay
+    # under width + 8 in magnitude.
+    return np.dtype(np.int16 if width < 2**15 - 8 else np.int32)
 
 
 def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extremes,
@@ -350,7 +365,9 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
     negated highest one of the mirrored walk, read by flipping the packed
     bits. The zero bits that pad a segment's last byte are -1 steps past
     its end, which cannot raise a highest prefix and are added back to the
-    end.
+    end. The chunk's bit mask, the packed bytes and the running sums live
+    in the thread's scratch buffer (``_scratch``), whose contents no call
+    reads before writing them.
     """
     if count < 1 or length < 1:
         raise ValueError(f"need count >= 1 and length >= 1, got {count} x {length}")
@@ -368,23 +385,47 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
         raise ValueError("signs must be +1 or -1, once or once per walk")
     signs = signs.astype(np.int64)
     segments = list(zip(bounds, bounds[1:], extremes))
-    # per non-empty segment: head counts, or packed bytes with walks on axis 1
-    tallies = [None if lo == hi else np.empty(count, dtype=np.int64) if extreme is None
-               else np.empty((-(-(hi - lo) // 8), count), dtype=np.uint8)
-               for lo, hi, extreme in segments]
     align = 4 // math.gcd(length, 4)  # fewest walks that fill whole 4-byte words
     rows = max(align, _CHUNK_COINS // length // align * align)
+    # A chunk's bit mask gives each segment's coins whole bytes, coin i of a
+    # byte in bit i; the pad bits are zeroed here and never written, so one
+    # flat pack per chunk keeps the walks and segments apart. The front of
+    # the scratch buffer holds the mask while the block is drawn, then one
+    # scanned segment's running sums at a time; each scanned segment's packed
+    # bytes, walks on axis 1, follow.
+    offsets = [0, *itertools.accumulate(-(-(hi - lo) // 8) for lo, hi, _ in segments)]
+    sizes = [end - start for start, end in zip(offsets, offsets[1:])]
+    scanned = [(size * count, _scan_dtype(hi - lo))
+               for size, (lo, hi, extreme) in zip(sizes, segments) if extreme]
+    mask_shape = (min(rows, count), 8 * offsets[-1])
+    front = max([mask_shape[0] * mask_shape[1]] + [n * scan.itemsize for n, scan in scanned])
+    scratch = _scratch(front + sum(n for n, _ in scanned))
+    bits = scratch[: mask_shape[0] * mask_shape[1]].view(bool).reshape(mask_shape)
+    for (lo, hi, _), end in zip(segments, offsets[1:]):
+        bits[:, 8 * end - (-(hi - lo) % 8) : 8 * end] = False
+    # per non-empty segment: head counts, or packed bytes with walks on axis 1
+    tallies, at = [], front
+    for (lo, hi, extreme), size in zip(segments, sizes):
+        if lo == hi or extreme is None:
+            tallies.append(None if lo == hi else np.empty(count, dtype=np.int64))
+        else:
+            tallies.append(scratch[at : at + size * count].reshape(size, count))
+            at += size * count
     for first in range(0, count, rows):
         raw = coin_bytes(rng, min(rows, count - first) * length).reshape(-1, length)
         last = first + len(raw)
-        for (lo, hi, extreme), tally in zip(segments, tallies):
+        chunk = bits[: len(raw)]
+        for (lo, hi, _), start in zip(segments, offsets):
+            np.greater_equal(raw[:, lo:hi], 128, out=chunk[:, 8 * start : 8 * start + hi - lo])
+        packed = np.packbits(chunk, bitorder="little").reshape(len(raw), -1)
+        for (_, _, extreme), tally, start, end in zip(segments, tallies, offsets, offsets[1:]):
             if tally is None:
                 continue
-            packed = _pack(raw[:, lo:hi])
             if extreme is None:
-                tally[first:last] = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+                tally[first:last] = np.bitwise_count(packed[:, start:end]).sum(axis=1,
+                                                                                dtype=np.int64)
             else:
-                tally[:, first:last] = packed.T
+                tally[:, first:last] = packed[:, start:end].T
     value = np.zeros(count, dtype=np.int64)  # the drawn walk's, before any mirror
     ends, peaks = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(2))
     for j, ((lo, hi, extreme), tally) in enumerate(zip(segments, tallies)):
@@ -401,9 +442,8 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
         real = np.full(tally.shape[0], 0xFF, dtype=np.uint8)
         real[-1] >>= -width % 8  # the pad bits stay 0, -1 steps
         tally ^= real[:, None] * (mirror < 0)
-        # |every prefix sum inside the segment, pad steps too| < width + 8
-        scan = np.int16 if width < 2**15 - 8 else np.int32
-        run = np.empty(tally.shape, dtype=scan)
+        scan = _scan_dtype(width)
+        run = scratch[: tally.size * scan.itemsize].view(scan).reshape(tally.shape)
         np.bitwise_count(tally, out=run)
         run <<= 1
         run -= 8  # a byte's step sum is 2 * popcount - 8

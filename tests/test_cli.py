@@ -5,6 +5,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -306,6 +308,24 @@ def _untimed_report(argv):
     report = json.loads(out.getvalue())
     report["results"] = [r for r in report["results"] if r.get("kind") != "timing"]
     return code, report
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the pipe's read end is closed before the program starts, so its first
+    # write to stdout fails as `coinlab constants | true` does when the
+    # reader exits first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "coinlab.cli", "constants", "--seed", "0"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_runs_in_one_process_match_fresh_runs():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinlab import exact
 from coinlab.exact import (
     MAX_ENUM_LENGTH,
     chernoff_tail,
@@ -94,3 +96,28 @@ def test_chernoff_dominates_exact_tail(n, r):
 
 def test_chernoff_frozen_value():
     assert chernoff_tail(800, 70.034) == pytest.approx(0.046631652860507924, rel=1e-12)
+
+
+def _reflection_tally(n):
+    # walks of length n by running max v = -1..n, from the reflection identity:
+    # the max is -1 when the first step is -1 and the other n - 1 steps,
+    # started at 0, never climb above 0
+    at_least = [2**n * prob_max_ge_reflection(n, r) for r in range(1, n + 1)] + [0]
+    below = 2 ** (n - 1) * (1 - prob_max_ge_reflection(n - 1, 1)) if n > 1 else 1
+    counts = [below, 2**n - below - at_least[0]]
+    counts += [hi - lo for hi, lo in zip(at_least, at_least[1:])]
+    return tuple(int(c) for c in counts)
+
+
+@pytest.mark.parametrize("chunk_coins", [1, 8, 100, 2**18])
+def test_enumeration_chunks_match_reflection(chunk_coins):
+    # any chunk of walks, down to two walks a chunk, tallies every walk once
+    with mock.patch.object(exact, "_CHUNK_COINS", chunk_coins):
+        for n in range(1, 15):
+            assert exact._running_max_tally.__wrapped__(n) == _reflection_tally(n), n
+
+
+def test_enumeration_memory_is_a_chunk(traced_peak):
+    # 2**18 walks of 18 steps; one chunk of 2**13 walks at a time
+    _, peak = traced_peak(lambda: exact._running_max_tally.__wrapped__(18))
+    assert peak < 2 * 2**20

@@ -1,4 +1,4 @@
-import tracemalloc
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -308,32 +308,60 @@ def test_run_agreement_matches_a_plain_loop(config, budget, block, keep):
         assert result.records == ()
 
 
-def test_run_rounds_turns_coin_bytes_into_steps_in_place():
+def test_run_rounds_turns_coin_bytes_into_steps_in_place(traced_peak):
     # A wide block of rounds peaks at about its own int8 steps: the drawn
     # bytes become +/-1 in place, with no block-sized temporary.
     config = IterationConfig(n=400, t=20, t_stopped=1, seed=3)
     count = 40
     run_rounds(config, 0, 1)
-    tracemalloc.start()
-    try:
-        rounds = run_rounds(config, 0, count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rounds, peak = traced_peak(lambda: run_rounds(config, 0, count))
     assert rounds.streams.dtype == np.int8
     assert peak < 1.5 * count * (config.n - config.t) * config.n + 2**20
 
 
-def test_a_default_coin_iter_block_fits_in_a_small_budget():
+def test_a_default_coin_iter_block_fits_in_a_small_budget(traced_peak):
     # coin-iter's default round block, scored and then checked by the CLI,
     # peaks at about its own raw bytes: (n-t)*n coins a round, about 1 MB
     config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0)
     count = rounds_per_block(config)
     _component_failures(run_rounds(config, 0, 1))
-    tracemalloc.start()
-    try:
-        assert _component_failures(run_rounds(config, 0, count)) == (0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    failures, peak = traced_peak(lambda: _component_failures(run_rounds(config, 0, count)))
+    assert failures == (0, 0)
     assert peak < 2 * 2**20
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_configs(), start=st.integers(0, 40), count=st.integers(1, 30),
+       streams_per_group=st.integers(1, 5), corrupt_seed=st.integers(0, 2**32 - 1))
+def test_stopped_stream_groups_match_one_group(config, start, count, streams_per_group,
+                                               corrupt_seed):
+    # groups of 1-5 whole streams split rounds and their stopped streams
+    # anywhere; every field and both check counts must equal one group's
+    whole = run_rounds(config, start, count)
+    rng = np.random.default_rng(corrupt_seed)
+    corrupted = replace(
+        whole,
+        stop_indices=rng.integers(0, config.n + 1, size=whole.stop_indices.shape),
+        total=whole.total + rng.integers(0, 2, size=count))
+    with mock.patch.object(coinlab.iteration, "_CHUNK_COINS", streams_per_group * config.n):
+        grouped = run_rounds(config, start, count)
+        checks = [_component_failures(rounds) for rounds in (grouped, corrupted)]
+    for field in fields(whole):
+        got, want = getattr(grouped, field.name), getattr(whole, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+    assert checks == [_component_failures(rounds) for rounds in (whole, corrupted)]
+
+
+def test_a_wide_round_holds_its_coins_and_a_chunk(traced_peak):
+    # 2 rounds of 1100 streams of 2000 coins, 900 of them stopped: a byte per
+    # coin plus int32 prefix sums of one group of stopped streams at a time
+    config = IterationConfig(n=2000, t=900, t_stopped=900, seed=0)
+    count = 2
+    coins = count * (config.n - config.t) * config.n
+    _component_failures(run_rounds(BASE, 0, 2))
+    failures, peak = traced_peak(lambda: _component_failures(run_rounds(config, 0, count)))
+    assert failures == (0, 0)
+    assert peak < 1.5 * coins + 2 * 2**20

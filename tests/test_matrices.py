@@ -246,11 +246,13 @@ def norm_trial_cases(draw):
 
 @given(norm_trial_cases(), st.integers(0, 2**32))
 @example((Params(n=7, t=2, m=5), ADV, 7, 2 * 5 * 49, 3.0), 0)
+@example((Params(n=1, t=0, m=40), ADV, 9, 2 * 40, 3.0), 0)  # tall trials, a group each
 @settings(max_examples=150, deadline=None)
 def test_norm_trial_counter_matches_build_G_per_trial(case, seed):
-    # the block engine reads whole chunks of trials at once; it must tally
-    # what build_G gives trial after trial on the same generator, and leave
-    # the generator where build_G does
+    # the block engine reads whole chunks of trials at once and solves their
+    # norms a group of trials at a time; it must tally what build_G gives
+    # trial after trial on the same generator, float sums bit for bit, and
+    # leave the generator where build_G does
     params, adversary, count, chunk_coins, scale = case
     threshold = scale * np.sqrt(params.n * params.m)
     engine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -269,3 +271,52 @@ def test_norm_trial_counter_matches_build_G_per_trial(case, seed):
                 float(z.sum())]
     assert tallies == expected
     assert engine.bit_generator.state == reference.bit_generator.state
+
+
+def _norm_tallies(params, count, seed, adversary=ADV, threshold=20.0):
+    return matrices._norm_trial_counter(
+        np.random.default_rng(seed), count, 0,
+        params_dict={"n": params.n, "t": params.t, "m": params.m},
+        adversary=adversary, threshold=threshold, rel_tol=1e-6)
+
+
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 7), st.integers(1, 7)),
+              elements=st.integers(-40, 40)),
+       st.lists(st.integers(1, 11), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_spectral_norms_are_the_same_on_any_split_of_a_stack(stack, cuts):
+    # each matrix's norm and bound are the same bits whatever else is solved
+    # with it, which is what lets the norm counter solve a group at a time
+    values, bounds = spectral_norms(stack, rel_tol=0.5)
+    cuts = sorted({c for c in cuts if c < len(stack)})
+    parts = [spectral_norms(part, rel_tol=0.5) for part in np.split(stack, cuts)]
+    assert np.array_equal(np.concatenate([v for v, _ in parts]), values)
+    assert np.array_equal(np.concatenate([b for _, b in parts]), bounds)
+
+
+def test_norm_groups_raise_as_one_solve_would(monkeypatch):
+    # a miss in the full-sum stack of group 0 and in the stopped-sum stack
+    # of group 1: one solve of the block raises the stopped-sum stack's miss
+    solves = []
+
+    def missing(stack, rel_tol):
+        stack_index, group = len(solves) % 3, len(solves) // 3
+        solves.append((stack_index, group))
+        if (stack_index, group) in ((1, 0), (0, 1)):
+            raise ConvergenceError(f"stack {stack_index} group {group}", None)
+        return spectral_norms(stack, rel_tol)
+
+    monkeypatch.setattr(matrices, "spectral_norms", missing)
+    params = Params(n=4, t=1, m=2)
+    with mock.patch.object(matrices, "_CHUNK_COINS", 3 * params.m * params.n):
+        with pytest.raises(ConvergenceError, match="stack 0 group 1"):
+            _norm_tallies(params, 3, 0)
+
+
+def test_a_tall_spectral_block_fits_in_a_small_budget(traced_peak):
+    # 64 trials of 16384 rounds of one coin: the (3, 64, m, n) float sums of
+    # the whole block would be 25 MB; a group of trials holds about a chunk
+    params = Params(n=1, t=0, m=16384)
+    _norm_tallies(params, 2, 0)
+    _, peak = traced_peak(lambda: _norm_tallies(params, 64, 0))
+    assert peak < 12 * 2**20

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coinlab.mc
 from coinlab.bounds import Params, derive
@@ -268,6 +270,31 @@ def test_tail_counter_matches_direct_counts(length, thresholds):
     expected = [np.count_nonzero(sums.max(axis=1) >= tau) for tau in thresholds]
     expected += [np.count_nonzero(sums[:, -1] >= tau) for tau in thresholds]
     assert tallies.tolist() == expected
+
+
+@given(length=st.integers(1, 40), count=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       thresholds=st.lists(st.integers(-45, 45) | st.floats(-45.0, 45.0)
+                           | st.sampled_from([1e300, -1e300, 2**70, -(2**70)]), max_size=8),
+       edges=st.lists(st.sampled_from(["max", "min"]), max_size=4),
+       nudge=st.sampled_from([-0.5, 0, 0.5, 1]))
+@settings(max_examples=200, deadline=None)
+def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, thresholds, edges,
+                                                     nudge):
+    # suffix sums of one bincount give, at each level, the count a comparison
+    # against every walk gives; an integer reaches a float level at its ceiling
+    from coinlab.mc import _tail_counter
+
+    ends, tops = segment_stats(np.random.default_rng(seed), count, length, (), ("max",))
+    # levels at, just above and just below the extremes of both statistics
+    for edge in edges:
+        for stat in (ends, tops):
+            thresholds.append(getattr(stat, edge)() + nudge)
+    tallies = _tail_counter(np.random.default_rng(seed), count, 0, length=length,
+                            thresholds=thresholds)
+    levels = np.asarray(thresholds, dtype=np.float64)[:, None]
+    expected = np.concatenate([np.count_nonzero(tops[:, 0] >= levels, axis=1),
+                               np.count_nonzero(ends[:, 0] >= levels, axis=1)])
+    assert tallies.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("start", [0, 1])

@@ -1,4 +1,4 @@
-import tracemalloc
+import threading
 from unittest import mock
 
 import numpy as np
@@ -305,16 +305,22 @@ def test_segment_stats_chunks_match_one_shot_draw(case):
     # eight coins, and the byte table read a chunk of rows at a time
     (128, 10**5, (), ("max",), 12 * 2**20),
 ])
-def test_segment_stats_memory_is_a_chunk_not_a_block(count, length, cuts, extremes, budget):
+def test_segment_stats_memory_is_a_chunk_not_a_block(count, length, cuts, extremes, budget,
+                                                     traced_peak):
     segment_stats(np.random.default_rng(0), 8, length, cuts, extremes)
     rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        segment_stats(rng, count, length, cuts, extremes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # a fresh scratch buffer, so the call's own share of it is traced too
+    with mock.patch.object(coinlab.walks, "_SCRATCH", threading.local()):
+        _, peak = traced_peak(lambda: segment_stats(rng, count, length, cuts, extremes))
     assert peak < budget
+
+
+def test_segment_stats_keeps_its_scratch_between_calls():
+    # a second block of the same shape reuses the first one's buffer
+    segment_stats(np.random.default_rng(0), 300, 200, (), ("max",))
+    buffer = coinlab.walks._SCRATCH.buffer
+    segment_stats(np.random.default_rng(1), 300, 200, (), ("max",))
+    assert coinlab.walks._SCRATCH.buffer is buffer
 
 
 def test_segment_stats_rejects_bad_cuts():
