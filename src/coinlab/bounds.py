@@ -8,7 +8,7 @@ claims that the end-to-end resilience argument chains together.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = [
     "Params",
@@ -137,13 +137,6 @@ class ClaimReport:
     params: Params
     claims: tuple[ClaimCheck, ...]
     notes: tuple[str, ...] = field(default=())
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.claims)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "all_pass": self.all_pass}
 
 
 _NOTES = (

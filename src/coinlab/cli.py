@@ -249,7 +249,7 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
 
 def _run_agreement(cfg: dict) -> list[dict]:
     config = _iteration_config(cfg)
-    result = run_agreement(config, cfg["max_iterations"], keep_records=False)
+    result = run_agreement(config, cfg["max_iterations"])
     return [{
         "experiment": "agreement",
         "claim_id": "agreement_reached_within_budget",
@@ -491,18 +491,25 @@ def _to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _emit(report: dict, cfg: dict) -> None:
+def _emit(report: dict, cfg: dict) -> bool:
+    """Write the report to ``--out`` or stdout; False, with an error line,
+    when the ``--out`` file cannot be written."""
     if cfg["format"] == "json":
         text = json.dumps(report, indent=2)
     else:
         text = _to_csv(report["results"])
     if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+        try:
+            with open(cfg["out"], "w", encoding="utf-8") as handle:
+                handle.write(text)
+                if not text.endswith("\n"):
+                    handle.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return False
     else:
         print(text)
+    return True
 
 
 def run(argv=None) -> int:
@@ -535,7 +542,8 @@ def run(argv=None) -> int:
         "results": results,
         "summary": _summarize(results),
     }
-    _emit(report, cfg)
+    if not _emit(report, cfg):
+        return 2
     return 1 if report["summary"]["fail"] > 0 else 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Params, derive
-from .mc import _MAX_BLOCK_ENTRIES, block_size_for
+from .mc import _check_coin_cap, block_size_for
 from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, substream_bytes
 
 # Coins per block of rounds: a block holds about a byte per coin, so about
@@ -33,12 +33,10 @@ _ROUND_BUDGET = 2**20
 
 __all__ = [
     "IterationConfig",
-    "IterationRecord",
     "Rounds",
     "AgreementResult",
     "rounds_per_block",
     "run_rounds",
-    "run_iteration",
     "run_agreement",
 ]
 
@@ -49,7 +47,7 @@ class IterationConfig:
 
     adversary_direction is the direction of good deviation the adversary
     plays against (stops and the ambiguity term push the other way).
-    ambiguous_allowance defaults to t when negative. bad_contribution is an
+    ambiguous_allowance -1 (the default) means t. bad_contribution is an
     optional extra additive term for exploration, off (0) by default,
     clamped to |.| <= t*n by validation.
     """
@@ -76,10 +74,11 @@ class IterationConfig:
             raise ValueError(f"t_stopped must lie in [0, t], got {self.t_stopped}")
         if self.n - self.t - self.t_excluded - self.t_stopped < 1:
             raise ValueError("no complete good streams left under these knobs")
-        if self.ambiguous_allowance < 0:
+        if not -1 <= self.ambiguous_allowance <= self.t:
+            raise ValueError("ambiguous_allowance must lie in [-1, t], "
+                             f"got {self.ambiguous_allowance}")
+        if self.ambiguous_allowance == -1:
             object.__setattr__(self, "ambiguous_allowance", self.t)
-        elif self.ambiguous_allowance > self.t:
-            raise ValueError(f"ambiguous_allowance must be <= t, got {self.ambiguous_allowance}")
         if self.adversary_direction not in (+1, -1):
             raise ValueError("adversary_direction must be +1 or -1")
         if abs(self.bad_contribution) > self.t * self.n:
@@ -93,44 +92,18 @@ class IterationConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class IterationRecord:
-    """Everything observable about one simulated round.
-
-    total = core_sum + excluded_sum + stopped_sum + ambiguous_term
-    (+ bad_contribution when enabled); excluded_sum is the raw physical
-    contribution, while excluded_capped is the analysis view with magnitude
-    capped at beta_quarter. The raw streams are kept so every component can
-    be re-derived.
-    """
-
-    config: IterationConfig
-    iteration_index: int
-    core_sum: int
-    excluded_sum: int
-    excluded_capped: float
-    excluded_cap_binds: bool
-    stopped_sum: int
-    ambiguous_term: int
-    bad_contribution: int
-    total: int
-    coin: int
-    good_event: bool
-    alpha_prime: float
-    beta_quarter: float
-    complete_streams: np.ndarray
-    excluded_streams: np.ndarray
-    stopped_streams: np.ndarray
-    stop_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class Rounds:
     """Rounds ``start .. start+count-1`` of one config, one entry per round.
 
     ``streams[j]`` holds round ``start + j``'s n-t good streams, complete
-    first, then excluded, then stopped. The per-round fields are arrays of
-    length count (``stop_indices`` has one column per stopped stream); the
-    fields every round shares are scalars.
+    first, then excluded, then stopped, so every component can be re-derived.
+    The per-round fields are arrays of length count (``stop_indices`` has one
+    column per stopped stream); the fields every round shares are scalars.
+
+    total = core_sum + excluded_sum + stopped_sum + ambiguous_term
+    (+ the config's bad_contribution when enabled); excluded_sum is the raw
+    physical contribution, while excluded_capped is the analysis view with
+    magnitude capped at beta_quarter.
     """
 
     config: IterationConfig
@@ -151,32 +124,6 @@ class Rounds:
 
     def __len__(self) -> int:
         return len(self.total)
-
-    def record(self, j: int) -> IterationRecord:
-        """Round ``start + j`` as an ``IterationRecord``."""
-        config = self.config
-        k = config.complete_count
-        streams = self.streams[j]
-        return IterationRecord(
-            config=config,
-            iteration_index=self.start + j,
-            core_sum=int(self.core_sum[j]),
-            excluded_sum=int(self.excluded_sum[j]),
-            excluded_capped=float(self.excluded_capped[j]),
-            excluded_cap_binds=bool(self.excluded_cap_binds[j]),
-            stopped_sum=int(self.stopped_sum[j]),
-            ambiguous_term=self.ambiguous_term,
-            bad_contribution=config.bad_contribution,
-            total=int(self.total[j]),
-            coin=int(self.coin[j]),
-            good_event=bool(self.good_event[j]),
-            alpha_prime=self.alpha_prime,
-            beta_quarter=self.beta_quarter,
-            complete_streams=streams[:k],
-            excluded_streams=streams[k : k + config.t_excluded],
-            stopped_streams=streams[k + config.t_excluded :],
-            stop_indices=tuple(self.stop_indices[j].tolist()),
-        )
 
 
 def rounds_per_block(config: IterationConfig) -> int:
@@ -222,9 +169,7 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     if count < 1:
         raise ValueError("count must be >= 1")
     n, good = config.n, config.n - config.t
-    if good * n > _MAX_BLOCK_ENTRIES:
-        raise ValueError(f"a round of {good} streams of {n} coins holds {good * n} entries, "
-                         f"over the limit of {_MAX_BLOCK_ENTRIES}")
+    _check_coin_cap(good * n, f"a round of {good} streams of {n} coins")
     raw = substream_bytes(config.seed, start, count, good * n)
     # +1 where a byte is >= 128, else -1, in place: a block-sized temporary
     # would double the round engine's peak memory
@@ -280,22 +225,15 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     )
 
 
-def run_iteration(config: IterationConfig, iteration_index: int = 0) -> IterationRecord:
-    """Simulate one round: round ``iteration_index`` of ``run_rounds``."""
-    return run_rounds(config, iteration_index, 1).record(0)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AgreementResult:
     """Outcome of iterating rounds until the coin lands usefully."""
 
     agreed: bool
     iterations_used: int
-    records: tuple[IterationRecord, ...]
 
 
-def run_agreement(config: IterationConfig, max_iterations: int,
-                  keep_records: bool = True) -> AgreementResult:
+def run_agreement(config: IterationConfig, max_iterations: int) -> AgreementResult:
     """Iterate rounds until the coin matches the good direction with total
     deviation at least alpha_prime, or the round budget runs out.
 
@@ -305,17 +243,12 @@ def run_agreement(config: IterationConfig, max_iterations: int,
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     block = rounds_per_block(config)
-    records: list[IterationRecord] = []
     start, size = 0, 1
     while start < max_iterations:
         rounds = run_rounds(config, start, min(size, max_iterations - start))
         hits = np.flatnonzero((rounds.coin == config.adversary_direction)
                               & (np.abs(rounds.total) >= rounds.alpha_prime))
-        used = int(hits[0]) + 1 if hits.size else len(rounds)
-        if keep_records:
-            records.extend(rounds.record(j) for j in range(used))
         if hits.size:
-            return AgreementResult(agreed=True, iterations_used=start + used,
-                                   records=tuple(records))
+            return AgreementResult(agreed=True, iterations_used=start + int(hits[0]) + 1)
         start, size = start + len(rounds), min(2 * size, block)
-    return AgreementResult(agreed=False, iterations_used=max_iterations, records=tuple(records))
+    return AgreementResult(agreed=False, iterations_used=max_iterations)

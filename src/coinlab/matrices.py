@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .bounds import Params, derive
-from .mc import _MAX_BLOCK_ENTRIES, McEstimate, VerificationVerdict, run_blocks, verdict_for
+from .mc import McEstimate, VerificationVerdict, _check_coin_cap, run_blocks, verdict_for
 from .walks import (_CHUNK_COINS, StoppingStrategy, apply_stop, coin_bytes, draw_steps,
                     substream_bytes)
 
@@ -338,9 +338,8 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers
     """
     if adversary is None:
         adversary = StoppingStrategy.omniscient_extreme(direction=-1)
-    if params.m * params.n**2 > _MAX_BLOCK_ENTRIES:
-        raise ValueError(f"a trial of {params.m} rounds of {params.n} x {params.n} coins is over "
-                         f"the limit of {_MAX_BLOCK_ENTRIES} coins")
+    _check_coin_cap(params.m * params.n**2,
+                    f"a trial of {params.m} rounds of {params.n} x {params.n} coins")
     thresholds = derive(params)
     threshold = thresholds.norm_threshold
     counter = partial(

@@ -80,14 +80,19 @@ def block_size_for(walk_length: int, minimum: int = 128, budget: int = _BLOCK_BU
     return max(minimum, min(_MAX_BLOCK, budget // max(walk_length, 1)))
 
 
+def _check_coin_cap(coins: int, what: str) -> None:
+    """Refuse ``what``, a draw of ``coins`` coins, when it is over
+    ``_MAX_BLOCK_ENTRIES``; every engine calls this before it draws."""
+    if coins > _MAX_BLOCK_ENTRIES:
+        raise ValueError(f"{what} holds {coins} coins, over the limit of {_MAX_BLOCK_ENTRIES}")
+
+
 def _bounded_block_size(walk_length: int, trials: int) -> int:
     """``block_size_for(walk_length)``, refusing a block whose walk matrix
     would hold more than ``_MAX_BLOCK_ENTRIES`` entries."""
     size = block_size_for(walk_length)
-    entries = min(size, trials) * walk_length
-    if entries > _MAX_BLOCK_ENTRIES:
-        raise ValueError(f"a block of {min(size, trials)} walks of length {walk_length} holds "
-                         f"{entries} entries, over the limit of {_MAX_BLOCK_ENTRIES}")
+    walks = min(size, trials)
+    _check_coin_cap(walks * walk_length, f"a block of {walks} walks of length {walk_length}")
     return size
 
 

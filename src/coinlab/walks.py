@@ -477,11 +477,7 @@ def generate_walk(length: int, rng: np.random.Generator) -> WalkTrace:
 def _as_direction(direction) -> int:
     if direction in (+1, -1):
         return int(direction)
-    if direction == "+":
-        return +1
-    if direction == "-":
-        return -1
-    raise ValueError(f"direction must be +1/-1 (or '+'/'-'), got {direction!r}")
+    raise ValueError(f"direction must be +1 or -1, got {direction!r}")
 
 
 def _checked_window(window) -> tuple[int, int] | None:
@@ -537,16 +533,6 @@ class StoppingStrategy:
             direction=_as_direction(direction),
             window=_checked_window(window),
         )
-
-    def describe(self) -> str:
-        if self.kind == "no_stop":
-            return "no_stop"
-        if self.kind == "fixed_length":
-            return f"fixed_length({self.length})"
-        sign = "+" if self.direction > 0 else "-"
-        if self.kind == "first_hit":
-            return f"first_hit({self.threshold},{sign},window={self.window})"
-        return f"omniscient_extreme({sign},window={self.window})"
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ slower than the unit tests but fully deterministic.
 """
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from coinlab.exact import (
     prob_max_ge_reflection,
     prob_sum_ge,
 )
-from coinlab.iteration import IterationConfig, run_agreement, run_iteration
+from coinlab.iteration import IterationConfig, run_agreement, run_rounds
 from coinlab.matrices import norm_2x2, spectral_norm, verify_norm_bound
 from coinlab.mc import (
     verify_lemma52_part1,
@@ -84,8 +85,8 @@ def test_criterion_3_two_phase_structure(announce):
 
 def test_criterion_4_constant_chain(announce):
     report = check_claims(Params(n=1000, t=5))
-    ok = report.all_pass and len(report.claims) == 4 and len(report.notes) >= 1
-    assert announce("4 resilience constant chain", ok), report.to_dict()
+    ok = all(c.passed for c in report.claims) and len(report.claims) == 4 and len(report.notes) >= 1
+    assert announce("4 resilience constant chain", ok), asdict(report)
 
 
 def test_criterion_5_running_max_tail(announce):
@@ -124,17 +125,18 @@ def test_criterion_6_norm_concentration(announce):
 
 def test_criterion_7_iteration_bookkeeping(announce):
     config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0)
+    k, stopped_from = config.complete_count, config.complete_count + config.t_excluded
+    rounds = run_rounds(config, 0, 1000)
     additive_ok = True
-    for i in range(1000):
-        record = run_iteration(config, i)
-        core = int(record.complete_streams.sum())
-        excluded = int(record.excluded_streams.sum())
+    for streams, stops, total in zip(rounds.streams, rounds.stop_indices, rounds.total):
+        core = int(streams[:k].sum())
+        excluded = int(streams[k:stopped_from].sum())
         stopped = 0
-        for row, k in zip(record.stopped_streams, record.stop_indices):
+        for row, stop in zip(streams[stopped_from:], stops):
             prefix = np.cumsum(row)
-            stopped += int(prefix[k - 1]) if k >= 1 else 0
-        rebuilt = core + excluded + stopped + record.ambiguous_term + record.bad_contribution
-        if rebuilt != record.total:
+            stopped += int(prefix[stop - 1]) if stop >= 1 else 0
+        rebuilt = core + excluded + stopped + rounds.ambiguous_term + config.bad_contribution
+        if rebuilt != total:
             additive_ok = False
             break
 
@@ -144,20 +146,16 @@ def test_criterion_7_iteration_bookkeeping(announce):
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0,
                         bad_contribution=-180),
     ]
-    base_events = [run_iteration(config, i).good_event for i in range(200)]
+    base_events = run_rounds(config, 0, 200).good_event
     invariance_ok = all(
-        [run_iteration(v, i).good_event for i in range(200)] == base_events
-        for v in variants
+        np.array_equal(run_rounds(v, 0, 200).good_event, base_events) for v in variants
     )
 
     clean = IterationConfig(n=60, t=0, seed=0)
-    result = run_agreement(clean, 1000, keep_records=False)
+    result = run_agreement(clean, 1000)
     i = result.iterations_used - 1
-    equality_ok = (
-        result.agreed
-        and run_iteration(clean, i).good_event
-        and not any(run_iteration(clean, j).good_event for j in range(i))
-    )
+    events = run_rounds(clean, 0, i + 1).good_event
+    equality_ok = result.agreed and events[i] and not events[:i].any()
     ok = additive_ok and invariance_ok and equality_ok
     assert announce("7 iteration bookkeeping (additive + invariant + t=0)", ok), (
         f"additive={additive_ok}, invariance={invariance_ok}, t0={equality_ok}"

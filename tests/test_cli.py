@@ -1,9 +1,11 @@
 import csv
+import importlib
 import io
 import json
 import math
 import multiprocessing
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coinlab
 from coinlab.cli import _EXPERIMENTS, _FLAG_KINDS, _flags_of, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -65,6 +68,8 @@ def test_bad_format_rejected():
     ["agreement", "--seed", "0", "--n", "8194", "--t", "2"],
     # one spectral trial of 8193 x 8193 coins, just over the cap, likewise
     ["spectral", "--seed", "0", "--n", "8193", "--t", "1", "--m", "1"],
+    # only -1 stands for "t"; a lower value would run with t yet echo itself
+    ["coin-iter", "--seed", "0", "--ambiguous", "-5"],
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -310,6 +315,16 @@ def _untimed_report(argv):
     return code, report
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_an_unwritable_out_path_is_a_usage_error(target, tmp_path, capsys):
+    assert run(["constants", "--seed", "0", "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_a_closed_stdout_exits_1_without_a_traceback():
     # the pipe's read end is closed before the program starts, so its first
     # write to stdout fails as `coinlab constants | true` does when the
@@ -416,6 +431,13 @@ def test_report_version_matches_pyproject(tmp_path):
     out = tmp_path / "r.json"
     assert run(["constants", "--seed", "1", "--out", str(out)]) == 0
     assert _load(out)["tool_version"] == version.group(1)
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(coinlab.__path__)])
+def test_every_export_resolves(module):
+    # a name left in __all__ after its definition was deleted fails here
+    namespace = importlib.import_module(f"coinlab.{module}")
+    assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
 
 
 # Upper ends keep each run cheap; flags always passed keep any default of

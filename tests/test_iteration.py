@@ -14,7 +14,6 @@ from coinlab.iteration import (
     IterationConfig,
     rounds_per_block,
     run_agreement,
-    run_iteration,
     run_rounds,
 )
 from coinlab.matrices import build_G
@@ -32,6 +31,8 @@ def test_config_validation():
         IterationConfig(n=60, t=3, t_stopped=-1)
     with pytest.raises(ValueError):
         IterationConfig(n=60, t=3, ambiguous_allowance=4)
+    with pytest.raises(ValueError):  # only -1 stands for t
+        IterationConfig(n=60, t=3, ambiguous_allowance=-2)
     with pytest.raises(ValueError):
         IterationConfig(n=60, t=3, adversary_direction=0)
     with pytest.raises(ValueError):
@@ -44,89 +45,86 @@ def test_ambiguous_allowance_defaults_to_t():
     assert IterationConfig(n=60, t=0).ambiguous_allowance == 0
 
 
+def _rebuilt_totals(rounds):
+    return (rounds.core_sum + rounds.excluded_sum + rounds.stopped_sum
+            + rounds.ambiguous_term + rounds.config.bad_contribution)
+
+
+def _stopped_rows(rounds, j):
+    """Round ``start + j``'s stopped streams, each with its stop index."""
+    config = rounds.config
+    return zip(rounds.streams[j, config.complete_count + config.t_excluded:],
+               rounds.stop_indices[j].tolist())
+
+
 def test_stream_layout_counts():
-    record = run_iteration(BASE, 0)
-    assert record.complete_streams.shape == (54, 60)
-    assert record.excluded_streams.shape == (1, 60)
-    assert record.stopped_streams.shape == (2, 60)
-    assert len(record.stop_indices) == 2
+    rounds = run_rounds(BASE, 0, 1)
     assert BASE.complete_count == 54
+    # 54 complete, then 1 excluded, then 2 stopped streams of 60 coins
+    assert rounds.streams.shape == (1, 54 + 1 + 2, 60)
+    assert rounds.stop_indices.shape == (1, 2)
 
 
 def test_total_is_additive():
-    for i in range(50):
-        record = run_iteration(BASE, i)
-        rebuilt = (record.core_sum + record.excluded_sum + record.stopped_sum
-                   + record.ambiguous_term + record.bad_contribution)
-        assert record.total == rebuilt
+    rounds = run_rounds(BASE, 0, 50)
+    assert np.array_equal(rounds.total, _rebuilt_totals(rounds))
 
 
 def test_components_rederivable_from_streams():
-    record = run_iteration(BASE, 7)
-    assert record.core_sum == int(record.complete_streams.sum())
-    assert record.excluded_sum == int(record.excluded_streams.sum())
+    rounds = run_rounds(BASE, 7, 1)
+    streams, k = rounds.streams[0], BASE.complete_count
+    assert rounds.core_sum[0] == int(streams[:k].sum())
+    assert rounds.excluded_sum[0] == int(streams[k : k + BASE.t_excluded].sum())
     stopped = 0
-    for row, k in zip(record.stopped_streams, record.stop_indices):
+    for row, stop in _stopped_rows(rounds, 0):
         prefix = np.cumsum(row)
-        stopped += int(prefix[k - 1]) if k >= 1 else 0
-    assert record.stopped_sum == stopped
+        stopped += int(prefix[stop - 1]) if stop >= 1 else 0
+    assert rounds.stopped_sum[0] == stopped
 
 
 def test_stopped_values_are_running_minima():
     # adversary direction +1: stops pick the running minimum of each stream
-    record = run_iteration(BASE, 3)
-    for row, k in zip(record.stopped_streams, record.stop_indices):
+    rounds = run_rounds(BASE, 3, 1)
+    for row, stop in _stopped_rows(rounds, 0):
         prefix = np.cumsum(row)
-        value = int(prefix[k - 1]) if k >= 1 else 0
+        value = int(prefix[stop - 1]) if stop >= 1 else 0
         assert value == int(prefix.min())
 
 
 def test_ambiguous_term_opposes_adversary_direction():
-    up = run_iteration(IterationConfig(n=60, t=3, seed=1), 0)
-    down = run_iteration(IterationConfig(n=60, t=3, adversary_direction=-1, seed=1), 0)
+    up = run_rounds(IterationConfig(n=60, t=3, seed=1), 0, 1)
+    down = run_rounds(IterationConfig(n=60, t=3, adversary_direction=-1, seed=1), 0, 1)
     assert up.ambiguous_term == -3
     assert down.ambiguous_term == +3
 
 
 def test_excluded_cap_semantics():
-    seen_binding = False
-    for i in range(300):
-        record = run_iteration(IterationConfig(n=16, t=5, t_excluded=5, seed=2), i)
-        cap = record.beta_quarter
-        assert abs(record.excluded_capped) <= cap + 1e-12
-        if record.excluded_cap_binds:
-            seen_binding = True
-            assert abs(record.excluded_sum) > cap
-            assert record.excluded_capped == pytest.approx(
-                np.sign(record.excluded_sum) * cap)
-        else:
-            assert record.excluded_capped == record.excluded_sum
-        # the raw value, not the capped view, enters the total
-        rebuilt = (record.core_sum + record.excluded_sum + record.stopped_sum
-                   + record.ambiguous_term + record.bad_contribution)
-        assert record.total == rebuilt
-    assert seen_binding  # 5 streams of 16 coins exceed beta/4 ~ 6.7 sometimes
+    rounds = run_rounds(IterationConfig(n=16, t=5, t_excluded=5, seed=2), 0, 300)
+    cap, binds = rounds.beta_quarter, rounds.excluded_cap_binds
+    assert np.all(np.abs(rounds.excluded_capped) <= cap + 1e-12)
+    assert np.array_equal(binds, np.abs(rounds.excluded_sum) > cap)
+    assert rounds.excluded_capped[binds] == pytest.approx(np.sign(rounds.excluded_sum[binds]) * cap)
+    assert np.array_equal(rounds.excluded_capped[~binds], rounds.excluded_sum[~binds])
+    # the raw value, not the capped view, enters the total
+    assert np.array_equal(rounds.total, _rebuilt_totals(rounds))
+    assert binds.any()  # 5 streams of 16 coins exceed beta/4 ~ 6.7 sometimes
 
 
 def test_coin_sign_convention():
-    for i in range(100):
-        record = run_iteration(BASE, i)
-        assert record.coin == (+1 if record.total >= 0 else -1)
+    rounds = run_rounds(BASE, 0, 100)
+    assert np.array_equal(rounds.coin, np.where(rounds.total >= 0, 1, -1))
 
 
 def test_good_event_reads_only_the_core():
     thresholds = derive(Params(n=60, t=3))
-    for i in range(100):
-        record = run_iteration(BASE, i)
-        assert record.alpha_prime == pytest.approx(thresholds.alpha_prime)
-        assert record.good_event == (record.core_sum >= thresholds.alpha_prime)
+    rounds = run_rounds(BASE, 0, 100)
+    assert rounds.alpha_prime == pytest.approx(thresholds.alpha_prime)
+    assert np.array_equal(rounds.good_event, rounds.core_sum >= thresholds.alpha_prime)
 
 
 def test_good_event_direction_flip():
-    config = IterationConfig(n=60, t=3, adversary_direction=-1, seed=9)
-    for i in range(100):
-        record = run_iteration(config, i)
-        assert record.good_event == (record.core_sum <= -record.alpha_prime)
+    rounds = run_rounds(IterationConfig(n=60, t=3, adversary_direction=-1, seed=9), 0, 100)
+    assert np.array_equal(rounds.good_event, rounds.core_sum <= -rounds.alpha_prime)
 
 
 def test_good_event_invariant_to_behavioral_knobs():
@@ -138,27 +136,26 @@ def test_good_event_invariant_to_behavioral_knobs():
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5,
                         ambiguous_allowance=2, bad_contribution=90),
     ]
-    for i in range(120):
-        base_event = run_iteration(BASE, i).good_event
-        for variant in variants:
-            assert run_iteration(variant, i).good_event == base_event
+    base_events = run_rounds(BASE, 0, 120).good_event
+    for variant in variants:
+        assert np.array_equal(run_rounds(variant, 0, 120).good_event, base_events)
 
 
 def test_iterations_are_independent_substreams():
-    a = run_iteration(BASE, 0)
-    b = run_iteration(BASE, 1)
-    assert not np.array_equal(a.complete_streams, b.complete_streams)
+    k = BASE.complete_count
+    a = run_rounds(BASE, 0, 1)
+    b = run_rounds(BASE, 1, 1)
+    assert not np.array_equal(a.streams[0, :k], b.streams[0, :k])
     # and reproducible
-    again = run_iteration(BASE, 0)
-    assert np.array_equal(a.complete_streams, again.complete_streams)
-    assert a.total == again.total
+    again = run_rounds(BASE, 0, 1)
+    assert np.array_equal(a.streams[0, :k], again.streams[0, :k])
+    assert a.total[0] == again.total[0]
 
 
 def test_agreement_no_adversary_terminates_fast():
-    result = run_agreement(IterationConfig(n=60, t=0, seed=5), 1000, keep_records=False)
+    result = run_agreement(IterationConfig(n=60, t=0, seed=5), 1000)
     assert result.agreed
     assert result.iterations_used <= 100
-    assert result.records == ()
 
 
 def test_agreement_success_iteration_matches_good_event():
@@ -167,9 +164,9 @@ def test_agreement_success_iteration_matches_good_event():
     config = IterationConfig(n=60, t=0, seed=11)
     result = run_agreement(config, 1000)
     i = result.iterations_used - 1
-    for j in range(i):
-        assert not run_iteration(config, j).good_event
-    assert run_iteration(config, i).good_event
+    events = run_rounds(config, 0, i + 1).good_event
+    assert not events[:i].any()
+    assert events[i]
 
 
 def test_agreement_budget_exhaustion():
@@ -177,14 +174,12 @@ def test_agreement_budget_exhaustion():
     # positive, so the coin never matches the adversary-opposing direction
     config = IterationConfig(n=9, t=4, adversary_direction=-1,
                              bad_contribution=36, seed=3)
-    result = run_agreement(config, 5, keep_records=True)
+    result = run_agreement(config, 5)
     assert result.iterations_used == 5
-    assert len(result.records) == 5
-    if not result.agreed:
-        assert all(
-            not (r.coin == -1 and abs(r.total) >= r.alpha_prime)
-            for r in result.records
-        )
+    rounds = run_rounds(config, 0, 5)
+    agrees = (rounds.coin == -1) & (np.abs(rounds.total) >= rounds.alpha_prime)
+    assert not agrees[:4].any()
+    assert result.agreed == bool(agrees[4])
 
 
 def _reference_round(config, i):
@@ -291,21 +286,16 @@ def test_round_draws_build_no_generator_per_round():
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=_configs(), budget=st.integers(1, 30), block=st.integers(1, 5),
-       keep=st.booleans())
-def test_run_agreement_matches_a_plain_loop(config, budget, block, keep):
+@given(config=_configs(), budget=st.integers(1, 30), block=st.integers(1, 5))
+def test_run_agreement_matches_a_plain_loop(config, budget, block):
     # small blocks make the doubling chunks (1, 2, 4, ...) hit their cap
     with mock.patch.object(coinlab.iteration, "rounds_per_block", lambda config: block):
-        result = run_agreement(config, budget, keep_records=keep)
+        result = run_agreement(config, budget)
     agrees = [_reference_round(config, i)["agrees"] for i in range(budget)]
     used = agrees.index(True) + 1 if any(agrees) else budget
     assert (result.agreed, result.iterations_used) == (any(agrees), used)
-    if keep:
-        assert [r.iteration_index for r in result.records] == list(range(used))
-        assert [r.total for r in result.records] == [
-            _reference_round(config, i)["total"] for i in range(used)]
-    else:
-        assert result.records == ()
+    assert run_rounds(config, 0, used).total.tolist() == [
+        _reference_round(config, i)["total"] for i in range(used)]
 
 
 def test_run_rounds_turns_coin_bytes_into_steps_in_place(traced_peak):

@@ -154,11 +154,6 @@ def test_first_hit_value_is_exact_on_hit(steps):
         assert stopped.stop_index == len(steps)
 
 
-def test_describe_mentions_kind():
-    assert "omniscient" in StoppingStrategy.omniscient_extreme(direction=+1).describe()
-    assert "first_hit" in StoppingStrategy.first_hit(3).describe()
-
-
 def _reference_stop(steps, strategy):
     # plain-Python statement of each rule, for the batched path to agree with
     prefix = [0]
