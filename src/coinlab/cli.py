@@ -65,6 +65,12 @@ def _verdict_row(experiment: str, verdict) -> dict:
     return {"experiment": experiment, **asdict(verdict)}
 
 
+def _check(experiment: str, claim_id: str, passed: bool, **fields) -> dict:
+    """A row whose verdict is a plain pass/fail of ``passed``."""
+    return {"experiment": experiment, "claim_id": claim_id, **fields,
+            "verdict": "pass" if passed else "fail"}
+
+
 # --- experiment runners (each returns a list of result rows) ---
 
 def _run_fact3(cfg: dict) -> list[dict]:
@@ -75,14 +81,8 @@ def _run_fact3(cfg: dict) -> list[dict]:
             r for r in range(1, n + 1)
             if prob_max_ge_enumeration(n, r) != prob_max_ge_reflection(n, r)
         ]
-        head = {
-            "experiment": "fact3",
-            "claim_id": "enumeration_matches_reflection_identity",
-            "kind": "exact",
-            "thresholds_checked": n,
-            "mismatches": mismatches,
-            "verdict": "pass" if not mismatches else "fail",
-        }
+        head = _check("fact3", "enumeration_matches_reflection_identity", not mismatches,
+                      kind="exact", thresholds_checked=n, mismatches=mismatches)
     else:
         head = {
             "experiment": "fact3",
@@ -138,28 +138,14 @@ def _run_lemma71(cfg: dict) -> list[dict]:
     refl = prob_max_ge_reflection(8, 2)
     enum = prob_max_ge_enumeration(8, 2)
     twice = 2 * prob_sum_ge(8, 2)
-    rows.append({
-        "experiment": "lemma71",
-        "claim_id": "exact_small_case_length8",
-        "kind": "exact",
-        "reflection": str(refl),
-        "enumeration": str(enum),
-        "twice_endpoint_tail": str(twice),
-        "verdict": "pass" if (refl == enum and refl <= twice) else "fail",
-    })
+    rows.append(_check("lemma71", "exact_small_case_length8", refl == enum and refl <= twice,
+                       kind="exact", reflection=str(refl), enumeration=str(enum),
+                       twice_endpoint_tail=str(twice)))
     return rows
 
 
 def _iteration_config(cfg: dict) -> IterationConfig:
-    return IterationConfig(
-        n=cfg["n"],
-        t=cfg["t"],
-        t_excluded=cfg.get("t_excluded", 0),
-        t_stopped=cfg.get("t_stopped", 0),
-        ambiguous_allowance=cfg.get("ambiguous", -1),
-        adversary_direction=cfg.get("direction", +1),
-        seed=cfg["seed"],
-    )
+    return IterationConfig(**{k: cfg[k] for k in _ROUND_FLAGS + ("seed",) if k in cfg})
 
 
 def _round_blocks(config: IterationConfig, count: int):
@@ -184,7 +170,7 @@ def _component_failures(rounds) -> tuple[int, int]:
         stop = rounds.stop_indices[rows, cols]
         at_stop = np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0]
         value = np.where(stop > 0, at_stop, 0)
-        extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
+        extreme = walks.min(axis=-1) if config.direction > 0 else walks.max(axis=-1)
         stopped[rows] += value.sum(axis=-1)
         off_extreme[rows] |= (value != extreme).any(axis=-1)
     rebuilt = core + excluded + stopped + rounds.ambiguous_term + config.bad_contribution
@@ -214,8 +200,8 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
     frequency = McEstimate.from_counts(good_hits, iterations, config.seed)
 
     variants = [
-        replace(config, ambiguous_allowance=0),
-        replace(config, bad_contribution=-config.adversary_direction * config.t * config.n),
+        replace(config, ambiguous=0),
+        replace(config, bad_contribution=-config.direction * config.t * config.n),
     ]
     invariant = all(
         [event for rounds in _round_blocks(v, probe) for event in rounds.good_event.tolist()]
@@ -223,20 +209,11 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
         for v in variants
     )
     return [
-        {
-            "experiment": "coin-iter",
-            "claim_id": "deviation_components_additive",
-            "iterations": iterations,
-            "additive_failures": additive_failures,
-            "stop_extreme_failures": extreme_failures,
-            "verdict": "pass" if additive_failures == 0 and extreme_failures == 0 else "fail",
-        },
-        {
-            "experiment": "coin-iter",
-            "claim_id": "good_event_invariant_to_behavioral_knobs",
-            "paired_rounds": probe,
-            "verdict": "pass" if invariant else "fail",
-        },
+        _check("coin-iter", "deviation_components_additive",
+               additive_failures == 0 and extreme_failures == 0, iterations=iterations,
+               additive_failures=additive_failures, stop_extreme_failures=extreme_failures),
+        _check("coin-iter", "good_event_invariant_to_behavioral_knobs", invariant,
+               paired_rounds=probe),
         {
             "experiment": "coin-iter",
             "claim_id": "good_event_frequency_vs_benchmark",
@@ -250,14 +227,9 @@ def _run_coin_iter(cfg: dict) -> list[dict]:
 def _run_agreement(cfg: dict) -> list[dict]:
     config = _iteration_config(cfg)
     result = run_agreement(config, cfg["max_iterations"])
-    return [{
-        "experiment": "agreement",
-        "claim_id": "agreement_reached_within_budget",
-        "agreed": result.agreed,
-        "iterations_used": result.iterations_used,
-        "max_iterations": cfg["max_iterations"],
-        "verdict": "pass" if result.agreed else "fail",
-    }]
+    return [_check("agreement", "agreement_reached_within_budget", result.agreed,
+                   agreed=result.agreed, iterations_used=result.iterations_used,
+                   max_iterations=cfg["max_iterations"])]
 
 
 def _run_spectral(cfg: dict) -> list[dict]:
@@ -281,26 +253,17 @@ def _run_spectral(cfg: dict) -> list[dict]:
     matrices[~matrices.any(axis=(1, 2)), 0, 0] = 1
     expected = np.array([norm_2x2(matrix) for matrix in matrices])
     worst = float(np.max(np.abs(spectral_norms(matrices)[0] - expected) / expected))
-    rows.append({
-        "experiment": "spectral",
-        "claim_id": "power_iteration_matches_2x2_oracle",
-        "matrices_checked": checked,
-        "worst_relative_difference": worst,
-        "tolerance": 1e-6,
-        "verdict": "pass" if worst <= 1e-6 else "fail",
-    })
+    rows.append(_check("spectral", "power_iteration_matches_2x2_oracle", worst <= 1e-6,
+                       matrices_checked=checked, worst_relative_difference=worst,
+                       tolerance=1e-6))
     return rows
 
 
 def _run_constants(cfg: dict) -> list[dict]:
     params = _params_from(cfg)
     report = check_claims(params)
-    rows = []
-    for claim in report.claims:
-        row = {"experiment": "constants", **asdict(claim)}
-        row["verdict"] = "pass" if claim.passed else "fail"
-        del row["passed"]
-        rows.append(row)
+    rows = [_check("constants", c.claim_id, c.passed, description=c.description, lhs=c.lhs,
+                   rhs=c.rhs, relation=c.relation) for c in report.claims]
     rows.append({
         "experiment": "constants",
         "kind": "notes",
@@ -423,6 +386,11 @@ def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
         raise ValueError("--workers must be >= 1")
     if cfg.get("format") not in ("json", "csv"):
         raise ValueError(f"--format must be json or csv, got {cfg.get('format')!r}")
+    # refused before any experiment runs, so a long run is not lost to a
+    # typo in the path; the file itself is opened only once the report is ready
+    out = cfg["out"]
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise ValueError(f"--out must name a file in an existing directory, got {out!r}")
     return cfg
 
 

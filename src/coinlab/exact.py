@@ -23,7 +23,6 @@ __all__ = [
     "prob_sum_ge",
     "prob_max_ge_reflection",
     "prob_max_ge_enumeration",
-    "chernoff_tail",
 ]
 
 # Enumeration touches all 2**n walks; beyond this it is not worth the wait.
@@ -117,11 +116,3 @@ def prob_max_ge_enumeration(n: int, r: int) -> Fraction:
     count = sum(tally[v + 1] for v in range(max(r, -1), n + 1))
     return Fraction(count, 2**n)
 
-
-def chernoff_tail(n: int, r: float) -> float:
-    """The sub-gaussian tail bound exp(-r^2 / (2n)) for an n-step walk.
-
-    Floating point; Pr(S_n >= r) never exceeds it for r >= 0.
-    """
-    _check_n(n)
-    return math.exp(-(float(r) ** 2) / (2.0 * n))

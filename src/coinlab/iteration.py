@@ -2,8 +2,8 @@
 
 Each round, every good processor flips a stream of n coins and the round's
 coin is the sign of the summed deviation. The adversary degrades the sum
-three ways: good streams whose reported contribution is excluded from
-detection (summed raw, reported capped), good streams it stops early at the
+three ways: good streams whose contribution is excluded from detection
+(summed raw, whatever their size), good streams it stops early at the
 worst moment, and an ambiguity allowance it always sets to the extreme
 opposing value. The "core" is the complete, untouched good streams; the
 round is useful when the core alone deviates past alpha_prime in the good
@@ -45,19 +45,20 @@ __all__ = [
 class IterationConfig:
     """Knobs for one simulated round.
 
-    adversary_direction is the direction of good deviation the adversary
-    plays against (stops and the ambiguity term push the other way).
-    ambiguous_allowance -1 (the default) means t. bad_contribution is an
-    optional extra additive term for exploration, off (0) by default,
-    clamped to |.| <= t*n by validation.
+    direction is the direction of good deviation the adversary plays
+    against (stops and the ambiguity term push the other way). ambiguous,
+    the ambiguity allowance, is t when -1 (the default). bad_contribution
+    is an optional extra additive term for exploration, off (0) by default,
+    clamped to |.| <= t*n by validation. A field a CLI flag sets carries the
+    flag's name, so a refused value names the flag.
     """
 
     n: int
     t: int
     t_excluded: int = 0
     t_stopped: int = 0
-    ambiguous_allowance: int = -1
-    adversary_direction: int = +1
+    ambiguous: int = -1
+    direction: int = +1
     bad_contribution: int = 0
     seed: int = 0
 
@@ -74,13 +75,12 @@ class IterationConfig:
             raise ValueError(f"t_stopped must lie in [0, t], got {self.t_stopped}")
         if self.n - self.t - self.t_excluded - self.t_stopped < 1:
             raise ValueError("no complete good streams left under these knobs")
-        if not -1 <= self.ambiguous_allowance <= self.t:
-            raise ValueError("ambiguous_allowance must lie in [-1, t], "
-                             f"got {self.ambiguous_allowance}")
-        if self.ambiguous_allowance == -1:
-            object.__setattr__(self, "ambiguous_allowance", self.t)
-        if self.adversary_direction not in (+1, -1):
-            raise ValueError("adversary_direction must be +1 or -1")
+        if not -1 <= self.ambiguous <= self.t:
+            raise ValueError(f"ambiguous must lie in [-1, t], got {self.ambiguous}")
+        if self.ambiguous == -1:
+            object.__setattr__(self, "ambiguous", self.t)
+        if self.direction not in (+1, -1):
+            raise ValueError(f"direction must be +1 or -1, got {self.direction}")
         if abs(self.bad_contribution) > self.t * self.n:
             raise ValueError(f"|bad_contribution| must be <= t*n = {self.t * self.n}")
         if self.seed < 0:
@@ -102,8 +102,7 @@ class Rounds:
 
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term
     (+ the config's bad_contribution when enabled); excluded_sum is the raw
-    physical contribution, while excluded_capped is the analysis view with
-    magnitude capped at beta_quarter.
+    physical contribution, uncapped.
     """
 
     config: IterationConfig
@@ -111,8 +110,6 @@ class Rounds:
     streams: np.ndarray
     core_sum: np.ndarray
     excluded_sum: np.ndarray
-    excluded_capped: np.ndarray
-    excluded_cap_binds: np.ndarray
     stopped_sum: np.ndarray
     stop_indices: np.ndarray
     total: np.ndarray
@@ -120,7 +117,6 @@ class Rounds:
     good_event: np.ndarray
     ambiguous_term: int
     alpha_prime: float
-    beta_quarter: float
 
     def __len__(self) -> int:
         return len(self.total)
@@ -181,16 +177,13 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     stopped_from = k + config.t_excluded
 
     thresholds = derive(Params(n=config.n, t=config.t))
-    direction = config.adversary_direction
+    direction = config.direction
 
     core_sum = streams[:, :k].sum(axis=(1, 2), dtype=np.int64)
     excluded_sum = streams[:, k:stopped_from].sum(axis=(1, 2), dtype=np.int64)
-    cap = thresholds.beta_quarter
-    cap_binds = np.abs(excluded_sum) > cap
-    excluded_capped = np.where(cap_binds, np.sign(excluded_sum) * cap, excluded_sum)
 
     # Stopped streams are truncated at the opposing extreme over the whole round.
-    strategy = StoppingStrategy.omniscient_extreme(direction=-direction, window=(1, n))
+    strategy = StoppingStrategy.omniscient_extreme(direction=-direction)
     stop_indices = np.empty((count, config.t_stopped), dtype=np.intp)
     stopped_sum = np.zeros(count, dtype=np.int64)
     for rows, cols, walks in _stopped_walks(streams, stopped_from):
@@ -198,7 +191,7 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
         stop_indices[rows, cols] = result.stop_index
         stopped_sum[rows] += result.value.sum(axis=-1, dtype=np.int64)
 
-    ambiguous_term = -direction * config.ambiguous_allowance
+    ambiguous_term = -direction * config.ambiguous
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution
     coin = np.where(total >= 0, 1, -1)  # ties resolve to +
     if direction > 0:
@@ -212,8 +205,6 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
         streams=streams,
         core_sum=core_sum,
         excluded_sum=excluded_sum,
-        excluded_capped=excluded_capped,
-        excluded_cap_binds=cap_binds,
         stopped_sum=stopped_sum,
         stop_indices=stop_indices,
         total=total,
@@ -221,7 +212,6 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
         good_event=good_event,
         ambiguous_term=ambiguous_term,
         alpha_prime=thresholds.alpha_prime,
-        beta_quarter=thresholds.beta_quarter,
     )
 
 
@@ -246,7 +236,7 @@ def run_agreement(config: IterationConfig, max_iterations: int) -> AgreementResu
     start, size = 0, 1
     while start < max_iterations:
         rounds = run_rounds(config, start, min(size, max_iterations - start))
-        hits = np.flatnonzero((rounds.coin == config.adversary_direction)
+        hits = np.flatnonzero((rounds.coin == config.direction)
                               & (np.abs(rounds.total) >= rounds.alpha_prime))
         if hits.size:
             return AgreementResult(agreed=True, iterations_used=start + int(hits[0]) + 1)

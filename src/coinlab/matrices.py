@@ -21,17 +21,14 @@ import numpy as np
 
 from .bounds import Params, derive
 from .mc import McEstimate, VerificationVerdict, _check_coin_cap, run_blocks, verdict_for
-from .walks import (_CHUNK_COINS, StoppingStrategy, apply_stop, coin_bytes, draw_steps,
-                    substream_bytes)
+from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, coin_bytes, substream_bytes
 
 __all__ = [
-    "StoppedCoinMatrix",
     "IterationSumMatrices",
     "NormEstimate",
     "NormBoundReport",
     "ConvergenceError",
     "SpectralCheckError",
-    "build_H",
     "build_G",
     "spectral_norm",
     "spectral_norms",
@@ -41,6 +38,8 @@ __all__ = [
 
 # Matrices stay small (hundreds of rows/columns); dense numpy throughout.
 _NORM_TRIAL_BLOCK = 64
+# The relative error every norm certificate must reach.
+_REL_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -56,133 +55,47 @@ class SpectralCheckError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class StoppedCoinMatrix:
-    """One round's coin matrix with adversarial column truncation.
-
-    stopped = unstopped + correction; the correction is zero outside the
-    truncated columns, where it cancels each column's suffix below its stop
-    point (stop point k keeps the first k entries).
-    """
-
-    stopped: np.ndarray
-    unstopped: np.ndarray
-    correction: np.ndarray
-    stopped_columns: tuple[int, ...]
-    stop_points: dict[int, int]
-
-    def validate(self) -> None:
-        n = self.unstopped.shape[0]
-        if self.unstopped.shape != (n, n):
-            raise SpectralCheckError("unstopped matrix must be square")
-        if np.any(np.abs(self.unstopped) != 1):
-            raise SpectralCheckError("unstopped entries must be +/-1")
-        if not np.array_equal(self.stopped, self.unstopped + self.correction):
-            raise SpectralCheckError("stopped != unstopped + correction")
-        stops = np.array(list(self.stop_points.values()), dtype=np.int64)
-        if tuple(self.stop_points) != self.stopped_columns or np.any((stops < 0) | (stops > n)):
-            raise SpectralCheckError(f"stop points {self.stop_points} invalid for length {n}")
-        cols = list(self.stopped_columns)
-        truncated = self.unstopped.copy()
-        truncated[:, cols] = np.where(np.arange(n)[:, None] < stops, self.unstopped[:, cols], 0)
-        if not np.array_equal(self.stopped, truncated):
-            raise SpectralCheckError("stopped is not unstopped truncated at the stop points")
-
-
-def build_H(n: int, t_stopped: int, adversary: StoppingStrategy, seed,
-            stopped_columns=None) -> StoppedCoinMatrix:
-    """Fill an n x n coin matrix and let ``adversary`` truncate the chosen
-    columns (the first ``t_stopped`` by default).
-
-    ``seed`` may be an int or an existing Generator to draw from.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= t_stopped <= n:
-        raise ValueError(f"t_stopped must lie in [0, n], got {t_stopped}")
-    if stopped_columns is None:
-        stopped_columns = tuple(range(t_stopped))
-    else:
-        stopped_columns = tuple(int(j) for j in stopped_columns)
-        if len(stopped_columns) != t_stopped:
-            raise ValueError("stopped_columns length must equal t_stopped")
-        if any(not 0 <= j < n for j in stopped_columns):
-            raise ValueError("stopped column index out of range")
-        if len(set(stopped_columns)) != len(stopped_columns):
-            raise ValueError("stopped columns must be distinct")
-    if not isinstance(seed, np.random.Generator):
-        seed = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    cols = list(stopped_columns)
-    unstopped = draw_steps(seed, (n, n)).astype(np.int64)
-    stops = apply_stop(np.cumsum(unstopped[:, cols].T, axis=-1), adversary).stop_index
-    correction = np.zeros_like(unstopped)
-    correction[:, cols] = np.where(np.arange(n)[:, None] < stops, 0, -unstopped[:, cols])
-    return StoppedCoinMatrix(
-        stopped=unstopped + correction,
-        unstopped=unstopped,
-        correction=correction,
-        stopped_columns=stopped_columns,
-        stop_points=dict(zip(stopped_columns, stops.tolist())),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class IterationSumMatrices:
     """Column sums of m rounds' coin matrices (rows = rounds).
 
-    stopped_sums = full_sums + correction_sums, with the bad columns zeroed
-    in all three.
+    stopped_sums = full_sums + correction_sums, with the bad columns (the
+    last t) zeroed in all three.
     """
 
     stopped_sums: np.ndarray
     full_sums: np.ndarray
     correction_sums: np.ndarray
-    bad_columns: tuple[int, ...]
-
-    def validate(self) -> None:
-        if not np.array_equal(self.stopped_sums, self.full_sums + self.correction_sums):
-            raise SpectralCheckError("stopped_sums != full_sums + correction_sums")
-        bad = list(self.bad_columns)
-        if bad and (np.any(self.stopped_sums[:, bad]) or np.any(self.full_sums[:, bad])
-                    or np.any(self.correction_sums[:, bad])):
-            raise SpectralCheckError("bad columns must be identically zero")
 
 
-def _iteration_sums(heads: np.ndarray, t: int, adversary: StoppingStrategy, bad_columns):
+def _iteration_sums(heads: np.ndarray, t: int, adversary: StoppingStrategy):
     """Stopped, full and correction column sums, each (..., m, n), of the coin
     matrices ``heads`` (..., m, n, n), True for +1, whose first t columns the
-    adversary stops: a stopped column's correction is its value minus its sum."""
+    adversary stops and whose last t are the bad processors, zero in all
+    three: a stopped column's correction is its value minus its sum."""
     n = heads.shape[-1]
     full = 2 * heads.sum(axis=-2) - n
-    full[..., list(bad_columns)] = 0
+    full[..., n - t:] = 0
     sums = np.cumsum(np.where(np.swapaxes(heads[..., :t], -1, -2), 1, -1), axis=-1)
     correction = np.zeros_like(full)
     correction[..., :t] = apply_stop(sums, adversary).value - sums[..., -1]
     return full + correction, full, correction
 
 
-def build_G(params: Params, adversary: StoppingStrategy, seed,
-            bad_columns=None) -> IterationSumMatrices:
+def build_G(params: Params, adversary: StoppingStrategy, seed) -> IterationSumMatrices:
     """Build the m x n iteration-sum matrices for ``params``.
 
     Round i draws from substream (seed, i) when ``seed`` is an int, or
     sequentially when it is a Generator. The adversary truncates the first
-    t columns each round; the last t columns are the bad processors (zeroed
-    in the sums) unless ``bad_columns`` says otherwise.
+    t columns each round; the last t columns are the bad processors, zeroed
+    in the sums (2t < n keeps the two sets apart).
     """
     n, t, m = params.n, params.t, params.m
-    if bad_columns is None:
-        bad_columns = tuple(range(n - t, n))
-    else:
-        bad_columns = tuple(int(j) for j in bad_columns)
-    overlap = set(bad_columns) & set(range(t))
-    if overlap:
-        raise ValueError(f"bad columns {sorted(overlap)} collide with stopped columns")
     if isinstance(seed, np.random.Generator):
         raw = coin_bytes(seed, n * n, m)
     else:
         raw = substream_bytes(int(seed), 0, m, n * n)
     heads = raw.reshape(m, n, n) >= 128
-    return IterationSumMatrices(*_iteration_sums(heads, t, adversary, bad_columns), bad_columns)
+    return IterationSumMatrices(*_iteration_sums(heads, t, adversary))
 
 
 @dataclass(frozen=True)
@@ -195,7 +108,7 @@ class NormEstimate:
     iterations_used: int
 
 
-def spectral_norms(stack, rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def spectral_norms(stack, rel_tol: float = _REL_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Largest singular values of a (k, r, c) stack of matrices, with their
     certified relative error bounds, from one batched eigensolve.
 
@@ -233,7 +146,7 @@ def spectral_norms(stack, rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray
     return values, bounds
 
 
-def spectral_norm(matrix, rel_tol: float = 1e-6) -> NormEstimate:
+def spectral_norm(matrix, rel_tol: float = _REL_TOL) -> NormEstimate:
     """Largest singular value of one matrix, by ``spectral_norms``."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
@@ -259,8 +172,7 @@ def norm_2x2(matrix) -> float:
     return (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
 
 
-def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
-                        rel_tol) -> list:
+def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold) -> list:
     # the coins build_G(params, adversary, rng) would draw trial after trial,
     # read a chunk of trials at a time. Norms are solved a group of trials
     # at a time, whose three float stacks hold about _CHUNK_COINS entries, so
@@ -280,10 +192,10 @@ def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
         for first in range(0, size, chunk):
             part = min(chunk, size - first)
             heads = coin_bytes(rng, n * n, part * m).reshape(part, m, n, n) >= 128
-            sums[:, first:first + part] = _iteration_sums(heads, t, adversary, range(n - t, n))
+            sums[:, first:first + part] = _iteration_sums(heads, t, adversary)
         for k, stack in enumerate(sums):
             try:
-                norms[k, lo:lo + size] = spectral_norms(stack, rel_tol)[0]
+                norms[k, lo:lo + size] = spectral_norms(stack, _REL_TOL)[0]
             except ConvergenceError as exc:
                 missed[k] = missed[k] or exc
     # raised as one solve of the whole block would: the first trial that
@@ -292,7 +204,7 @@ def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold,
         if exc is not None:
             raise exc
     g_norm, r_norm, z_norm = norms
-    allowance = 10.0 * rel_tol * (r_norm + z_norm) + 1e-9
+    allowance = 10.0 * _REL_TOL * (r_norm + z_norm) + 1e-9
     violated = np.flatnonzero(g_norm > r_norm + z_norm + allowance)
     if violated.size:
         i = violated[0]
@@ -325,19 +237,18 @@ class NormBoundReport:
     triangle_checked: bool
 
 
-def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers: int = 1,
-                      rel_tol: float = 1e-6,
-                      adversary: StoppingStrategy | None = None) -> NormBoundReport:
+def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0,
+                      workers: int = 1) -> NormBoundReport:
     """Sample iteration-sum matrices and check the norm threshold claim.
 
-    Verifies Pr(|G| > (6+2eps) sqrt(n(m+n))) against the 2/(m+n) bound,
+    The adversary stops each of the first t columns at its minimum, the
+    clairvoyant stop against the good direction. Verifies
+    Pr(|G| > (6+2eps) sqrt(n(m+n))) against the 2/(m+n) bound,
     reports the unstopped and correction norms against the half threshold
     (the union-bound split), and hard-fails on any triangle-inequality
     violation between the three computed norms. A trial of more than
     ``_MAX_BLOCK_ENTRIES`` coins (m * n * n) is refused before any draw.
     """
-    if adversary is None:
-        adversary = StoppingStrategy.omniscient_extreme(direction=-1)
     _check_coin_cap(params.m * params.n**2,
                     f"a trial of {params.m} rounds of {params.n} x {params.n} coins")
     thresholds = derive(params)
@@ -345,9 +256,8 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0, workers
     counter = partial(
         _norm_trial_counter,
         params_dict=asdict(params),
-        adversary=adversary,
+        adversary=StoppingStrategy.omniscient_extreme(direction=-1),
         threshold=threshold,
-        rel_tol=rel_tol,
     )
     tallies = run_blocks(counter, trials, seed, _NORM_TRIAL_BLOCK, workers)
     g_exc, r_exc, z_exc = (int(v) for v in tallies[:3])

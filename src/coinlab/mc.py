@@ -167,16 +167,15 @@ class McEstimate:
     seed: int
 
     @classmethod
-    def from_counts(cls, successes: int, trials: int, seed: int,
-                    confidence: float = DEFAULT_CONFIDENCE) -> "McEstimate":
-        low, high = clopper_pearson(successes, trials, confidence)
+    def from_counts(cls, successes: int, trials: int, seed: int) -> "McEstimate":
+        low, high = clopper_pearson(successes, trials)
         return cls(
             successes=int(successes),
             trials=int(trials),
             p_hat=successes / trials,
             ci_low=low,
             ci_high=high,
-            confidence=confidence,
+            confidence=DEFAULT_CONFIDENCE,
             seed=int(seed),
         )
 
@@ -259,13 +258,13 @@ def _directional_hit_counter(rng, count, start, *, length, threshold):
     return [plus_hits, minus_hits, int(plus.sum()), int(count - plus.sum())]
 
 
-def _two_phase_counter(rng, count, start, *, n_core, n_full, direction,
-                       alpha, beta_quarter, alpha_prime):
-    # The walks are read in the direction's frame. The adversary's most
-    # damaging stop in the window n_core..n_full is the window's minimum;
-    # walks.apply_stop with omniscient_extreme(-1, (n_core, n_full)) on the
-    # prefix sums states the same stop.
-    ends, lows = segment_stats(rng, count, n_full, (n_core,), (None, "min"), direction)
+def _two_phase_counter(rng, count, start, *, n_core, n_full, alpha, beta_quarter,
+                       alpha_prime):
+    # The good direction is +1. The adversary's most damaging stop in the
+    # window n_core..n_full is the window's minimum; walks.apply_stop with
+    # omniscient_extreme(-1, (n_core, n_full)) on the prefix sums states the
+    # same stop.
+    ends, lows = segment_stats(rng, count, n_full, (n_core,), (None, "min"))
     core = ends[:, 0]
     stopped = np.minimum(core, lows[:, 1])
     first = core >= alpha
@@ -376,8 +375,9 @@ class Lemma52Part2Report:
 
 
 def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE, seed: int = 0,
-                         workers: int = 1, direction: int = +1) -> Lemma52Part2Report:
-    """Run the two-phase experiment on streams of n(n-t) coins.
+                         workers: int = 1) -> Lemma52Part2Report:
+    """Run the two-phase experiment on streams of n(n-t) coins, with +1 the
+    good direction.
 
     Phase one is the first n(n-2t) coins; the adversary may stop anywhere
     in the remaining window and plays the clairvoyant opposing stop. The
@@ -393,7 +393,6 @@ def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE,
         _two_phase_counter,
         n_core=n_core,
         n_full=n_full,
-        direction=+1 if direction >= 0 else -1,
         alpha=thresholds.alpha,
         beta_quarter=thresholds.beta_quarter,
         alpha_prime=thresholds.alpha_prime,
@@ -416,7 +415,7 @@ def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE,
     }
     return Lemma52Part2Report(
         params=params,
-        direction=+1 if direction >= 0 else -1,
+        direction=+1,
         trials=trials,
         seed=seed,
         p_first=p_first,

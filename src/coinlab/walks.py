@@ -1,24 +1,25 @@
 """Symmetric +/-1 walks and adversarial stopping rules.
 
 A walk is a finite stream of fair coinflips. An adversary may truncate the
-stream at a point of its choosing; the rules here range from "never stop"
-to a clairvoyant stop at the most extreme prefix sum inside a window.
+stream at a point of its choosing: at the first prefix inside a window that
+reaches a threshold, or clairvoyantly at the most extreme prefix sum inside
+the window.
 
-Every module draws its coins with ``draw_steps`` and lets ``apply_stop``
-choose the stop. ``apply_stop`` takes a ``WalkTrace`` or a batch of prefix
-sums with walks on the last axis, as ``np.cumsum(steps, axis=-1)`` gives.
-Bulk draws read the same coins as raw bytes from ``coin_bytes``, which
-takes PCG64's 64-bit outputs straight from ``random_raw``, and a block of
-per-round substreams (seed, i) from ``substream_bytes``, which derives every
-round's PCG64 state from one vectorised run of SeedSequence's hash instead
-of building a generator per round. The Monte Carlo
-counters, which need only a few statistics per walk, read them from
-``segment_stats``: it draws a block a cache-sized chunk of walks at a time,
-packs each chunk eight coins to a byte, keeps each segment's head count or,
-for a segment it scans, its packed bytes, and scans only the extremes a
-counter asks for, one popcount and one byte-table lookup per eight coins.
-Its bit mask, packed bytes and running sums live in one scratch buffer per
-thread, reused from call to call.
+``draw_steps`` is the reference draw, whose coins every engine reads, and
+``apply_stop`` chooses the stop wherever prefix sums are held. It takes a
+``WalkTrace`` or a batch of prefix sums with walks on the last axis, as
+``np.cumsum(steps, axis=-1)`` gives. The engines read ``draw_steps``' coins
+as raw bytes from ``coin_bytes``, which takes PCG64's 64-bit outputs
+straight from ``random_raw``, and a block of per-round substreams (seed, i)
+from ``substream_bytes``, which derives every round's PCG64 state from one
+vectorised run of SeedSequence's hash instead of building a generator per
+round. The Monte Carlo counters, which need only a few statistics per walk,
+read them from ``segment_stats``: it draws a block a cache-sized chunk of
+walks at a time, packs each chunk eight coins to a byte, keeps each
+segment's head count or, for a segment it scans, its packed bytes, and
+scans only the extremes a counter asks for, one popcount and one byte-table
+lookup per eight coins. Its bit mask, packed bytes and running sums live in
+one scratch buffer per thread, reused from call to call.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ __all__ = [
     "coin_bytes",
     "substream_bytes",
     "segment_stats",
-    "generate_walk",
     "apply_stop",
 ]
 
@@ -462,18 +462,6 @@ def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extre
     return ends, peaks
 
 
-def generate_walk(length: int, rng: np.random.Generator) -> WalkTrace:
-    """Draw a fair +/-1 walk of the given length from ``rng``.
-
-    The same generator state always reproduces the same trace bit for bit.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length > MAX_STREAM_LENGTH:
-        raise ValueError(f"stream length {length} exceeds cap {MAX_STREAM_LENGTH}")
-    return WalkTrace.from_steps(draw_steps(rng, length))
-
-
 def _as_direction(direction) -> int:
     if direction in (+1, -1):
         return int(direction)
@@ -493,27 +481,16 @@ def _checked_window(window) -> tuple[int, int] | None:
 class StoppingStrategy:
     """An adversary's rule for truncating a stream.
 
-    Use the classmethod constructors; ``kind`` is one of ``no_stop``,
-    ``fixed_length``, ``first_hit``, ``omniscient_extreme``. Windows are
-    inclusive prefix-index ranges ``(lo, hi)`` with ``1 <= lo <= hi <= len``;
-    ``None`` means the full stream.
+    Use the classmethod constructors; ``kind`` is ``first_hit`` or
+    ``omniscient_extreme``. Windows are inclusive prefix-index ranges
+    ``(lo, hi)`` with ``1 <= lo <= hi <= len``; ``None`` means the full
+    stream.
     """
 
     kind: str
-    length: int | None = None
     threshold: int | None = None
     direction: int = +1
     window: tuple[int, int] | None = None
-
-    @classmethod
-    def no_stop(cls) -> "StoppingStrategy":
-        return cls(kind="no_stop")
-
-    @classmethod
-    def fixed_length(cls, k: int) -> "StoppingStrategy":
-        if k < 0:
-            raise ValueError("fixed stop point must be >= 0")
-        return cls(kind="fixed_length", length=int(k))
 
     @classmethod
     def first_hit(cls, threshold: int, direction=+1, window=None) -> "StoppingStrategy":
@@ -555,34 +532,26 @@ def apply_stop(walk, strategy: StoppingStrategy) -> StoppedStream:
 
     ``walk`` is a ``WalkTrace`` or prefix sums with walks on the last axis
     (``sums[..., k-1]`` is the k-th prefix sum). Stop point k keeps the
-    first k steps; a stop at 0 has value 0. ``first_hit`` stops at the first
-    prefix inside the window whose sum reaches the threshold in the targeted
-    direction, and at the window's upper bound if that never happens.
+    first k steps. ``first_hit`` stops at the first prefix inside the window
+    whose sum reaches the threshold in the targeted direction, and at the
+    window's upper bound if that never happens.
     ``omniscient_extreme`` stops at the most extreme prefix sum in the
     window, smallest index on ties.
     """
     scalar = isinstance(walk, WalkTrace)
     sums = walk.prefix_sums[1:] if scalar else np.asarray(walk)
-    n, batch = sums.shape[-1], sums.shape[:-1]
-    if strategy.kind in ("no_stop", "fixed_length"):
-        stop = n if strategy.kind == "no_stop" else strategy.length
-        if not (0 <= stop <= n):
-            raise ValueError(f"fixed stop point {stop} outside [0, {n}]")
-        value = sums[..., stop - 1] if stop else np.zeros(batch, dtype=sums.dtype)
-        stop = np.full(batch, stop)
-    elif strategy.kind in ("first_hit", "omniscient_extreme"):
-        lo, hi = _resolve_window(strategy, n)
-        segment = sums[..., lo - 1 : hi]
-        up = strategy.direction > 0
-        if strategy.kind == "first_hit":
-            hit = segment >= strategy.threshold if up else segment <= -strategy.threshold
-            offset = np.where(hit.any(axis=-1), hit.argmax(axis=-1), hi - lo)
-        else:
-            offset = segment.argmax(axis=-1) if up else segment.argmin(axis=-1)
-        value = np.take_along_axis(segment, offset[..., None], axis=-1)[..., 0]
-        stop = lo + offset
+    lo, hi = _resolve_window(strategy, sums.shape[-1])
+    segment = sums[..., lo - 1 : hi]
+    up = strategy.direction > 0
+    if strategy.kind == "first_hit":
+        hit = segment >= strategy.threshold if up else segment <= -strategy.threshold
+        offset = np.where(hit.any(axis=-1), hit.argmax(axis=-1), hi - lo)
+    elif strategy.kind == "omniscient_extreme":
+        offset = segment.argmax(axis=-1) if up else segment.argmin(axis=-1)
     else:
         raise ValueError(f"unknown stopping rule {strategy.kind!r}")
+    value = np.take_along_axis(segment, offset[..., None], axis=-1)[..., 0]
+    stop = lo + offset
     if scalar:
         stop, value = int(stop), int(value)
     return StoppedStream(stop_index=stop, value=value)

@@ -142,7 +142,7 @@ def test_criterion_7_iteration_bookkeeping(announce):
 
     variants = [
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0,
-                        ambiguous_allowance=0),
+                        ambiguous=0),
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0,
                         bad_contribution=-180),
     ]

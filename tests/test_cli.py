@@ -1,4 +1,6 @@
+import ast
 import csv
+import functools
 import importlib
 import io
 import json
@@ -70,6 +72,7 @@ def test_bad_format_rejected():
     ["spectral", "--seed", "0", "--n", "8193", "--t", "1", "--m", "1"],
     # only -1 stands for "t"; a lower value would run with t yet echo itself
     ["coin-iter", "--seed", "0", "--ambiguous", "-5"],
+    ["coin-iter", "--seed", "0", "--direction", "0"],
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -78,6 +81,9 @@ def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     if "--iterations" in argv:
         assert "iterations must be >= 1" in err
+    for flag in ("ambiguous", "direction"):  # the message names the flag typed
+        if f"--{flag}" in argv:
+            assert err.startswith(f"error: {flag} must")
     if "8194" in argv or "8193" in argv:
         assert "over the limit" in err
 
@@ -282,7 +288,7 @@ def test_coin_iter_check_reads_a_stop_at_0_as_worth_0(monkeypatch):
     stopped = np.concatenate([rounds.streams[:, config.complete_count + config.t_excluded:]
                               for rounds in checked])
     walks = np.cumsum(stopped, axis=-1)
-    extreme = walks.min(axis=-1) if config.adversary_direction > 0 else walks.max(axis=-1)
+    extreme = walks.min(axis=-1) if config.direction > 0 else walks.max(axis=-1)
     stopped_sum = np.concatenate([rounds.stopped_sum for rounds in checked])
     assert stopped.shape[:2] == (30, config.t_stopped) and config.t_stopped > 0
     assert (row["additive_failures"], row["stop_extreme_failures"], row["verdict"]) == (
@@ -316,8 +322,15 @@ def _untimed_report(argv):
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
-def test_an_unwritable_out_path_is_a_usage_error(target, tmp_path, capsys):
+def test_an_unwritable_out_path_is_a_usage_error(target, tmp_path, capsys, monkeypatch):
+    # refused before the experiment runs
+    def never_run(cfg):
+        raise AssertionError("the experiment ran")
+
+    _, defaults, flags = _EXPERIMENTS["constants"]
+    monkeypatch.setitem(_EXPERIMENTS, "constants", (never_run, defaults, flags))
     assert run(["constants", "--seed", "0", "--out", str(tmp_path / target)]) == 2
+    assert os.listdir(tmp_path) == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
@@ -433,11 +446,37 @@ def test_report_version_matches_pyproject(tmp_path):
     assert _load(out)["tool_version"] == version.group(1)
 
 
+# draw_steps is the reference draw: the engines read the same coins as raw
+# bytes, and the tests compare them against it.
+_UNREFERENCED_EXPORTS = {"draw_steps"}
+
+
+@functools.cache
+def _referenced_names() -> frozenset:
+    """Every name a source file of the package or the benchmark refers to: a
+    name, an attribute or an imported name (the strings of __all__ do not
+    count)."""
+    root = Path(__file__).resolve().parents[1]
+    names = set()
+    for path in [*(root / "src" / "coinlab").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return frozenset(names)
+
+
 @pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(coinlab.__path__)])
 def test_every_export_resolves(module):
-    # a name left in __all__ after its definition was deleted fails here
+    # a name left in __all__ after its definition was deleted fails here, and
+    # so does an exported name that no source file refers to
     namespace = importlib.import_module(f"coinlab.{module}")
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+    assert [name for name in namespace.__all__
+            if name not in _referenced_names() | _UNREFERENCED_EXPORTS] == []
 
 
 # Upper ends keep each run cheap; flags always passed keep any default of

@@ -30,19 +30,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IterationConfig(n=60, t=3, t_stopped=-1)
     with pytest.raises(ValueError):
-        IterationConfig(n=60, t=3, ambiguous_allowance=4)
+        IterationConfig(n=60, t=3, ambiguous=4)
     with pytest.raises(ValueError):  # only -1 stands for t
-        IterationConfig(n=60, t=3, ambiguous_allowance=-2)
+        IterationConfig(n=60, t=3, ambiguous=-2)
     with pytest.raises(ValueError):
-        IterationConfig(n=60, t=3, adversary_direction=0)
+        IterationConfig(n=60, t=3, direction=0)
     with pytest.raises(ValueError):
         IterationConfig(n=60, t=3, bad_contribution=200)
 
 
 def test_ambiguous_allowance_defaults_to_t():
-    assert IterationConfig(n=60, t=3).ambiguous_allowance == 3
-    assert IterationConfig(n=60, t=3, ambiguous_allowance=1).ambiguous_allowance == 1
-    assert IterationConfig(n=60, t=0).ambiguous_allowance == 0
+    assert IterationConfig(n=60, t=3).ambiguous == 3
+    assert IterationConfig(n=60, t=3, ambiguous=1).ambiguous == 1
+    assert IterationConfig(n=60, t=0).ambiguous == 0
 
 
 def _rebuilt_totals(rounds):
@@ -93,21 +93,21 @@ def test_stopped_values_are_running_minima():
 
 def test_ambiguous_term_opposes_adversary_direction():
     up = run_rounds(IterationConfig(n=60, t=3, seed=1), 0, 1)
-    down = run_rounds(IterationConfig(n=60, t=3, adversary_direction=-1, seed=1), 0, 1)
+    down = run_rounds(IterationConfig(n=60, t=3, direction=-1, seed=1), 0, 1)
     assert up.ambiguous_term == -3
     assert down.ambiguous_term == +3
 
 
 def test_excluded_cap_semantics():
-    rounds = run_rounds(IterationConfig(n=16, t=5, t_excluded=5, seed=2), 0, 300)
-    cap, binds = rounds.beta_quarter, rounds.excluded_cap_binds
-    assert np.all(np.abs(rounds.excluded_capped) <= cap + 1e-12)
-    assert np.array_equal(binds, np.abs(rounds.excluded_sum) > cap)
-    assert rounds.excluded_capped[binds] == pytest.approx(np.sign(rounds.excluded_sum[binds]) * cap)
-    assert np.array_equal(rounds.excluded_capped[~binds], rounds.excluded_sum[~binds])
-    # the raw value, not the capped view, enters the total
+    # excluded streams enter the total raw, uncapped even past beta/4
+    config = IterationConfig(n=16, t=5, t_excluded=5, seed=2)
+    rounds = run_rounds(config, 0, 300)
+    k = config.complete_count
+    assert np.array_equal(rounds.excluded_sum,
+                          rounds.streams[:, k : k + 5].sum(axis=(1, 2), dtype=np.int64))
     assert np.array_equal(rounds.total, _rebuilt_totals(rounds))
-    assert binds.any()  # 5 streams of 16 coins exceed beta/4 ~ 6.7 sometimes
+    # 5 streams of 16 coins exceed beta/4 ~ 6.7 sometimes
+    assert (np.abs(rounds.excluded_sum) > derive(Params(n=16, t=5)).beta_quarter).any()
 
 
 def test_coin_sign_convention():
@@ -123,18 +123,18 @@ def test_good_event_reads_only_the_core():
 
 
 def test_good_event_direction_flip():
-    rounds = run_rounds(IterationConfig(n=60, t=3, adversary_direction=-1, seed=9), 0, 100)
+    rounds = run_rounds(IterationConfig(n=60, t=3, direction=-1, seed=9), 0, 100)
     assert np.array_equal(rounds.good_event, rounds.core_sum <= -rounds.alpha_prime)
 
 
 def test_good_event_invariant_to_behavioral_knobs():
     variants = [
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5,
-                        ambiguous_allowance=0),
+                        ambiguous=0),
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5,
                         bad_contribution=-180),
         IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5,
-                        ambiguous_allowance=2, bad_contribution=90),
+                        ambiguous=2, bad_contribution=90),
     ]
     base_events = run_rounds(BASE, 0, 120).good_event
     for variant in variants:
@@ -172,7 +172,7 @@ def test_agreement_success_iteration_matches_good_event():
 def test_agreement_budget_exhaustion():
     # direction -1 with a huge positive bad contribution keeps the total
     # positive, so the coin never matches the adversary-opposing direction
-    config = IterationConfig(n=9, t=4, adversary_direction=-1,
+    config = IterationConfig(n=9, t=4, direction=-1,
                              bad_contribution=36, seed=3)
     result = run_agreement(config, 5)
     assert result.iterations_used == 5
@@ -190,28 +190,25 @@ def _reference_round(config, i):
     thresholds = derive(Params(n=config.n, t=config.t))
     core = int(streams[:k].sum())
     excluded = int(streams[k:stopped_from].sum())
-    cap = thresholds.beta_quarter
-    capped = (cap if excluded > 0 else -cap) if abs(excluded) > cap else float(excluded)
     stops, stopped = [], 0
     for row in streams[stopped_from:]:
         prefix = np.cumsum(row).tolist()
         # the adversary stops at the extreme against its own direction, first on ties
-        extreme = min(prefix) if config.adversary_direction > 0 else max(prefix)
+        extreme = min(prefix) if config.direction > 0 else max(prefix)
         stops.append(prefix.index(extreme) + 1)
         stopped += extreme
-    ambiguous = -config.adversary_direction * config.ambiguous_allowance
+    ambiguous = -config.direction * config.ambiguous
     total = core + excluded + stopped + ambiguous + config.bad_contribution
-    if config.adversary_direction > 0:
+    if config.direction > 0:
         good = core >= thresholds.alpha_prime
     else:
         good = core <= -thresholds.alpha_prime
     return {
         "streams": streams, "core_sum": core, "excluded_sum": excluded,
-        "excluded_capped": capped, "excluded_cap_binds": abs(excluded) > cap,
         "stopped_sum": stopped, "stop_indices": stops, "total": total,
         "coin": 1 if total >= 0 else -1, "good_event": good,
         "ambiguous_term": ambiguous,
-        "agrees": (1 if total >= 0 else -1) == config.adversary_direction
+        "agrees": (1 if total >= 0 else -1) == config.direction
                   and abs(total) >= thresholds.alpha_prime,
     }
 
@@ -224,8 +221,8 @@ def _configs(draw):
     t_stopped = draw(st.integers(0, min(t, n - t - t_excluded - 1)))
     return IterationConfig(
         n=n, t=t, t_excluded=t_excluded, t_stopped=t_stopped,
-        ambiguous_allowance=draw(st.integers(-1, t)),
-        adversary_direction=draw(st.sampled_from([1, -1])),
+        ambiguous=draw(st.integers(-1, t)),
+        direction=draw(st.sampled_from([1, -1])),
         bad_contribution=draw(st.integers(-t * n, t * n)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -240,8 +237,6 @@ def _assert_rounds_match_reference(config, start, count):
         got = {
             "core_sum": int(rounds.core_sum[j]),
             "excluded_sum": int(rounds.excluded_sum[j]),
-            "excluded_capped": float(rounds.excluded_capped[j]),
-            "excluded_cap_binds": bool(rounds.excluded_cap_binds[j]),
             "stopped_sum": int(rounds.stopped_sum[j]),
             "stop_indices": rounds.stop_indices[j].tolist(),
             "total": int(rounds.total[j]),
@@ -262,7 +257,7 @@ def test_run_rounds_matches_a_plain_loop(config, start, count):
 def test_run_rounds_across_a_round_index_of_2_to_the_32(direction):
     # round 2**32 is the first whose index SeedSequence splits into two words
     config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2,
-                             adversary_direction=direction, seed=5)
+                             direction=direction, seed=5)
     _assert_rounds_match_reference(config, 2**32 - 2, 4)
 
 

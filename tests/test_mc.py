@@ -207,12 +207,6 @@ def test_lemma52_part2_coupling_is_exact_at_point_estimates():
     assert report.p_full.trials == 2000
 
 
-def test_lemma52_part2_direction_symmetry_structural():
-    up = verify_lemma52_part2(Params(n=30, t=1), trials=1500, seed=3, direction=+1)
-    down = verify_lemma52_part2(Params(n=30, t=1), trials=1500, seed=3, direction=-1)
-    assert up.structural_check["passed"] and down.structural_check["passed"]
-
-
 def test_lemma71_default_threshold_and_verdict():
     params = Params(n=40, t=2, m=10, c1=0.05)
     verdict = verify_lemma71(params, trials=20_000, seed=11)[0]
@@ -247,8 +241,6 @@ def test_counter_agrees_with_walk_layer():
         trace = WalkTrace.from_steps(steps[i])
         assert trace.prefix_sums[-1] == ends[i, 0]
         assert trace.run_max == max(0, tops[i, 0])
-        stopped = apply_stop(trace, StoppingStrategy.no_stop())
-        assert stopped.value == ends[i, 0]
 
 
 def _block_sums(block, count, length):
@@ -314,23 +306,26 @@ def test_directional_hit_counter_matches_direct_counts(start):
     assert 0 < expected[0] < 200 and 0 < expected[1] < 200
 
 
-@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("frame", [+1, -1])
 @pytest.mark.parametrize("n, t", [(9, 1), (23, 5), (6, 0)])  # n_core 63, 299 and 36 = n_full
-def test_two_phase_counter_matches_apply_stop(n, t, direction):
-    # walks.apply_stop is the specification of the adversary's stop
+def test_two_phase_counter_matches_apply_stop(n, t, frame):
+    # walks.apply_stop is the specification of the adversary's stop, stated
+    # on the walks as drawn (frame +1) or on their mirror image (frame -1),
+    # where the stop against the good direction is the mirror's maximum
     from coinlab.mc import _two_phase_counter
 
     n_core, n_full = n * (n - 2 * t), n * (n - t)
     levels = {"alpha": 0.5 * math.sqrt(n_core), "alpha_prime": 0.25 * math.sqrt(n_core),
               "beta_quarter": max(1.0, 0.5 * math.sqrt(n_full - n_core))}
     block = np.random.SeedSequence((5, 2))
-    sums = direction * _block_sums(block, 400, n_full)
-    core = sums[:, n_core - 1]
-    stopped = apply_stop(sums, StoppingStrategy.omniscient_extreme(-1, (n_core, n_full))).value
+    sums = frame * _block_sums(block, 400, n_full)
+    core = frame * sums[:, n_core - 1]
+    stop = StoppingStrategy.omniscient_extreme(-frame, (n_core, n_full))
+    stopped = frame * apply_stop(sums, stop).value
     expected = [np.count_nonzero(core >= levels["alpha"]),
                 np.count_nonzero(core - stopped >= levels["beta_quarter"]),
                 np.count_nonzero(stopped >= levels["alpha_prime"])]
     tallies = _two_phase_counter(np.random.default_rng(block), 400, 0, n_core=n_core,
-                                 n_full=n_full, direction=direction, **levels)
+                                 n_full=n_full, **levels)
     assert tallies == expected
     assert 0 < expected[0] < 400 and 0 < expected[2] < 400

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 import coinlab.walks
 from coinlab.walks import (
-    MAX_STREAM_LENGTH,
     StoppingStrategy,
     WalkTrace,
     apply_stop,
     coin_bytes,
     draw_steps,
-    generate_walk,
     segment_stats,
     substream_bytes,
 )
@@ -46,44 +44,12 @@ def test_empty_walk():
     assert trace.run_max == 0 and trace.run_min == 0
 
 
-def test_generate_walk_deterministic():
-    a = generate_walk(500, np.random.default_rng(123))
-    b = generate_walk(500, np.random.default_rng(123))
-    assert np.array_equal(a.steps, b.steps)
-    assert set(np.unique(a.steps)) <= {-1, 1}
-
-
-def test_generate_walk_rejects_bad_length():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        generate_walk(-1, rng)
-    with pytest.raises(ValueError):
-        generate_walk(MAX_STREAM_LENGTH + 1, rng)
-
-
 @given(step_lists)
 def test_trace_extremes_match_prefixes(steps):
     trace = WalkTrace.from_steps(steps)
     prefixes = np.concatenate([[0], np.cumsum(steps)])
     assert trace.run_max == prefixes.max()
     assert trace.run_min == prefixes.min()
-
-
-def test_no_stop_keeps_everything():
-    trace = WalkTrace.from_steps([1, -1, 1, 1])
-    stopped = apply_stop(trace, StoppingStrategy.no_stop())
-    assert stopped.stop_index == 4
-    assert stopped.value == 2
-
-
-def test_fixed_length_truncates():
-    trace = WalkTrace.from_steps([1, 1, 1, -1])
-    stopped = apply_stop(trace, StoppingStrategy.fixed_length(2))
-    assert stopped.stop_index == 2
-    assert stopped.value == 2
-    assert apply_stop(trace, StoppingStrategy.fixed_length(0)).value == 0
-    with pytest.raises(ValueError):
-        apply_stop(trace, StoppingStrategy.fixed_length(5))
 
 
 def test_first_hit_stops_at_threshold():
@@ -137,11 +103,8 @@ def test_window_validation():
 def test_omniscient_dominates_every_other_stop(steps, direction):
     # the omniscient stop is by definition the worst over all stop points
     trace = WalkTrace.from_steps(steps)
-    n = len(steps)
     best = apply_stop(trace, StoppingStrategy.omniscient_extreme(direction=direction))
-    for k in range(1, n + 1):
-        other = apply_stop(trace, StoppingStrategy.fixed_length(k))
-        assert direction * best.value >= direction * other.value
+    assert np.all(direction * best.value >= direction * trace.prefix_sums[1:])
 
 
 @given(step_lists)
@@ -159,22 +122,16 @@ def _reference_stop(steps, strategy):
     prefix = [0]
     for step in steps:
         prefix.append(prefix[-1] + int(step))
-    n = len(steps)
-    if strategy.kind == "no_stop":
-        stop = n
-    elif strategy.kind == "fixed_length":
-        stop = strategy.length
+    lo, hi = strategy.window if strategy.window is not None else (1, len(steps))
+    d = strategy.direction
+    if strategy.kind == "first_hit":
+        hits = [k for k in range(lo, hi + 1) if d * prefix[k] >= strategy.threshold]
+        stop = hits[0] if hits else hi
     else:
-        lo, hi = strategy.window if strategy.window is not None else (1, n)
-        d = strategy.direction
-        if strategy.kind == "first_hit":
-            hits = [k for k in range(lo, hi + 1) if d * prefix[k] >= strategy.threshold]
-            stop = hits[0] if hits else hi
-        else:
-            stop = lo
-            for k in range(lo + 1, hi + 1):
-                if d * prefix[k] > d * prefix[stop]:
-                    stop = k
+        stop = lo
+        for k in range(lo + 1, hi + 1):
+            if d * prefix[k] > d * prefix[stop]:
+                stop = k
     return stop, prefix[stop]
 
 
@@ -187,12 +144,7 @@ def batches_and_strategies(draw):
     direction = draw(st.sampled_from([-1, 1]))
     window = draw(st.none() | st.integers(1, length).flatmap(
         lambda lo: st.tuples(st.just(lo), st.integers(lo, length))))
-    kind = draw(st.sampled_from(["no_stop", "fixed_length", "first_hit", "omniscient_extreme"]))
-    if kind == "no_stop":
-        strategy = StoppingStrategy.no_stop()
-    elif kind == "fixed_length":
-        strategy = StoppingStrategy.fixed_length(draw(st.integers(0, length)))
-    elif kind == "first_hit":
+    if draw(st.booleans()):
         strategy = StoppingStrategy.first_hit(draw(st.integers(1, length + 1)), direction, window)
     else:
         strategy = StoppingStrategy.omniscient_extreme(direction, window)
