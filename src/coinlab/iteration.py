@@ -63,12 +63,7 @@ class IterationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-        if 2 * self.t >= self.n:
-            raise ValueError(f"need 2t < n, got n={self.n}, t={self.t}")
+        Params(n=self.n, t=self.t)  # refuses n < 1, t < 0 and 2t >= n
         if not 0 <= self.t_excluded <= self.t:
             raise ValueError(f"t_excluded must lie in [0, t], got {self.t_excluded}")
         if not 0 <= self.t_stopped <= self.t:

@@ -10,11 +10,12 @@ byte. Each experiment makes one ``run_blocks`` call; fact3 and lemma71 read
 every threshold of their sweep from that one sample.
 
 The block counters never hold a walk's prefix sums. They ask
-``walks.segment_stats`` for each segment's endpoint and at most the one
-extreme they read, of walks mirrored where a direction calls for it. It
-reads these off the same coins ``walks.draw_steps`` draws, taken from the
-generator's raw 64-bit outputs and scanned eight per byte, so every tally
-equals the one a full ``np.cumsum`` of those coins gives.
+``walks.walk_peaks`` for each walk's sum after a head, its end and its
+highest prefix sum past the head, of walks mirrored where a direction or a
+lowest prefix calls for it. It reads these off the same coins
+``walks.draw_steps`` draws, taken from the generator's raw 64-bit outputs
+and scanned eight per byte, so every tally equals the one a full
+``np.cumsum`` of those coins gives.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from scipy.special import betaincinv
 
 from .bounds import Params, derive, lemma52_part1_bound
 from .exact import prob_max_ge_reflection, prob_sum_ge
-from .walks import segment_stats
+from .walks import walk_peaks
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -56,14 +57,14 @@ _MAX_BLOCK = 8192
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # Cap on one block's walk matrix, in entries (coins). It caps a block's
 # work, and the parts of its memory that grow with the block; every other
-# buffer is a chunk of about walks._CHUNK_COINS entries. segment_stats keeps,
-# for the whole block, one bit per coin of a segment it scans for an
-# extreme plus that segment's int16 running-sum rows (int32 past 2**15
-# steps). Traced peaks (tracemalloc), in bytes per entry: 0.11 for
-# lemma52-2's block of 2452 walks of 3420 coins, 0.78 for lemma52-1's 8192
-# walks of 200, 5.9 for fact3's 8192 walks of 16 (its per-walk arrays
-# outweigh its 131k coins), and 0.67 for 128 walks of 10^5 coins scanned
-# whole for their max. A block of rounds (iteration.run_rounds) is drawn
+# buffer is a chunk of about walks._CHUNK_COINS entries. walk_peaks keeps,
+# for the whole block, one bit per coin of the window it scans past the
+# head plus the window's int16 running-sum rows (int32 past 2**15 steps).
+# Traced peaks (tracemalloc), in bytes per entry: 0.11 for lemma52-2's
+# block of 2452 walks of 3420 coins, 0.80 for lemma52-1's 8192 walks of
+# 200, 5.0 for fact3's 8192 walks of 16 (its per-walk arrays outweigh its
+# 131k coins), and 0.67 for 128 walks of 10^5 coins scanned whole for
+# their max. A block of rounds (iteration.run_rounds) is drawn
 # whole, one byte per coin, while its stopped streams' int32 prefix sums
 # are taken a chunk at a time: 1.20 at coin-iter's defaults, 1.5 for two
 # rounds of n = 2000 with 900 of 1100 streams stopped; a round over the cap
@@ -75,7 +76,7 @@ def block_size_for(walk_length: int, minimum: int = 128, budget: int = _BLOCK_BU
     """Trials per block: about ``budget`` entries of walk data, at most
     ``_MAX_BLOCK`` trials and at least ``minimum``. Block i of a walk
     experiment draws from ``SeedSequence((seed, i))``, so its size is part
-    of every tally and its budget stays; ``segment_stats`` draws a block a
+    of every tally and its budget stays; ``walk_peaks`` draws a block a
     chunk at a time, so that budget no longer sets the block's memory."""
     return max(minimum, min(_MAX_BLOCK, budget // max(walk_length, 1)))
 
@@ -241,10 +242,9 @@ def _count_at_least(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 def _tail_counter(rng, count, start, *, length, thresholds):
     # hits of the running max at each threshold, then of the endpoint
-    ends, tops = segment_stats(rng, count, length, (), ("max",))
+    _, ends, tops = walk_peaks(rng, count, length)
     levels = np.asarray(thresholds, dtype=np.float64)
-    return np.concatenate([_count_at_least(tops[:, 0], levels),
-                           _count_at_least(ends[:, 0], levels)])
+    return np.concatenate([_count_at_least(tops, levels), _count_at_least(ends, levels)])
 
 
 def _directional_hit_counter(rng, count, start, *, length, threshold):
@@ -252,9 +252,9 @@ def _directional_hit_counter(rng, count, start, *, length, threshold):
     # An odd walk is read mirrored, so its running min <= -threshold is its
     # mirror's running max >= threshold.
     plus = (np.arange(start, start + count) % 2) == 0
-    _, tops = segment_stats(rng, count, length, (), ("max",), np.where(plus, 1, -1))
-    plus_hits = int(np.count_nonzero(tops[plus, 0] >= threshold))
-    minus_hits = int(np.count_nonzero(tops[~plus, 0] >= threshold))
+    tops = walk_peaks(rng, count, length, 0, np.where(plus, 1, -1))[2]
+    plus_hits = int(np.count_nonzero(tops[plus] >= threshold))
+    minus_hits = int(np.count_nonzero(tops[~plus] >= threshold))
     return [plus_hits, minus_hits, int(plus.sum()), int(count - plus.sum())]
 
 
@@ -263,10 +263,11 @@ def _two_phase_counter(rng, count, start, *, n_core, n_full, alpha, beta_quarter
     # The good direction is +1. The adversary's most damaging stop in the
     # window n_core..n_full is the window's minimum; walks.apply_stop with
     # omniscient_extreme(-1, (n_core, n_full)) on the prefix sums states the
-    # same stop.
-    ends, lows = segment_stats(rng, count, n_full, (n_core,), (None, "min"))
-    core = ends[:, 0]
-    stopped = np.minimum(core, lows[:, 1])
+    # same stop. The walks are read mirrored, so the window's minimum is the
+    # negated highest prefix past the head.
+    at_head, _, top = walk_peaks(rng, count, n_full, n_core, -1)
+    core = -at_head
+    stopped = -np.maximum(at_head, top)
     first = core >= alpha
     adversary = core - stopped >= beta_quarter
     full = stopped >= alpha_prime

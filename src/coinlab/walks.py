@@ -13,18 +13,19 @@ as raw bytes from ``coin_bytes``, which takes PCG64's 64-bit outputs
 straight from ``random_raw``, and a block of per-round substreams (seed, i)
 from ``substream_bytes``, which derives every round's PCG64 state from one
 vectorised run of SeedSequence's hash instead of building a generator per
-round. The Monte Carlo counters, which need only a few statistics per walk,
-read them from ``segment_stats``: it draws a block a cache-sized chunk of
-walks at a time, packs each chunk eight coins to a byte, keeps each
-segment's head count or, for a segment it scans, its packed bytes, and
-scans only the extremes a counter asks for, one popcount and one byte-table
-lookup per eight coins. Its bit mask, packed bytes and running sums live in
-one scratch buffer per thread, reused from call to call.
+round. The Monte Carlo counters read each walk as a counted head and a
+scanned window past it, the adversary's stopping range, from
+``walk_peaks``: it draws a block a cache-sized chunk of walks at a time,
+packs each chunk eight coins to a byte, keeps the head's count of +1 coins
+and the window's packed bytes, and scans the window for its end and its
+highest prefix sum, one popcount and one byte-table lookup per eight coins.
+A lowest prefix sum is read off the mirrored walk. Its bit mask, packed
+bytes and running sums live in one scratch buffer per thread, reused from
+call to call.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ __all__ = [
     "draw_steps",
     "coin_bytes",
     "substream_bytes",
-    "segment_stats",
+    "walk_peaks",
     "apply_stop",
 ]
 
@@ -103,20 +104,18 @@ def coin_bytes(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarra
     consecutive bytes of ``rng.bytes``, padding each draw to whole 4-byte words,
     and ``rng.bytes`` is little-endian uint32 words of ``rng.integers``.
 
-    For ``PCG64``, the bit generator of ``default_rng``, the words come
-    straight from ``random_raw``: its ``next_uint32`` returns the low half of
-    a 64-bit output and buffers the high half for the next word. A half-word
-    buffered on entry is word 0, and the buffer is written back on exit,
-    including the stale half-word NumPy keeps once it is used, so
-    ``bit_generator.state`` ends as ``integers`` leaves it. Any other bit
-    generator draws its words through ``rng.integers``."""
+    ``rng`` must run on ``PCG64``, the bit generator of ``default_rng``,
+    whose words come straight from ``random_raw``: its ``next_uint32``
+    returns the low half of a 64-bit output and buffers the high half for
+    the next word. A half-word buffered on entry is word 0, and the buffer
+    is written back on exit, including the stale half-word NumPy keeps once
+    it is used, so ``bit_generator.state`` ends as ``integers`` leaves it."""
     if size < 1 or calls < 1:
         raise ValueError(f"need size >= 1 and calls >= 1, got {size} x {calls}")
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ValueError(f"coin_bytes reads PCG64 only, got {type(rng.bit_generator).__name__}")
     words = -(-size // 4)
-    if type(rng.bit_generator) is np.random.PCG64:
-        drawn = _pcg64_words(rng.bit_generator, calls * words)
-    else:
-        drawn = rng.integers(0, 2**32, size=calls * words, dtype=np.uint32).astype("<u4", copy=False)
+    drawn = _pcg64_words(rng.bit_generator, calls * words)
     return drawn.view(np.uint8).reshape(calls, 4 * words)[:, :size]
 
 
@@ -307,7 +306,6 @@ def _byte_top() -> np.ndarray:
 
 
 _BYTE_TOP = _byte_top()
-_EXTREMES = {None: 0, "max": +1, "min": -1}
 # Coins drawn and packed at a time, unless a few walks hold more: a chunk's
 # raw bytes and bit mask, 512 KB, stay in L2. Every engine sizes its working
 # memory from it: the spectral counter draws its coins and solves its norms
@@ -330,136 +328,102 @@ def _scratch(nbytes: int) -> np.ndarray:
 
 
 def _scan_dtype(width: int) -> np.dtype:
-    # Running sums of a segment of ``width`` coins, its pad steps too, stay
+    # Running sums of a window of ``width`` coins, its pad steps too, stay
     # under width + 8 in magnitude.
     return np.dtype(np.int16 if width < 2**15 - 8 else np.int32)
 
 
-def segment_stats(rng: np.random.Generator, count: int, length: int, cuts, extremes,
-                  signs=1):
-    """Draw ``count`` walks of ``length`` steps and summarise each segment.
+def walk_peaks(rng: np.random.Generator, count: int, length: int, head: int = 0, signs=1):
+    """Draw ``count`` walks of ``length`` steps; per walk, return its sum
+    after ``head`` steps, its end and its highest prefix sum past the head.
 
     The coins are those ``draw_steps(rng, (count, length))`` draws, read by
     ``coin_bytes``, and ``rng`` ends in the same state. ``signs`` (+1 or -1,
     one for all walks or one per walk) mirrors a walk: walk ``i`` is read as
-    ``signs[i]`` times the drawn one. ``cuts`` are prefix indices
-    ``0 <= c_1 <= ... <= length``; segment ``j`` holds the prefix sums
-    ``S_k`` for ``c_j < k <= c_{j+1}``, with ``c_0 = 0`` and a last bound of
-    ``length``. ``extremes`` names, per segment, the statistic to scan
-    besides its end: ``"max"``, ``"min"`` or ``None``. Returns two int64
-    arrays of shape ``(count, len(cuts) + 1)``: the prefix sum at each
-    segment's right end, and the named extreme over the prefix sums inside
-    it (the end value where none is named or the segment is empty).
+    ``signs[i]`` times the drawn one, so a lowest prefix sum is the negated
+    highest one of the walk read with ``signs = -1``. Returns three int64
+    arrays of shape ``(count,)``: ``S_head``, ``S_length`` and the highest of
+    ``S_(head+1) .. S_length`` (``S_head`` when ``head == length``).
 
     The walks are drawn a chunk of whole walks at a time, about
     ``_CHUNK_COINS`` coins, each chunk a whole number of 4-byte words so that
-    the chunks' bytes are the one-shot draw's. While a chunk is in cache,
-    each segment's coins are packed eight to a byte, and a byte's step sum
-    is 2 * popcount - 8. With no extreme named, the segment keeps only each
-    walk's head count, ``np.bitwise_count`` of the packed bytes. Otherwise
-    the packed bytes go into a (bytes, walks) array for the whole block, so
-    the block holds one bit per scanned coin, and a running sum of byte
-    sums runs over its rows once all chunks are in: the highest prefix sum
-    is the max over bytes of (sum before the byte + the byte's highest
-    prefix), and the end is the last row. A lowest prefix sum is the
-    negated highest one of the mirrored walk, read by flipping the packed
-    bits. The zero bits that pad a segment's last byte are -1 steps past
-    its end, which cannot raise a highest prefix and are added back to the
-    end. The chunk's bit mask, the packed bytes and the running sums live
-    in the thread's scratch buffer (``_scratch``), whose contents no call
-    reads before writing them.
+    the chunks' bytes are the one-shot draw's. While a chunk is in cache, the
+    head's coins and the window's (the coins past the head) are each packed
+    eight to a byte, and a byte's step sum is 2 * popcount - 8. The head
+    keeps only each walk's count of +1 coins, ``np.bitwise_count`` of its
+    packed bytes. The window's packed bytes go into a (bytes, walks) array
+    for the whole block, so the block holds one bit per window coin, and a
+    running sum of byte sums runs over its rows once all chunks are in: the
+    highest prefix sum is the max over bytes of (sum before the byte + the
+    byte's highest prefix), and the end is the last row. A mirrored walk is
+    read by flipping its packed bits. The zero bits that pad the window's
+    last byte are -1 steps past its end, which cannot raise a highest prefix
+    and are added back to the end. The chunk's bit mask, the packed bytes and
+    the running sums live in the thread's scratch buffer (``_scratch``),
+    whose contents no call reads before writing them.
     """
     if count < 1 or length < 1:
         raise ValueError(f"need count >= 1 and length >= 1, got {count} x {length}")
-    bounds = [0, *(int(c) for c in cuts), length]
-    if any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
-        raise ValueError(f"cuts {tuple(cuts)} must be sorted within [0, {length}]")
-    extremes = tuple(extremes)
-    if len(extremes) != len(bounds) - 1 or any(e not in _EXTREMES for e in extremes):
-        raise ValueError(f"extremes {extremes} must name None, 'max' or 'min' "
-                         f"for each of {len(bounds) - 1} segments")
+    if not 0 <= head <= length:
+        raise ValueError(f"head {head} must lie in [0, {length}]")
     signs = np.asarray(signs)
     # checked before the cast, which would read 1.5 or True as +1
     if (signs.dtype == bool or signs.shape not in ((), (count,))
             or not np.all((signs == 1) | (signs == -1))):
         raise ValueError("signs must be +1 or -1, once or once per walk")
     signs = signs.astype(np.int64)
-    segments = list(zip(bounds, bounds[1:], extremes))
+    width = length - head
     align = 4 // math.gcd(length, 4)  # fewest walks that fill whole 4-byte words
     rows = max(align, _CHUNK_COINS // length // align * align)
-    # A chunk's bit mask gives each segment's coins whole bytes, coin i of a
-    # byte in bit i; the pad bits are zeroed here and never written, so one
-    # flat pack per chunk keeps the walks and segments apart. The front of
-    # the scratch buffer holds the mask while the block is drawn, then one
-    # scanned segment's running sums at a time; each scanned segment's packed
-    # bytes, walks on axis 1, follow.
-    offsets = [0, *itertools.accumulate(-(-(hi - lo) // 8) for lo, hi, _ in segments)]
-    sizes = [end - start for start, end in zip(offsets, offsets[1:])]
-    scanned = [(size * count, _scan_dtype(hi - lo))
-               for size, (lo, hi, extreme) in zip(sizes, segments) if extreme]
-    mask_shape = (min(rows, count), 8 * offsets[-1])
-    front = max([mask_shape[0] * mask_shape[1]] + [n * scan.itemsize for n, scan in scanned])
-    scratch = _scratch(front + sum(n for n, _ in scanned))
+    # A chunk's bit mask gives the head's coins and the window's whole bytes,
+    # coin i of a byte in bit i; the pad bits are zeroed here and never
+    # written, so one flat pack per chunk keeps the walks and the two parts
+    # apart. The front of the scratch buffer holds the mask while the block
+    # is drawn, then the window's running sums; the window's packed bytes,
+    # walks on axis 1, follow.
+    split, size = -(-head // 8), -(-width // 8)
+    scan = _scan_dtype(width)
+    mask_shape = (min(rows, count), 8 * (split + size))
+    front = max(mask_shape[0] * mask_shape[1], size * count * scan.itemsize)
+    scratch = _scratch(front + size * count)
     bits = scratch[: mask_shape[0] * mask_shape[1]].view(bool).reshape(mask_shape)
-    for (lo, hi, _), end in zip(segments, offsets[1:]):
-        bits[:, 8 * end - (-(hi - lo) % 8) : 8 * end] = False
-    # per non-empty segment: head counts, or packed bytes with walks on axis 1
-    tallies, at = [], front
-    for (lo, hi, extreme), size in zip(segments, sizes):
-        if lo == hi or extreme is None:
-            tallies.append(None if lo == hi else np.empty(count, dtype=np.int64))
-        else:
-            tallies.append(scratch[at : at + size * count].reshape(size, count))
-            at += size * count
+    bits[:, head : 8 * split] = False
+    bits[:, 8 * split + width :] = False
+    window = scratch[front:].reshape(size, count)
+    heads = np.zeros(count, dtype=np.int64)
     for first in range(0, count, rows):
         raw = coin_bytes(rng, min(rows, count - first) * length).reshape(-1, length)
         last = first + len(raw)
         chunk = bits[: len(raw)]
-        for (lo, hi, _), start in zip(segments, offsets):
-            np.greater_equal(raw[:, lo:hi], 128, out=chunk[:, 8 * start : 8 * start + hi - lo])
+        np.greater_equal(raw[:, :head], 128, out=chunk[:, :head])
+        np.greater_equal(raw[:, head:], 128, out=chunk[:, 8 * split : 8 * split + width])
         packed = np.packbits(chunk, bitorder="little").reshape(len(raw), -1)
-        for (_, _, extreme), tally, start, end in zip(segments, tallies, offsets, offsets[1:]):
-            if tally is None:
-                continue
-            if extreme is None:
-                tally[first:last] = np.bitwise_count(packed[:, start:end]).sum(axis=1,
-                                                                                dtype=np.int64)
-            else:
-                tally[:, first:last] = packed[:, start:end].T
-    value = np.zeros(count, dtype=np.int64)  # the drawn walk's, before any mirror
-    ends, peaks = (np.empty((count, len(bounds) - 1), dtype=np.int64) for _ in range(2))
-    for j, ((lo, hi, extreme), tally) in enumerate(zip(segments, tallies)):
-        width, start = hi - lo, value
-        if extreme is None or not width:
-            if width:
-                value = start + 2 * tally - width
-            # an empty segment holds no prefix sum and reports its end instead
-            ends[:, j] = peaks[:, j] = signs * value
-            continue
-        # scan the walk read as mirror * (drawn walk) for its highest prefix,
-        # one row of bytes per eight coins, each column a walk
-        mirror = signs * _EXTREMES[extreme]
-        real = np.full(tally.shape[0], 0xFF, dtype=np.uint8)
+        if head:
+            heads[first:last] = np.bitwise_count(packed[:, :split]).sum(axis=1, dtype=np.int64)
+        window[:, first:last] = packed[:, split:].T
+    at_head = signs * (2 * heads - head)
+    if not width:  # the window holds no prefix sum
+        return at_head, at_head.copy(), at_head.copy()
+    if np.any(signs < 0):
+        real = np.full(size, 0xFF, dtype=np.uint8)
         real[-1] >>= -width % 8  # the pad bits stay 0, -1 steps
-        tally ^= real[:, None] * (mirror < 0)
-        scan = _scan_dtype(width)
-        run = scratch[: tally.size * scan.itemsize].view(scan).reshape(tally.shape)
-        np.bitwise_count(tally, out=run)
-        run <<= 1
-        run -= 8  # a byte's step sum is 2 * popcount - 8
-        # np.cumsum would run one scalar chain per walk, while adding whole
-        # rows vectorises over walks
-        for k in range(1, run.shape[0]):
-            run[k] += run[k - 1]
-        value = start + mirror * (run[-1] + -width % 8)  # less the -1 pad steps
-        ends[:, j] = signs * value
-        # take() reads its indices as intp, 8 bytes per packed byte, so the
-        # table is read a chunk's worth of rows at a time
-        group = max(1, _CHUNK_COINS // 8 // count)
-        for k in range(0, run.shape[0], group):
-            run[k : k + group] += np.take(_BYTE_TOP, tally[k : k + group])
-        peaks[:, j] = _EXTREMES[extreme] * (mirror * start + run.max(axis=0))
-    return ends, peaks
+        window ^= real[:, None] * (signs < 0)
+    # scan the window one row of bytes per eight coins, each column a walk
+    run = scratch[: window.size * scan.itemsize].view(scan).reshape(window.shape)
+    np.bitwise_count(window, out=run)
+    run <<= 1
+    run -= 8  # a byte's step sum is 2 * popcount - 8
+    # np.cumsum would run one scalar chain per walk, while adding whole
+    # rows vectorises over walks
+    for k in range(1, size):
+        run[k] += run[k - 1]
+    ends = at_head + (run[-1] + -width % 8)  # less the -1 pad steps
+    # take() reads its indices as intp, 8 bytes per packed byte, so the
+    # table is read a chunk's worth of rows at a time
+    group = max(1, _CHUNK_COINS // 8 // count)
+    for k in range(0, size, group):
+        run[k : k + group] += np.take(_BYTE_TOP, window[k : k + group])
+    return at_head, ends, at_head + run.max(axis=0)
 
 
 def _as_direction(direction) -> int:

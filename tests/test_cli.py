@@ -2,6 +2,7 @@ import ast
 import csv
 import functools
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinlab
+from coinlab import matrices, mc
 from coinlab.cli import _EXPERIMENTS, _FLAG_KINDS, _flags_of, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -477,6 +479,33 @@ def test_every_export_resolves(module):
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
     assert [name for name in namespace.__all__
             if name not in _referenced_names() | _UNREFERENCED_EXPORTS] == []
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, coins", [("fact3", 16), ("lemma52-1", 200), ("lemma52-2", 3420),
+                                         ("lemma71", 40), ("spectral", 32 * 32**2)])
+def test_benchmark_reads_coins_per_trial_off_each_counter(name, coins, monkeypatch):
+    # perfbench's traced runs count mc.flips from the keywords each counter
+    # is bound with, so a renamed keyword would count no flips at all
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    counters = []
+
+    def capture(counter, *args, **kwargs):
+        counters.append(counter)
+        raise _Captured
+
+    monkeypatch.setattr(mc, "run_blocks", capture)
+    monkeypatch.setattr(matrices, "run_blocks", capture)
+    runner, defaults, _ = _EXPERIMENTS[name]
+    with pytest.raises(_Captured):
+        runner({**defaults, "seed": 0, "workers": 1})
+    assert tracing.flips_per_trial(counters[0]) == coins
 
 
 # Upper ends keep each run cheap; flags always passed keep any default of

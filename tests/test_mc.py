@@ -23,7 +23,7 @@ from coinlab.mc import (
     verify_lemma71,
 )
 from coinlab.exact import prob_max_ge_reflection
-from coinlab.walks import StoppingStrategy, WalkTrace, apply_stop, draw_steps, segment_stats
+from coinlab.walks import StoppingStrategy, WalkTrace, apply_stop, draw_steps, walk_peaks
 
 
 def _sum_counter(rng, count, start):
@@ -234,13 +234,13 @@ def test_lemma71_rejects_empty_walk():
 def test_counter_agrees_with_walk_layer():
     # the vectorized counters must see exactly the walks the walk layer sees
     rng_a = np.random.default_rng(np.random.SeedSequence((42, 0)))
-    ends, tops = segment_stats(rng_a, 8, 25, (), ["max"])
+    _, ends, tops = walk_peaks(rng_a, 8, 25)
     rng_b = np.random.default_rng(np.random.SeedSequence((42, 0)))
     steps = rng_b.integers(0, 2, size=(8, 25), dtype=np.int8) * 2 - 1
     for i in range(8):
         trace = WalkTrace.from_steps(steps[i])
-        assert trace.prefix_sums[-1] == ends[i, 0]
-        assert trace.run_max == max(0, tops[i, 0])
+        assert trace.prefix_sums[-1] == ends[i]
+        assert trace.run_max == max(0, tops[i])
 
 
 def _block_sums(block, count, length):
@@ -276,7 +276,7 @@ def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, thresh
     # against every walk gives; an integer reaches a float level at its ceiling
     from coinlab.mc import _tail_counter
 
-    ends, tops = segment_stats(np.random.default_rng(seed), count, length, (), ("max",))
+    _, ends, tops = walk_peaks(np.random.default_rng(seed), count, length)
     # levels at, just above and just below the extremes of both statistics
     for edge in edges:
         for stat in (ends, tops):
@@ -284,8 +284,8 @@ def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, thresh
     tallies = _tail_counter(np.random.default_rng(seed), count, 0, length=length,
                             thresholds=thresholds)
     levels = np.asarray(thresholds, dtype=np.float64)[:, None]
-    expected = np.concatenate([np.count_nonzero(tops[:, 0] >= levels, axis=1),
-                               np.count_nonzero(ends[:, 0] >= levels, axis=1)])
+    expected = np.concatenate([np.count_nonzero(tops >= levels, axis=1),
+                               np.count_nonzero(ends >= levels, axis=1)])
     assert tallies.tolist() == expected.tolist()
 
 

@@ -13,8 +13,8 @@ from coinlab.walks import (
     apply_stop,
     coin_bytes,
     draw_steps,
-    segment_stats,
     substream_bytes,
+    walk_peaks,
 )
 from coinlab.walks import _pcg64_state, _substream_seeds
 
@@ -167,129 +167,116 @@ def test_batched_stop_matches_reference_row_by_row(case):
         assert (scalar.stop_index, scalar.value) == expected
 
 
-def _assert_stats_match_cumsum(count, length, cuts, seed, extremes, signs):
+def _assert_peaks_match_cumsum(count, length, head, seed, signs):
     rng = np.random.default_rng(seed)
-    ends, peaks = segment_stats(rng, count, length, cuts, extremes, signs)
+    at_head, ends, tops = walk_peaks(rng, count, length, head, signs)
     reference = np.random.default_rng(seed)
-    sums = np.asarray(signs)[..., None] * np.cumsum(draw_steps(reference, (count, length)), axis=1)
+    steps = np.asarray(signs)[..., None] * draw_steps(reference, (count, length))
     assert rng.bit_generator.state == reference.bit_generator.state
-    bounds = [0, *cuts, length]
-    assert ends.shape == peaks.shape == (count, len(bounds) - 1)
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        end = sums[:, hi - 1] if hi else np.zeros(count, dtype=sums.dtype)
-        inside = sums[:, lo:hi] if hi > lo else end[:, None]  # empty: the end value
-        assert np.array_equal(ends[:, j], end)
-        if extremes[j] is None:
-            assert np.array_equal(peaks[:, j], end)
-        elif extremes[j] == "max":
-            assert np.array_equal(peaks[:, j], inside.max(axis=1))
-        else:
-            assert np.array_equal(peaks[:, j], inside.min(axis=1))
+    sums = np.zeros((count, length + 1), dtype=np.int64)  # column k holds S_k
+    np.cumsum(steps, axis=1, out=sums[:, 1:])
+    assert at_head.shape == ends.shape == tops.shape == (count,)
+    assert np.array_equal(at_head, sums[:, head])
+    assert np.array_equal(ends, sums[:, length])
+    window = sums[:, head + 1 :] if head < length else sums[:, head : head + 1]
+    assert np.array_equal(tops, window.max(axis=1))
+
+
+_signs = st.sampled_from([-1, 1])
 
 
 @st.composite
-def stats_cases(draw):
+def peaks_cases(draw):
     count = draw(st.integers(1, 40))
     length = draw(st.integers(1, 70))
-    cut = st.integers(0, length) | st.integers(0, length // 8).map(lambda k: 8 * k)
-    cuts = sorted(draw(st.lists(cut, max_size=4)))
-    extremes = draw(st.lists(st.sampled_from([None, "max", "min"]),
-                             min_size=len(cuts) + 1, max_size=len(cuts) + 1))
-    sign = st.sampled_from([-1, 1])
-    signs = draw(sign | st.lists(sign, min_size=count, max_size=count).map(np.array))
-    return count, length, cuts, draw(st.integers(0, 2**32 - 1)), extremes, signs
+    head = draw(st.integers(0, length) | st.integers(0, length // 8).map(lambda k: 8 * k))
+    signs = draw(_signs | st.lists(_signs, min_size=count, max_size=count).map(np.array))
+    return count, length, head, draw(st.integers(0, 2**32 - 1)), signs
 
 
-@given(stats_cases())
-@example((3, 20, [8, 8, 13], 0, ["max", "min", "max", "min"], 1))  # equal cuts: an empty segment
-@example((2, 5, [0, 5], 1, ["min", "max", "max"], -1))  # empty first and last segments
-@example((4, 70, [3, 64], 2, ["max", "min", "max"], np.array([1, -1, -1, 1])))  # whole and odd bytes
-@example((5, 23, [16], 3, [None, "min"], np.array([-1, 1, 1, -1, 1])))  # the two-phase reading
+@given(peaks_cases())
+@example((3, 20, 0, 0, 1))  # an empty head
+@example((2, 5, 5, 1, -1))  # an empty window
+@example((4, 70, 64, 2, np.array([1, -1, -1, 1])))  # a head on a byte boundary
+@example((5, 23, 13, 3, np.array([-1, 1, 1, -1, 1])))  # an odd head, per-walk signs
+@example((6, 16, 0, 4, 1))  # fact3 and lemma71: the tail counter
+@example((6, 200, 0, 5, np.array([1, -1, 1, -1, 1, -1])))  # lemma52-1: directional hits
+@example((5, 72, 63, 6, -1))  # lemma52-2: the two-phase counter
+@example((2, 40_000, 12_345, 7, np.array([1, -1])))  # past 2**15 steps the scan is int32
 @settings(max_examples=200, deadline=None)
-def test_segment_stats_match_cumsum_of_draw_steps(case):
-    _assert_stats_match_cumsum(*case)
+def test_walk_peaks_match_cumsum_of_draw_steps(case):
+    _assert_peaks_match_cumsum(*case)
 
 
-def test_segment_stats_long_walks_scan_wider():
-    # past 2**15 steps a prefix sum may leave int16, so the scan widens
-    _assert_stats_match_cumsum(2, 40_000, [12_345], 5, ["min", "max"], np.array([1, -1]))
+def test_walk_peaks_long_walks_scan_wider():
+    # past 2**15 steps a prefix sum may leave int16, so the scan widens; here
+    # the head itself is past 2**15 and every walk is mirrored
+    _assert_peaks_match_cumsum(3, 40_000, 33_000, 5, -1)
 
 
 @st.composite
-def chunked_stats_cases(draw):
+def chunked_peaks_cases(draw):
     # chunks of 8 to 64 coins: walks longer than a chunk, odd lengths (a chunk
     # then holds four walks, so its bytes end on a 4-byte word) and counts
     # that leave a partial last chunk
     chunk_coins = draw(st.integers(8, 64))
     length = draw(st.integers(1, 90))
     count = draw(st.integers(1, 30))
-    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=3)))
-    extremes = draw(st.lists(st.sampled_from([None, "max", "min"]),
-                             min_size=len(cuts) + 1, max_size=len(cuts) + 1))
-    sign = st.sampled_from([-1, 1])
-    signs = draw(sign | st.lists(sign, min_size=count, max_size=count).map(np.array))
-    return chunk_coins, (count, length, cuts, draw(st.integers(0, 2**32 - 1)), extremes, signs)
+    head = draw(st.integers(0, length))
+    signs = draw(_signs | st.lists(_signs, min_size=count, max_size=count).map(np.array))
+    return chunk_coins, (count, length, head, draw(st.integers(0, 2**32 - 1)), signs)
 
 
-@given(chunked_stats_cases())
-@example((8, (7, 9, [4], 0, ["max", "min"], 1)))  # odd walks longer than a chunk
-@example((64, (30, 13, [13], 1, [None, "max"], -1)))  # four walks a chunk, a partial last
-@example((16, (5, 70, [3, 64], 2, ["min", None, "max"], np.array([1, -1, -1, 1, 1]))))
+@given(chunked_peaks_cases())
+@example((8, (7, 9, 4, 0, 1)))  # odd walks longer than a chunk
+@example((64, (30, 13, 13, 1, -1)))  # four walks a chunk, a partial last
+@example((16, (5, 70, 3, 2, np.array([1, -1, -1, 1, 1]))))
 @settings(max_examples=200, deadline=None)
-def test_segment_stats_chunks_match_one_shot_draw(case):
+def test_walk_peaks_chunks_match_one_shot_draw(case):
     # chunk by chunk, the draws must join up to the one-shot draw and leave
-    # the generator where it does, which _assert_stats_match_cumsum checks
-    chunk_coins, stats_case = case
+    # the generator where it does, which _assert_peaks_match_cumsum checks
+    chunk_coins, peaks_case = case
     with mock.patch.object(coinlab.walks, "_CHUNK_COINS", chunk_coins):
-        _assert_stats_match_cumsum(*stats_case)
+        _assert_peaks_match_cumsum(*peaks_case)
 
 
-@pytest.mark.parametrize("count, length, cuts, extremes, budget", [
+@pytest.mark.parametrize("count, length, head, signs, budget", [
     # lemma52-2's block of 2452 two-phase walks (8.4 M coins): one chunk of
-    # raw coins, a head count per walk and one bit per scanned coin
-    (2452, 3420, (3240,), (None, "min"), 2 * 2**20),
+    # raw coins, a head count per walk and one bit per window coin
+    (2452, 3420, 3240, -1, 2 * 2**20),
     # 12.8 M coins scanned whole: one bit and one int32 running sum per
     # eight coins, and the byte table read a chunk of rows at a time
-    (128, 10**5, (), ("max",), 12 * 2**20),
+    (128, 10**5, 0, 1, 12 * 2**20),
 ])
-def test_segment_stats_memory_is_a_chunk_not_a_block(count, length, cuts, extremes, budget,
-                                                     traced_peak):
-    segment_stats(np.random.default_rng(0), 8, length, cuts, extremes)
+def test_walk_peaks_memory_is_a_chunk_not_a_block(count, length, head, signs, budget,
+                                                  traced_peak):
+    walk_peaks(np.random.default_rng(0), 8, length, head, signs)
     rng = np.random.default_rng(0)
     # a fresh scratch buffer, so the call's own share of it is traced too
     with mock.patch.object(coinlab.walks, "_SCRATCH", threading.local()):
-        _, peak = traced_peak(lambda: segment_stats(rng, count, length, cuts, extremes))
+        _, peak = traced_peak(lambda: walk_peaks(rng, count, length, head, signs))
     assert peak < budget
 
 
-def test_segment_stats_keeps_its_scratch_between_calls():
+def test_walk_peaks_keeps_its_scratch_between_calls():
     # a second block of the same shape reuses the first one's buffer
-    segment_stats(np.random.default_rng(0), 300, 200, (), ("max",))
+    walk_peaks(np.random.default_rng(0), 300, 200)
     buffer = coinlab.walks._SCRATCH.buffer
-    segment_stats(np.random.default_rng(1), 300, 200, (), ("max",))
+    walk_peaks(np.random.default_rng(1), 300, 200)
     assert coinlab.walks._SCRATCH.buffer is buffer
 
 
-def test_segment_stats_rejects_bad_cuts():
+def test_walk_peaks_rejects_bad_arguments():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [6, 4], ["max"] * 3)
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [11], ["max"] * 2)
-    with pytest.raises(ValueError):
-        segment_stats(rng, 0, 10, [], ["max"])
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [4], ["max"])  # one name per segment
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [], ["mean"])
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [], ["max"], np.array([1, 0]))
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [], ["max"], np.array([1, -1, 1]))
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [], ["max"], 1.5)  # not read as +1
-    with pytest.raises(ValueError):
-        segment_stats(rng, 2, 10, [], ["max"], np.array([True, True]))
+    for count, head, signs, refusal in [
+        (2, -1, 1, "head"), (2, 11, 1, "head"),  # a head outside [0, length]
+        (0, 0, 1, "count"),
+        (2, 4, np.array([1, 0]), "signs"), (2, 4, np.array([1, -1, 1]), "signs"),
+        (2, 4, 0, "signs"), (2, 4, 1.5, "signs"),  # 1.5 is not read as +1
+        (2, 4, np.array([True, True]), "signs"),
+    ]:
+        with pytest.raises(ValueError, match=refusal):
+            walk_peaks(rng, count, 10, head, signs)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 5), (7, 3), (13, 1), (8, 8), (57, 60), (5, 5)])
@@ -317,22 +304,14 @@ def test_int8_coins_are_bit_7_of_generator_bytes(shape):
     assert len(ends) == 1
 
 
-def _same_state(a, b):
-    # bit_generator.state dicts; Philox and MT19937 hold arrays in theirs
-    if isinstance(a, dict):
-        return isinstance(b, dict) and a.keys() == b.keys() and all(
-            _same_state(a[key], b[key]) for key in a)
-    return np.array_equal(a, b)
-
-
 def _assert_same_generators(*rngs):
     # A 64-bit draw cannot tell generators apart that differ only in the
     # buffered half of a uint32 word, so compare the whole state, then one
     # more draw of an odd number of words (3) from each.
-    assert all(_same_state(rng.bit_generator.state, rngs[0].bit_generator.state) for rng in rngs)
+    assert all(rng.bit_generator.state == rngs[0].bit_generator.state for rng in rngs)
     draws = [coin_bytes(rng, 9) for rng in rngs]
     assert all(np.array_equal(draw, draws[0]) for draw in draws)
-    assert all(_same_state(rng.bit_generator.state, rngs[0].bit_generator.state) for rng in rngs)
+    assert all(rng.bit_generator.state == rngs[0].bit_generator.state for rng in rngs)
 
 
 def test_coin_bytes_rejects_empty_draws():
@@ -367,14 +346,17 @@ def test_coin_bytes_matches_integers_words(seed, before, size, calls):
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.SFC64,
                                            np.random.Philox, np.random.MT19937])
 @pytest.mark.parametrize("before", [0, 1])
-def test_coin_bytes_of_other_bit_generators_are_integers_words(bit_generator, before):
-    by_coin_bytes, by_integers = (np.random.Generator(bit_generator(11)) for _ in range(2))
-    for rng in (by_coin_bytes, by_integers):
+def test_coin_bytes_refuses_other_bit_generators(bit_generator, before):
+    # every engine's generator comes from default_rng, whose bit generator is
+    # PCG64; a refused draw leaves the generator, buffered half-word and all,
+    # where its twin is
+    refused, untouched = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    for rng in (refused, untouched):
         rng.integers(0, 2**32, size=before, dtype=np.uint32)
-    for size, calls in ((5, 3), (8, 1), (3, 1)):
-        assert np.array_equal(coin_bytes(by_coin_bytes, size, calls),
-                              _integers_bytes(by_integers, size, calls))
-    _assert_same_generators(by_coin_bytes, by_integers)
+    with pytest.raises(ValueError, match=bit_generator.__name__):
+        coin_bytes(refused, 8)
+    assert np.array_equal(refused.integers(0, 2**32, size=3, dtype=np.uint32),
+                          untouched.integers(0, 2**32, size=3, dtype=np.uint32))
 
 
 def _words(k):
