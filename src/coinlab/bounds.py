@@ -3,20 +3,22 @@
 Derives the detection and deviation thresholds used throughout the lab from
 the population size ``n`` and corruption budget ``t``, evaluates the tail
 bound for adversarially stopped streams, and checks the fixed numeric
-claims that the end-to-end resilience argument chains together.
+claims that the end-to-end resilience argument chains together. It also
+holds the one rule every report's verdicts come from, ``verdict``, and the
+row of a boolean claim, ``check``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "Params",
     "DerivedThresholds",
-    "ClaimCheck",
-    "ClaimReport",
     "derive",
     "lemma52_part1_bound",
+    "verdict",
+    "check",
     "check_claims",
 ]
 
@@ -118,25 +120,27 @@ def lemma52_part1_bound(params: Params) -> float:
     return 2.0 * math.exp(-(bq * bq) / (2.0 * t * n))
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
-    """One numeric claim: lhs RELATION rhs, with the computed sides kept."""
+def verdict(low: float, high: float, bound: float, relation: str) -> str:
+    """The verdict on the claim ``value RELATION bound`` for a value known
+    to lie in [low, high]: "pass" when the whole interval sits on the
+    claimed side, "fail" when it sits wholly on the other side, and
+    "inconclusive" when it straddles the bound (unavoidable for
+    equality-tight claims, so callers treat it as non-blocking). A point
+    value is low == high, which is never inconclusive."""
+    if relation == "<=":
+        if high <= bound:
+            return "pass"
+        return "fail" if low > bound else "inconclusive"
+    if relation == ">=":
+        if low >= bound:
+            return "pass"
+        return "fail" if high < bound else "inconclusive"
+    raise ValueError(f"relation must be '<=' or '>=', got {relation!r}")
 
-    claim_id: str
-    description: str
-    lhs: float
-    rhs: float
-    relation: str
-    passed: bool
 
-
-@dataclass(frozen=True)
-class ClaimReport:
-    """Result of check_claims: the four chained numeric claims plus notes."""
-
-    params: Params
-    claims: tuple[ClaimCheck, ...]
-    notes: tuple[str, ...] = field(default=())
+def check(claim_id: str, passed: bool, **fields) -> dict:
+    """A report row whose verdict is a plain pass/fail of ``passed``."""
+    return {"claim_id": claim_id, **fields, "verdict": "pass" if passed else "fail"}
 
 
 _NOTES = (
@@ -151,8 +155,9 @@ _NOTES = (
 )
 
 
-def check_claims(params: Params) -> ClaimReport:
-    """Check the fixed numeric claims of the resilience chain at ``params.n``.
+def check_claims(params: Params) -> list[dict]:
+    """Report rows for the fixed numeric claims of the resilience chain at
+    ``params.n``, then the notes and the derived thresholds.
 
     Each claim pins its own corruption fraction (t = .005n or t = 1e-6 n),
     evaluated real-valued; all four are scale-free in n apart from claim (a)'s
@@ -164,52 +169,26 @@ def check_claims(params: Params) -> ClaimReport:
     t_a = 0.005 * n
     bq = _beta_quarter(n, t_a)
     bound_a = 2.0 * math.exp(-(bq * bq) / (2.0 * t_a * n))
-    claim_a = ClaimCheck(
-        claim_id="stopped_tail_below_e11",
-        description="at t=.005n the stopped-stream deviation bound is at most e^-11",
-        lhs=bound_a,
-        rhs=math.exp(-11.0),
-        relation="<=",
-        passed=bound_a <= math.exp(-11.0),
-    )
-
     # (b) the first-segment success margin survives subtracting e^-11
     margin = 0.211 - math.exp(-11.0)
-    claim_b = ClaimCheck(
-        claim_id="margin_over_one_twentieth",
-        description=".211 - e^-11 exceeds 1/20",
-        lhs=margin,
-        rhs=1.0 / 20.0,
-        relation=">",
-        passed=margin > 1.0 / 20.0,
-    )
-
     # (c) at t = 1e-6 n the half-deviation squared clears .49999 n^2
-    t_c = 1e-6 * n
-    bh = _beta_half(n, t_c)
-    ratio = (bh / n) ** 2
-    claim_c = ClaimCheck(
-        claim_id="half_deviation_lower_bound",
-        description="at t=1e-6 n, (beta/2)^2 exceeds .49999 n^2",
-        lhs=ratio,
-        rhs=0.49999,
-        relation=">",
-        passed=ratio > 0.49999,
-    )
-
+    ratio = (_beta_half(n, 1e-6 * n) / n) ** 2
     # (d) the resilience product chain lands in the published window (epsilon -> 0)
     product = (2.0 / 3.0) * 0.001 * (0.0183**2) * (0.49999**2) * (7.0**-2)
-    claim_d = ClaimCheck(
-        claim_id="resilience_product_window",
-        description="(2/3)(.001)(.0183)^2(.49999)^2 (7+2e)^-2 at e->0 lies in [1.13e-9, 1.15e-9]",
-        lhs=product,
-        rhs=1.15e-9,
-        relation="in [1.13e-9, 1.15e-9]",
-        passed=1.13e-9 <= product <= 1.15e-9,
-    )
-
-    return ClaimReport(
-        params=params,
-        claims=(claim_a, claim_b, claim_c, claim_d),
-        notes=_NOTES,
-    )
+    return [
+        check("stopped_tail_below_e11", bound_a <= math.exp(-11.0),
+              description="at t=.005n the stopped-stream deviation bound is at most e^-11",
+              lhs=bound_a, rhs=math.exp(-11.0), relation="<="),
+        check("margin_over_one_twentieth", margin > 1.0 / 20.0,
+              description=".211 - e^-11 exceeds 1/20", lhs=margin, rhs=1.0 / 20.0,
+              relation=">"),
+        check("half_deviation_lower_bound", ratio > 0.49999,
+              description="at t=1e-6 n, (beta/2)^2 exceeds .49999 n^2", lhs=ratio,
+              rhs=0.49999, relation=">"),
+        check("resilience_product_window", 1.13e-9 <= product <= 1.15e-9,
+              description="(2/3)(.001)(.0183)^2(.49999)^2 (7+2e)^-2 at e->0 lies in "
+                          "[1.13e-9, 1.15e-9]",
+              lhs=product, rhs=1.15e-9, relation="in [1.13e-9, 1.15e-9]"),
+        {"kind": "notes", "notes": list(_NOTES)},
+        {"claim_id": "derived_thresholds", "kind": "info", "thresholds": asdict(derive(params))},
+    ]

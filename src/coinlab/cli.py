@@ -9,43 +9,33 @@ that dies and a reader that closes standard output before the report is
 written, 2 on usage errors, including parameters an experiment rejects and
 config-file values of the wrong type.
 
-Each experiment is declared once, in ``_EXPERIMENTS``: its runner, its
+Each experiment is declared once, in ``_EXPERIMENTS``: its engine, its
 defaults and the flags it reads beyond the common ones. The subparsers,
 ``all`` and the config-file checks are derived from that table, so a
-config file accepts exactly the keys the subcommand accepts as flags.
+config file accepts exactly the keys the subcommand accepts as flags. An
+engine returns its experiment's report rows; ``_timed_run`` leads each row
+with the experiment's name and adds the error and timing rows.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
-import math
 import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, replace
-
-import numpy as np
 
 from . import __version__
-from .bounds import Params, check_claims, derive, lemma52_part1_bound
-from .exact import prob_max_ge_enumeration, prob_max_ge_reflection, prob_sum_ge
-from .iteration import (IterationConfig, _stopped_walks, rounds_per_block, run_agreement,
-                        run_rounds)
-from .matrices import (
-    ConvergenceError,
-    SpectralCheckError,
-    norm_2x2,
-    spectral_norms,
-    verify_norm_bound,
-)
+from .bounds import Params, check_claims
+from .iteration import IterationConfig, verify_agreement, verify_coin_iter
+from .matrices import ConvergenceError, SpectralCheckError, verify_norm_bound
 from .mc import (
     DEFAULT_TRIALS_COMPOSITE,
     DEFAULT_TRIALS_SINGLE,
-    McEstimate,
     verify_fact3_mc,
     verify_lemma52_part1,
     verify_lemma52_part2,
@@ -53,229 +43,6 @@ from .mc import (
 )
 
 __all__ = ["run", "main"]
-
-_ENUM_ROW_LIMIT = 20  # identity rows enumerate all 2**n walks; keep it snappy
-
-
-def _params_from(cfg: dict) -> Params:
-    return Params(**{k: cfg[k] for k in ("n", "t", "epsilon", "c1", "m") if k in cfg})
-
-
-def _verdict_row(experiment: str, verdict) -> dict:
-    return {"experiment": experiment, **asdict(verdict)}
-
-
-def _check(experiment: str, claim_id: str, passed: bool, **fields) -> dict:
-    """A row whose verdict is a plain pass/fail of ``passed``."""
-    return {"experiment": experiment, "claim_id": claim_id, **fields,
-            "verdict": "pass" if passed else "fail"}
-
-
-# --- experiment runners (each returns a list of result rows) ---
-
-def _run_fact3(cfg: dict) -> list[dict]:
-    n = cfg["n"]
-    verdicts = verify_fact3_mc(n, cfg["trials"], cfg["seed"], cfg["workers"])
-    if n <= _ENUM_ROW_LIMIT:
-        mismatches = [
-            r for r in range(1, n + 1)
-            if prob_max_ge_enumeration(n, r) != prob_max_ge_reflection(n, r)
-        ]
-        head = _check("fact3", "enumeration_matches_reflection_identity", not mismatches,
-                      kind="exact", thresholds_checked=n, mismatches=mismatches)
-    else:
-        head = {
-            "experiment": "fact3",
-            "kind": "note",
-            "note": f"exact enumeration skipped for n={n} > {_ENUM_ROW_LIMIT}",
-        }
-    return [head] + [_verdict_row("fact3", v) for v in verdicts]
-
-
-def _run_lemma52_1(cfg: dict) -> list[dict]:
-    params = _params_from(cfg)
-    bound = lemma52_part1_bound(params)
-    rows = [{
-        "experiment": "lemma52-1",
-        "claim_id": "analytic_tail_bound_value",
-        "kind": "info",
-        "analytic_bound": bound,
-        "e_minus_11": math.exp(-11.0),
-        "below_e_minus_11": bool(bound <= math.exp(-11.0)),
-    }]
-    verdict = verify_lemma52_part1(params, cfg["trials"], cfg["seed"], cfg["workers"])
-    rows.append(_verdict_row("lemma52-1", verdict))
-    return rows
-
-
-def _run_lemma52_2(cfg: dict) -> list[dict]:
-    params = _params_from(cfg)
-    report = verify_lemma52_part2(params, cfg["trials"], cfg["seed"], cfg["workers"])
-    return [
-        {
-            "experiment": "lemma52-2",
-            "claim_id": "two_phase_structural_decomposition",
-            "verdict": "pass" if report.structural_check["passed"] else "fail",
-            "report": asdict(report),
-        },
-        {
-            # The benchmark constant's deviation convention is not
-            # reproducible from the material implemented here, so this row
-            # carries no verdict.
-            "experiment": "lemma52-2",
-            "claim_id": "first_segment_rate_vs_benchmark",
-            "kind": "info",
-            "p_first": report.p_first.p_hat,
-            "benchmark": report.first_benchmark,
-        },
-    ]
-
-
-def _run_lemma71(cfg: dict) -> list[dict]:
-    sweep = verify_lemma71(_params_from(cfg), cfg["trials"], cfg["seed"], cfg["workers"])
-    rows = [_verdict_row("lemma71", v) for v in sweep]
-    # exact small case: length 8, threshold 2, straight from the oracles
-    refl = prob_max_ge_reflection(8, 2)
-    enum = prob_max_ge_enumeration(8, 2)
-    twice = 2 * prob_sum_ge(8, 2)
-    rows.append(_check("lemma71", "exact_small_case_length8", refl == enum and refl <= twice,
-                       kind="exact", reflection=str(refl), enumeration=str(enum),
-                       twice_endpoint_tail=str(twice)))
-    return rows
-
-
-def _iteration_config(cfg: dict) -> IterationConfig:
-    return IterationConfig(**{k: cfg[k] for k in _ROUND_FLAGS + ("seed",) if k in cfg})
-
-
-def _round_blocks(config: IterationConfig, count: int):
-    """Rounds 0 .. count-1 of ``config``, one ``run_rounds`` block at a time."""
-    size = rounds_per_block(config)
-    for start in range(0, count, size):
-        yield run_rounds(config, start, min(size, count - start))
-
-
-def _component_failures(rounds) -> tuple[int, int]:
-    """Rounds whose components, recomputed from the raw streams, do not add
-    up to the reported total, and rounds with a stop off the extreme."""
-    config = rounds.config
-    k = config.complete_count
-    stopped_from = k + config.t_excluded
-    core = rounds.streams[:, :k].sum(axis=(1, 2))
-    excluded = rounds.streams[:, k:stopped_from].sum(axis=(1, 2))
-    stopped = np.zeros(len(rounds), dtype=np.int64)
-    off_extreme = np.zeros(len(rounds), dtype=bool)
-    for rows, cols, walks in _stopped_walks(rounds.streams, stopped_from):
-        # walks[..., k - 1] is the sum of the first k coins; a stop at 0 is worth 0
-        stop = rounds.stop_indices[rows, cols]
-        at_stop = np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0]
-        value = np.where(stop > 0, at_stop, 0)
-        extreme = walks.min(axis=-1) if config.direction > 0 else walks.max(axis=-1)
-        stopped[rows] += value.sum(axis=-1)
-        off_extreme[rows] |= (value != extreme).any(axis=-1)
-    rebuilt = core + excluded + stopped + rounds.ambiguous_term + config.bad_contribution
-    additive = np.count_nonzero((rebuilt != rounds.total) | (core != rounds.core_sum))
-    return int(additive), int(np.count_nonzero(off_extreme))
-
-
-def _run_coin_iter(cfg: dict) -> list[dict]:
-    config = _iteration_config(cfg)
-    iterations = cfg["iterations"]
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    # Paired-seed invariance probe: the good event reads only the core, so
-    # changing the adversary's behavioral knobs must not move it.
-    probe = min(iterations, 200)
-    base_events = []
-    additive_failures = 0
-    extreme_failures = 0
-    good_hits = 0
-    for rounds in _round_blocks(config, iterations):
-        if rounds.start < probe:
-            base_events.extend(rounds.good_event[: probe - rounds.start].tolist())
-        additive, extremes = _component_failures(rounds)
-        additive_failures += additive
-        extreme_failures += extremes
-        good_hits += int(np.count_nonzero(rounds.good_event))
-    frequency = McEstimate.from_counts(good_hits, iterations, config.seed)
-
-    variants = [
-        replace(config, ambiguous=0),
-        replace(config, bad_contribution=-config.direction * config.t * config.n),
-    ]
-    invariant = all(
-        [event for rounds in _round_blocks(v, probe) for event in rounds.good_event.tolist()]
-        == base_events
-        for v in variants
-    )
-    return [
-        _check("coin-iter", "deviation_components_additive",
-               additive_failures == 0 and extreme_failures == 0, iterations=iterations,
-               additive_failures=additive_failures, stop_extreme_failures=extreme_failures),
-        _check("coin-iter", "good_event_invariant_to_behavioral_knobs", invariant,
-               paired_rounds=probe),
-        {
-            "experiment": "coin-iter",
-            "claim_id": "good_event_frequency_vs_benchmark",
-            "kind": "info",
-            "empirical": asdict(frequency),
-            "benchmark": 1.0 / 20.0,
-        },
-    ]
-
-
-def _run_agreement(cfg: dict) -> list[dict]:
-    config = _iteration_config(cfg)
-    result = run_agreement(config, cfg["max_iterations"])
-    return [_check("agreement", "agreement_reached_within_budget", result.agreed,
-                   agreed=result.agreed, iterations_used=result.iterations_used,
-                   max_iterations=cfg["max_iterations"])]
-
-
-def _run_spectral(cfg: dict) -> list[dict]:
-    params = _params_from(cfg)
-    report = verify_norm_bound(params, cfg["trials"], cfg["seed"], cfg["workers"])
-    rows = [_verdict_row("spectral", report.exceedance)]
-    rows.append({
-        "experiment": "spectral",
-        "claim_id": "norm_decomposition_summary",
-        "kind": "info",
-        "threshold": report.threshold,
-        "half_threshold_exceedances": report.half_threshold_exceedances,
-        "mean_norms": report.mean_norms,
-        "triangle_checked": report.triangle_checked,
-    })
-
-    # Closed-form oracle cross-check on random 2x2 integer matrices.
-    rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0xFACE)))
-    checked = 1000
-    matrices = rng.integers(-9, 10, size=(checked, 2, 2))
-    matrices[~matrices.any(axis=(1, 2)), 0, 0] = 1
-    expected = np.array([norm_2x2(matrix) for matrix in matrices])
-    worst = float(np.max(np.abs(spectral_norms(matrices)[0] - expected) / expected))
-    rows.append(_check("spectral", "power_iteration_matches_2x2_oracle", worst <= 1e-6,
-                       matrices_checked=checked, worst_relative_difference=worst,
-                       tolerance=1e-6))
-    return rows
-
-
-def _run_constants(cfg: dict) -> list[dict]:
-    params = _params_from(cfg)
-    report = check_claims(params)
-    rows = [_check("constants", c.claim_id, c.passed, description=c.description, lhs=c.lhs,
-                   rhs=c.rhs, relation=c.relation) for c in report.claims]
-    rows.append({
-        "experiment": "constants",
-        "kind": "notes",
-        "notes": list(report.notes),
-    })
-    rows.append({
-        "experiment": "constants",
-        "claim_id": "derived_thresholds",
-        "kind": "info",
-        "thresholds": asdict(derive(params)),
-    })
-    return rows
 
 
 # --- the experiment table ---
@@ -290,27 +57,27 @@ _FLAG_KINDS: dict[str, type] = {
 _COMMON_FLAGS = ("seed", "workers", "out", "format", "config")
 _ROUND_FLAGS = ("n", "t", "t_excluded", "t_stopped", "ambiguous", "direction")
 
-# name -> (runner, defaults, the flags beyond _COMMON_FLAGS that the runner
+# name -> (engine, defaults, the flags beyond _COMMON_FLAGS that the engine
 # reads): the subparsers, `all`, and config-file key checking and casting
-# are all derived from it.
+# are all derived from it. The engine returns the experiment's report rows.
 _EXPERIMENTS: dict[str, tuple] = {
-    "fact3": (_run_fact3, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, ("trials", "n")),
-    "lemma52-1": (_run_lemma52_1, {"n": 200, "t": 1, "trials": DEFAULT_TRIALS_SINGLE},
+    "fact3": (verify_fact3_mc, {"n": 16, "trials": DEFAULT_TRIALS_SINGLE}, ("trials", "n")),
+    "lemma52-1": (verify_lemma52_part1, {"n": 200, "t": 1, "trials": DEFAULT_TRIALS_SINGLE},
                   ("trials", "n", "t")),
-    "lemma52-2": (_run_lemma52_2, {"n": 60, "t": 3, "trials": DEFAULT_TRIALS_COMPOSITE},
+    "lemma52-2": (verify_lemma52_part2, {"n": 60, "t": 3, "trials": DEFAULT_TRIALS_COMPOSITE},
                   ("trials", "n", "t")),
-    "lemma71": (_run_lemma71, {"n": 40, "t": 2, "m": 10, "c1": 0.05,
-                               "trials": DEFAULT_TRIALS_COMPOSITE},
+    "lemma71": (verify_lemma71, {"n": 40, "t": 2, "m": 10, "c1": 0.05,
+                                 "trials": DEFAULT_TRIALS_COMPOSITE},
                 ("trials", "n", "t", "c1", "m")),
-    "coin-iter": (_run_coin_iter, {"n": 60, "t": 3, "t_excluded": 1, "t_stopped": 2,
-                                   "iterations": 1000}, _ROUND_FLAGS + ("iterations",)),
-    "agreement": (_run_agreement, {"n": 60, "t": 0, "max_iterations": 1000},
+    "coin-iter": (verify_coin_iter, {"n": 60, "t": 3, "t_excluded": 1, "t_stopped": 2,
+                                     "iterations": 1000}, _ROUND_FLAGS + ("iterations",)),
+    "agreement": (verify_agreement, {"n": 60, "t": 0, "max_iterations": 1000},
                   _ROUND_FLAGS + ("max_iterations",)),
-    "spectral": (_run_spectral, {"n": 32, "t": 1, "m": 32, "epsilon": 0.1, "trials": 1000},
+    "spectral": (verify_norm_bound, {"n": 32, "t": 1, "m": 32, "epsilon": 0.1, "trials": 1000},
                  ("trials", "n", "t", "epsilon", "m")),
-    "constants": (_run_constants, {"n": 1000, "t": 5}, ("n", "t", "epsilon", "m")),
+    "constants": (check_claims, {"n": 1000, "t": 5}, ("n", "t", "epsilon", "m")),
 }
-# `all` has no runner or defaults of its own; its --trials reaches every
+# `all` has no engine or defaults of its own; its --trials reaches every
 # experiment that samples
 _ALL_FLAGS = ("trials",)
 
@@ -322,6 +89,22 @@ def _flags_of(subcommand: str) -> tuple[str, ...]:
 
 
 # --- configuration plumbing ---
+
+def _params_from(cfg: dict) -> Params:
+    return Params(**{k: cfg[k] for k in ("n", "t", "epsilon", "c1", "m") if k in cfg})
+
+
+def _iteration_config(cfg: dict) -> IterationConfig:
+    return IterationConfig(**{k: cfg[k] for k in _ROUND_FLAGS + ("seed",) if k in cfg})
+
+
+def _arguments(engine, cfg: dict) -> dict:
+    """The engine's arguments, by parameter name: ``params`` and ``config``
+    are built from the flags, and any other name is the flag of that name."""
+    built = {"params": _params_from, "config": _iteration_config}
+    return {name: built[name](cfg) if name in built else cfg[name]
+            for name in inspect.signature(engine).parameters}
+
 
 def _load_config_file(path: str) -> dict:
     values: dict = {}
@@ -398,30 +181,22 @@ def _merged_config(subcommand: str, args: argparse.Namespace) -> dict:
 
 def _execute(subcommand: str, cfg: dict) -> list[dict]:
     if subcommand == "all":
-        rows = []
-        for name, (runner, defaults, _) in _EXPERIMENTS.items():
-            rows.extend(_timed_run(name, runner, {**defaults, **cfg}))
-        return rows
-    return _timed_run(subcommand, _EXPERIMENTS[subcommand][0], cfg)
+        return [row for name, (_, defaults, _) in _EXPERIMENTS.items()
+                for row in _timed_run(name, {**defaults, **cfg})]
+    return _timed_run(subcommand, cfg)
 
 
-def _timed_run(name: str, runner, cfg: dict) -> list[dict]:
+def _timed_run(name: str, cfg: dict) -> list[dict]:
+    """The experiment's rows, then its wall time, each row led by the
+    experiment's name; an engine that fails at run time gives one error row."""
+    engine = _EXPERIMENTS[name][0]
     start = time.perf_counter()
     try:
-        rows = runner(cfg)
+        rows = engine(**_arguments(engine, cfg))
     except (ConvergenceError, SpectralCheckError, BrokenProcessPool) as exc:
-        rows = [{
-            "experiment": name,
-            "kind": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "verdict": "fail",
-        }]
-    rows.append({
-        "experiment": name,
-        "kind": "timing",
-        "wall_time_s": time.perf_counter() - start,
-    })
-    return rows
+        rows = [{"kind": "error", "error": f"{type(exc).__name__}: {exc}", "verdict": "fail"}]
+    rows.append({"kind": "timing", "wall_time_s": time.perf_counter() - start})
+    return [{"experiment": name, **row} for row in rows]
 
 
 def _summarize(rows: list[dict]) -> dict:

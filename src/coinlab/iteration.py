@@ -13,16 +13,18 @@ direction.
 call: round i's raw bytes are those ``walks.coin_bytes`` draws from
 ``SeedSequence((seed, i))`` (the coins ``walks.draw_steps`` would draw),
 with no generator built per round. It turns the block into +/-1 steps in
-place and scores it with array operations.
+place and scores it with array operations. ``verify_coin_iter`` and
+``verify_agreement`` are the coin-iter and agreement experiments: each
+returns its report rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bounds import Params, derive
-from .mc import _check_coin_cap, block_size_for
+from .bounds import Params, check, derive
+from .mc import McEstimate, _check_coin_cap, block_size_for
 from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, substream_bytes
 
 # Coins per block of rounds: a block holds about a byte per coin, so about
@@ -38,6 +40,8 @@ __all__ = [
     "rounds_per_block",
     "run_rounds",
     "run_agreement",
+    "verify_coin_iter",
+    "verify_agreement",
 ]
 
 
@@ -237,3 +241,87 @@ def run_agreement(config: IterationConfig, max_iterations: int) -> AgreementResu
             return AgreementResult(agreed=True, iterations_used=start + int(hits[0]) + 1)
         start, size = start + len(rounds), min(2 * size, block)
     return AgreementResult(agreed=False, iterations_used=max_iterations)
+
+
+def _round_blocks(config: IterationConfig, count: int):
+    """Rounds 0 .. count-1 of ``config``, one ``run_rounds`` block at a time."""
+    size = rounds_per_block(config)
+    for start in range(0, count, size):
+        yield run_rounds(config, start, min(size, count - start))
+
+
+def _component_failures(rounds: Rounds) -> tuple[int, int]:
+    """Rounds whose components, recomputed from the raw streams, do not add
+    up to the reported total, and rounds with a stop off the extreme."""
+    config = rounds.config
+    k = config.complete_count
+    stopped_from = k + config.t_excluded
+    core = rounds.streams[:, :k].sum(axis=(1, 2))
+    excluded = rounds.streams[:, k:stopped_from].sum(axis=(1, 2))
+    stopped = np.zeros(len(rounds), dtype=np.int64)
+    off_extreme = np.zeros(len(rounds), dtype=bool)
+    for rows, cols, walks in _stopped_walks(rounds.streams, stopped_from):
+        # walks[..., k - 1] is the sum of the first k coins; a stop at 0 is worth 0
+        stop = rounds.stop_indices[rows, cols]
+        at_stop = np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0]
+        value = np.where(stop > 0, at_stop, 0)
+        extreme = walks.min(axis=-1) if config.direction > 0 else walks.max(axis=-1)
+        stopped[rows] += value.sum(axis=-1)
+        off_extreme[rows] |= (value != extreme).any(axis=-1)
+    rebuilt = core + excluded + stopped + rounds.ambiguous_term + config.bad_contribution
+    additive = np.count_nonzero((rebuilt != rounds.total) | (core != rounds.core_sum))
+    return int(additive), int(np.count_nonzero(off_extreme))
+
+
+def verify_coin_iter(config: IterationConfig, iterations: int) -> list[dict]:
+    """Report rows for ``iterations`` rounds: that every round's components,
+    rebuilt from its streams, add up to its total with each stop at the
+    extreme; that the good event does not move when the adversary's
+    behavioral knobs do; and the good event's frequency next to 1/20."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    # Paired-seed invariance probe: the good event reads only the core, so
+    # changing the adversary's behavioral knobs must not move it.
+    probe = min(iterations, 200)
+    base_events = []
+    additive_failures = 0
+    extreme_failures = 0
+    good_hits = 0
+    for rounds in _round_blocks(config, iterations):
+        if rounds.start < probe:
+            base_events.extend(rounds.good_event[: probe - rounds.start].tolist())
+        additive, extremes = _component_failures(rounds)
+        additive_failures += additive
+        extreme_failures += extremes
+        good_hits += int(np.count_nonzero(rounds.good_event))
+    frequency = McEstimate.from_counts(good_hits, iterations, config.seed)
+
+    variants = [
+        replace(config, ambiguous=0),
+        replace(config, bad_contribution=-config.direction * config.t * config.n),
+    ]
+    invariant = all(
+        [event for rounds in _round_blocks(v, probe) for event in rounds.good_event.tolist()]
+        == base_events
+        for v in variants
+    )
+    return [
+        check("deviation_components_additive",
+              additive_failures == 0 and extreme_failures == 0, iterations=iterations,
+              additive_failures=additive_failures, stop_extreme_failures=extreme_failures),
+        check("good_event_invariant_to_behavioral_knobs", invariant, paired_rounds=probe),
+        {
+            "claim_id": "good_event_frequency_vs_benchmark",
+            "kind": "info",
+            "empirical": asdict(frequency),
+            "benchmark": 1.0 / 20.0,
+        },
+    ]
+
+
+def verify_agreement(config: IterationConfig, max_iterations: int) -> list[dict]:
+    """The report row of ``run_agreement``: whether agreement came within
+    the budget."""
+    result = run_agreement(config, max_iterations)
+    return [check("agreement_reached_within_budget", result.agreed, agreed=result.agreed,
+                  iterations_used=result.iterations_used, max_iterations=max_iterations)]

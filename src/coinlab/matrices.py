@@ -19,14 +19,13 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import Params, derive
-from .mc import McEstimate, VerificationVerdict, _check_coin_cap, run_blocks, verdict_for
+from .bounds import Params, check, derive
+from .mc import McEstimate, _check_coin_cap, run_blocks, verdict_for
 from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, coin_bytes, substream_bytes
 
 __all__ = [
     "IterationSumMatrices",
     "NormEstimate",
-    "NormBoundReport",
     "ConvergenceError",
     "SpectralCheckError",
     "build_G",
@@ -222,23 +221,8 @@ def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold)
     ]
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
-    """Exceedance rates of the iteration-sum norms against the threshold."""
-
-    params: Params
-    trials: int
-    seed: int
-    threshold: float
-    probability_bound: float
-    exceedance: VerificationVerdict
-    half_threshold_exceedances: dict
-    mean_norms: dict
-    triangle_checked: bool
-
-
 def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0,
-                      workers: int = 1) -> NormBoundReport:
+                      workers: int = 1) -> list[dict]:
     """Sample iteration-sum matrices and check the norm threshold claim.
 
     The adversary stops each of the first t columns at its minimum, the
@@ -246,13 +230,14 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0,
     Pr(|G| > (6+2eps) sqrt(n(m+n))) against the 2/(m+n) bound,
     reports the unstopped and correction norms against the half threshold
     (the union-bound split), and hard-fails on any triangle-inequality
-    violation between the three computed norms. A trial of more than
-    ``_MAX_BLOCK_ENTRIES`` coins (m * n * n) is refused before any draw.
+    violation between the three computed norms. A last row checks the
+    batched solve against ``norm_2x2`` on 1000 random 2x2 integer matrices.
+    A trial of more than ``_MAX_BLOCK_ENTRIES`` coins (m * n * n) is refused
+    before any draw.
     """
     _check_coin_cap(params.m * params.n**2,
                     f"a trial of {params.m} rounds of {params.n} x {params.n} coins")
-    thresholds = derive(params)
-    threshold = thresholds.norm_threshold
+    threshold = derive(params).norm_threshold
     counter = partial(
         _norm_trial_counter,
         params_dict=asdict(params),
@@ -262,31 +247,38 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0,
     tallies = run_blocks(counter, trials, seed, _NORM_TRIAL_BLOCK, workers)
     g_exc, r_exc, z_exc = (int(v) for v in tallies[:3])
     sum_g, sum_r, sum_z = (float(v) for v in tallies[3:])
-    bound = 2.0 / (params.m + params.n)
-    est = McEstimate.from_counts(g_exc, trials, seed)
-    exceedance = verdict_for(
-        claim_id="iteration_sum_norm_exceedance",
-        empirical=est,
-        bound=bound,
-        relation="<=",
-        details={"threshold": threshold},
-    )
-    return NormBoundReport(
-        params=params,
-        trials=trials,
-        seed=seed,
-        threshold=threshold,
-        probability_bound=bound,
-        exceedance=exceedance,
-        half_threshold_exceedances={
-            "full_sums": r_exc,
-            "correction_sums": z_exc,
-            "half_threshold": threshold / 2.0,
+    rows = [
+        verdict_for(
+            claim_id="iteration_sum_norm_exceedance",
+            empirical=McEstimate.from_counts(g_exc, trials, seed),
+            bound=2.0 / (params.m + params.n),
+            relation="<=",
+            details={"threshold": threshold},
+        ),
+        {
+            "claim_id": "norm_decomposition_summary",
+            "kind": "info",
+            "threshold": threshold,
+            "half_threshold_exceedances": {
+                "full_sums": r_exc,
+                "correction_sums": z_exc,
+                "half_threshold": threshold / 2.0,
+            },
+            "mean_norms": {
+                "stopped_sums": sum_g / trials,
+                "full_sums": sum_r / trials,
+                "correction_sums": sum_z / trials,
+            },
+            "triangle_checked": True,
         },
-        mean_norms={
-            "stopped_sums": sum_g / trials,
-            "full_sums": sum_r / trials,
-            "correction_sums": sum_z / trials,
-        },
-        triangle_checked=True,
-    )
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFACE)))
+    checked = 1000
+    matrices = rng.integers(-9, 10, size=(checked, 2, 2))
+    matrices[~matrices.any(axis=(1, 2)), 0, 0] = 1
+    expected = np.array([norm_2x2(matrix) for matrix in matrices])
+    worst = float(np.max(np.abs(spectral_norms(matrices)[0] - expected) / expected))
+    rows.append(check("power_iteration_matches_2x2_oracle", worst <= 1e-6,
+                      matrices_checked=checked, worst_relative_difference=worst,
+                      tolerance=1e-6))
+    return rows

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import coinlab
 from coinlab import matrices, mc
-from coinlab.cli import _EXPERIMENTS, _FLAG_KINDS, _flags_of, run
+from coinlab.cli import _EXPERIMENTS, _FLAG_KINDS, _arguments, _flags_of, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -236,24 +236,24 @@ def test_coin_iter_rows(tmp_path):
 
 
 def test_coin_iter_report_does_not_depend_on_block_size(monkeypatch):
-    import coinlab.cli
+    import coinlab.iteration
 
     argv = ["coin-iter", "--seed", "5", "--iterations", "450", "--t-stopped", "3"]
     whole = _untimed_report(argv)
     # blocks of 7 rounds split the 200-round invariance probe across 29 blocks
-    monkeypatch.setattr(coinlab.cli, "rounds_per_block", lambda config: 7)
+    monkeypatch.setattr(coinlab.iteration, "rounds_per_block", lambda config: 7)
     assert _untimed_report(argv) == whole
 
 
 def _coin_iter_check(monkeypatch, corrupt):
-    import coinlab.cli
+    import coinlab.iteration
     from coinlab.iteration import run_rounds
 
     def corrupted_rounds(config, start, count):
         rounds = run_rounds(config, start, count)
         return replace(rounds, **corrupt(rounds))
 
-    monkeypatch.setattr(coinlab.cli, "run_rounds", corrupted_rounds)
+    monkeypatch.setattr(coinlab.iteration, "run_rounds", corrupted_rounds)
     _, report = _untimed_report(["coin-iter", "--seed", "1", "--iterations", "30"])
     return report["results"][0]
 
@@ -502,9 +502,9 @@ def test_benchmark_reads_coins_per_trial_off_each_counter(name, coins, monkeypat
 
     monkeypatch.setattr(mc, "run_blocks", capture)
     monkeypatch.setattr(matrices, "run_blocks", capture)
-    runner, defaults, _ = _EXPERIMENTS[name]
+    engine, defaults, _ = _EXPERIMENTS[name]
     with pytest.raises(_Captured):
-        runner({**defaults, "seed": 0, "workers": 1})
+        engine(**_arguments(engine, {**defaults, "seed": 0, "workers": 1}))
     assert tracing.flips_per_trial(counters[0]) == coins
 
 
@@ -641,3 +641,104 @@ def test_spectral_norms_are_pinned():
     pinned = {key: summary[key] for key in ("half_threshold_exceedances", "mean_norms")}
     pinned["worst_relative_difference"] = oracle["worst_relative_difference"]
     assert (report["tool_version"], pinned) == (_PINNED_VERSION, _PINNED_SPECTRAL), _REPIN_MESSAGE
+
+
+def _experiment_dicts_outside_timed_run() -> list[str]:
+    """Each dict display in the package with an "experiment" key, as
+    file:line, other than those in cli._timed_run."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "coinlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) and path.name == "cli.py"
+                   and function.name == "_timed_run"
+                   for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and id(node) not in allowed
+                  and any(isinstance(key, ast.Constant) and key.value == "experiment"
+                          for key in node.keys)]
+    return found
+
+
+def test_only_timed_run_writes_the_experiment_key():
+    # an experiment returns its rows without naming itself; the CLI names
+    # every row, error and timing rows included, in one place
+    assert _experiment_dicts_outside_timed_run() == []
+
+
+# The keys of every distinct row shape of `all --seed 0 --trials 200`, per
+# experiment in order of first appearance, a nested dict's keys in brackets.
+# JSON and CSV reports keep this order, so a moved key is a changed report.
+_ESTIMATE = "(successes trials p_hat ci_low ci_high confidence seed)"
+_TIMING = "experiment kind wall_time_s"
+_ROW_LAYOUTS = {
+    "fact3": [
+        "experiment claim_id kind thresholds_checked mismatches verdict",
+        f"experiment claim_id empirical{_ESTIMATE} analytic_bound relation verdict "
+        "details(walk_length threshold exact_probability ci_covers_exact)",
+        _TIMING,
+    ],
+    "lemma52-1": [
+        "experiment claim_id kind analytic_bound e_minus_11 below_e_minus_11",
+        f"experiment claim_id empirical{_ESTIMATE} analytic_bound relation verdict "
+        f"details(walk_length beta_quarter integer_threshold plus_direction{_ESTIMATE} "
+        f"minus_direction{_ESTIMATE})",
+        _TIMING,
+    ],
+    "lemma52-2": [
+        "experiment claim_id verdict report(params(n t epsilon c1 m) direction trials seed "
+        f"p_first{_ESTIMATE} p_adversary_max{_ESTIMATE} p_full{_ESTIMATE} "
+        "structural_check(claim lhs rhs ci_slack passed) first_benchmark)",
+        "experiment claim_id kind p_first benchmark",
+        _TIMING,
+    ],
+    "lemma71": [
+        f"experiment claim_id empirical{_ESTIMATE} analytic_bound relation verdict "
+        f"details(walk_length threshold effective_integer_threshold "
+        f"endpoint_estimate{_ESTIMATE} ci_slack)",
+        "experiment claim_id kind reflection enumeration twice_endpoint_tail verdict",
+        _TIMING,
+    ],
+    "coin-iter": [
+        "experiment claim_id iterations additive_failures stop_extreme_failures verdict",
+        "experiment claim_id paired_rounds verdict",
+        f"experiment claim_id kind empirical{_ESTIMATE} benchmark",
+        _TIMING,
+    ],
+    "agreement": [
+        "experiment claim_id agreed iterations_used max_iterations verdict",
+        _TIMING,
+    ],
+    "spectral": [
+        f"experiment claim_id empirical{_ESTIMATE} analytic_bound relation verdict "
+        "details(threshold)",
+        "experiment claim_id kind threshold "
+        "half_threshold_exceedances(full_sums correction_sums half_threshold) "
+        "mean_norms(stopped_sums full_sums correction_sums) triangle_checked",
+        "experiment claim_id matrices_checked worst_relative_difference tolerance verdict",
+        _TIMING,
+    ],
+    "constants": [
+        "experiment claim_id description lhs rhs relation verdict",
+        "experiment kind notes",
+        "experiment claim_id kind "
+        "thresholds(alpha beta beta_quarter beta_half alpha_prime norm_threshold)",
+        _TIMING,
+    ],
+}
+
+
+def _layout(row: dict) -> str:
+    return " ".join(f"{key}({_layout(value)})" if isinstance(value, dict) else key
+                    for key, value in row.items())
+
+
+def test_row_layouts_are_pinned():
+    report = _report(["all", "--seed", "0", "--trials", "200", "--workers", "1"])
+    layouts: dict[str, list[str]] = {}
+    for row in report["results"]:
+        shapes = layouts.setdefault(row["experiment"], [])
+        if _layout(row) not in shapes:
+            shapes.append(_layout(row))
+    assert layouts == _ROW_LAYOUTS
+    assert (len(report["results"]), sum(map(len, layouts.values()))) == (47, 26)

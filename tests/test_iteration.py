@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import coinlab.iteration
 import coinlab.walks
 from coinlab.bounds import Params, derive
-from coinlab.cli import _component_failures
 from coinlab.iteration import (
     IterationConfig,
+    _component_failures,
     rounds_per_block,
     run_agreement,
     run_rounds,

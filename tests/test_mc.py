@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinlab.mc
-from coinlab.bounds import Params, derive
+from coinlab.bounds import Params, derive, verdict
 from coinlab.mc import (
     McEstimate,
     block_size_for,
@@ -155,75 +155,86 @@ def test_importing_coinlab_pins_blas_threads_unless_set():
 
 def test_verdict_three_ways():
     est = McEstimate.from_counts(10, 1000, seed=0)
-    assert verdict_for("c", est, 0.5, "<=").verdict == "pass"
-    assert verdict_for("c", est, 0.001, "<=").verdict == "fail"
-    assert verdict_for("c", est, est.p_hat, "<=").verdict == "inconclusive"
-    assert verdict_for("c", est, 0.001, ">=").verdict == "pass"
-    assert verdict_for("c", est, 0.5, ">=").verdict == "fail"
+    assert verdict_for("c", est, 0.5, "<=")["verdict"] == "pass"
+    assert verdict_for("c", est, 0.001, "<=")["verdict"] == "fail"
+    assert verdict_for("c", est, est.p_hat, "<=")["verdict"] == "inconclusive"
+    assert verdict_for("c", est, 0.001, ">=")["verdict"] == "pass"
+    assert verdict_for("c", est, 0.5, ">=")["verdict"] == "fail"
     with pytest.raises(ValueError):
         verdict_for("c", est, 0.5, "==")
+    # a point (low == high) is never inconclusive: on the bound it passes
+    for relation in ("<=", ">="):
+        assert verdict(0.25, 0.25, 0.25, relation) == "pass"
+    assert verdict(0.25, 0.25, 0.5, "<=") == verdict(0.25, 0.25, 0.125, ">=") == "pass"
+    assert verdict(0.25, 0.25, 0.125, "<=") == verdict(0.25, 0.25, 0.5, ">=") == "fail"
+    assert verdict_for("c", est, est.p_hat, "<=", at_point=True)["verdict"] == "pass"
+    assert verdict_for("c", est, est.ci_low, "<=", at_point=True)["verdict"] == "fail"
+    assert verdict_for("c", est, est.ci_high, ">=", at_point=True)["verdict"] == "fail"
 
 
 def test_fact3_mc_matches_exact_probability():
-    verdicts = verify_fact3_mc(10, trials=40_000, seed=21)
-    assert [v.details["threshold"] for v in verdicts] == list(range(1, 11))
+    head, *verdicts = verify_fact3_mc(10, trials=40_000, seed=21)
+    assert head["claim_id"] == "enumeration_matches_reflection_identity"
+    assert [v["details"]["threshold"] for v in verdicts] == list(range(1, 11))
     verdict = verdicts[2]  # r = 3
     exact = float(prob_max_ge_reflection(10, 3))
-    assert verdict.claim_id == "max_tail_le_twice_sum_tail_n10_r3"
-    assert verdict.details["exact_probability"] == pytest.approx(exact, rel=1e-12)
-    assert verdict.empirical.ci_low <= exact <= verdict.empirical.ci_high
-    assert verdict.verdict in ("pass", "inconclusive")
+    assert verdict["claim_id"] == "max_tail_le_twice_sum_tail_n10_r3"
+    assert verdict["details"]["exact_probability"] == pytest.approx(exact, rel=1e-12)
+    assert verdict["empirical"]["ci_low"] <= exact <= verdict["empirical"]["ci_high"]
+    assert verdict["verdict"] in ("pass", "inconclusive")
 
 
 def test_fact3_mc_deterministic():
     a = verify_fact3_mc(12, trials=10_000, seed=5)
     b = verify_fact3_mc(12, trials=10_000, seed=5, workers=3)
-    assert [v.empirical.successes for v in a] == [v.empirical.successes for v in b]
+    assert [v["empirical"]["successes"] for v in a[1:]] == [
+        v["empirical"]["successes"] for v in b[1:]]
 
 
 def test_lemma52_part1_zero_adversary_short_circuits():
-    verdict = verify_lemma52_part1(Params(n=50, t=0), trials=1000, seed=0)
-    assert verdict.verdict == "pass"
-    assert verdict.empirical.successes == 0
-    assert verdict.details["walk_length"] == 0
+    verdict = verify_lemma52_part1(Params(n=50, t=0), trials=1000, seed=0)[-1]
+    assert verdict["verdict"] == "pass"
+    assert verdict["empirical"]["successes"] == 0
+    assert verdict["details"]["walk_length"] == 0
 
 
 def test_lemma52_part1_counts_both_directions():
-    verdict = verify_lemma52_part1(Params(n=24, t=3), trials=4000, seed=13)
-    plus = verdict.details["plus_direction"]
-    minus = verdict.details["minus_direction"]
+    verdict = verify_lemma52_part1(Params(n=24, t=3), trials=4000, seed=13)[-1]
+    plus = verdict["details"]["plus_direction"]
+    minus = verdict["details"]["minus_direction"]
     assert plus["trials"] + minus["trials"] == 4000
-    assert verdict.empirical.successes == plus["successes"] + minus["successes"]
+    assert verdict["empirical"]["successes"] == plus["successes"] + minus["successes"]
     # threshold beta/4 ~ 8.6 on a 72-step stream: both directions hit often
     assert plus["successes"] > 0 and minus["successes"] > 0
 
 
 def test_lemma52_part2_coupling_is_exact_at_point_estimates():
-    report = verify_lemma52_part2(Params(n=40, t=2), trials=2000, seed=17)
-    check = report.structural_check
+    report = verify_lemma52_part2(Params(n=40, t=2), trials=2000, seed=17)[0]["report"]
+    check = report["structural_check"]
     # with per-trial coupling the inequality holds without needing slack
     assert check["lhs"] >= check["rhs"]
     assert check["passed"]
-    assert report.p_full.trials == 2000
+    assert report["p_full"]["trials"] == 2000
 
 
 def test_lemma71_default_threshold_and_verdict():
     params = Params(n=40, t=2, m=10, c1=0.05)
     verdict = verify_lemma71(params, trials=20_000, seed=11)[0]
-    assert verdict.claim_id == "running_max_vs_endpoint@default_threshold"
-    assert verdict.details["walk_length"] == 40
+    assert verdict["claim_id"] == "running_max_vs_endpoint@default_threshold"
+    assert verdict["details"]["walk_length"] == 40
     expected_tau = derive(params).beta / 6.0 * 0.05 * 10
-    assert verdict.details["threshold"] == pytest.approx(expected_tau, rel=1e-9)
-    assert verdict.verdict == "pass"
+    assert verdict["details"]["threshold"] == pytest.approx(expected_tau, rel=1e-9)
+    assert verdict["verdict"] == "pass"
 
 
 def test_lemma71_sigma_thresholds():
-    sweep = verify_lemma71(Params(n=40, t=2, m=10, c1=0.05), trials=10_000, seed=11)
-    assert [v.claim_id for v in sweep[1:]] == [
+    *sweep, exact = verify_lemma71(Params(n=40, t=2, m=10, c1=0.05), trials=10_000, seed=11)
+    assert [v["claim_id"] for v in sweep[1:]] == [
         f"running_max_vs_endpoint@{mult}sigma" for mult in (0.5, 1.0, 2.0)]
-    assert [v.details["threshold"] for v in sweep[1:]] == [
+    assert [v["details"]["threshold"] for v in sweep[1:]] == [
         mult * math.sqrt(40) for mult in (0.5, 1.0, 2.0)]
-    assert all(v.verdict == "pass" for v in sweep)
+    assert all(v["verdict"] == "pass" for v in sweep)
+    assert exact["claim_id"] == "exact_small_case_length8" and exact["verdict"] == "pass"
 
 
 def test_lemma71_rejects_empty_walk():
