@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +35,18 @@ def _check_n(n: int) -> None:
         raise ValueError(f"walk length must be >= 1, got {n}")
 
 
+@lru_cache(maxsize=8)
+def _tail_counts(n: int) -> tuple[int, ...]:
+    # entry k is the number of n-step walks with at least k +1-steps, the sum
+    # of C(n, j) over j >= k: the row comes from its multiplicative
+    # recurrence and is summed once, so fact3's sweep over every threshold
+    # of one length does O(n) big-integer additions, not O(n**2)
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return tuple(accumulate(reversed(row)))[::-1]
+
+
 def prob_sum_eq(n: int, r: int) -> Fraction:
     """Pr(endpoint sum of an n-step walk equals r), exactly."""
     _check_n(n)
@@ -53,8 +66,7 @@ def prob_sum_ge(n: int, r: int) -> Fraction:
     if r <= -n:
         return Fraction(1)
     k_min = -((n + r) // -2)  # ceil division
-    total = sum(math.comb(n, k) for k in range(k_min, n + 1))
-    return Fraction(total, 2**n)
+    return Fraction(_tail_counts(n)[k_min], 2**n)
 
 
 def prob_max_ge_reflection(n: int, r: int) -> Fraction:

@@ -9,11 +9,10 @@ opposing value. The "core" is the complete, untouched good streams; the
 round is useful when the core alone deviates past alpha_prime in the good
 direction.
 
-``run_rounds`` draws a block of rounds with one ``walks.substream_bytes``
-call: round i's raw bytes are those ``walks.coin_bytes`` draws from
-``SeedSequence((seed, i))`` (the coins ``walks.draw_steps`` would draw),
-with no generator built per round. It turns the block into +/-1 steps in
-place and scores it with array operations. ``verify_coin_iter`` and
+``run_rounds`` draws a block of rounds with one ``walks.substream_steps``
+call: round i's +/-1 steps are those ``walks.draw_steps`` would draw from
+substream (seed, i), with no generator built per round. It scores the
+block with array operations. ``verify_coin_iter`` and
 ``verify_agreement`` are the coin-iter and agreement experiments: each
 returns its report rows.
 """
@@ -25,7 +24,7 @@ import numpy as np
 
 from .bounds import Params, check, derive
 from .mc import McEstimate, _check_coin_cap, block_size_for
-from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, substream_bytes
+from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, substream_steps
 
 # Coins per block of rounds: a block holds about a byte per coin, so about
 # 1 MB. Each run_rounds call costs about 100 us however small, so smaller
@@ -157,21 +156,12 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     choices. The block holds one byte per coin, as int8 steps; the stopped
     streams' int32 prefix sums and their stop are taken a group of whole
     streams at a time (``_stopped_walks``). A round is drawn whole, so one
-    of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw.
+    of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw;
+    ``substream_steps`` refuses a negative ``start`` or an empty block.
     """
-    if start < 0:
-        raise ValueError(f"round index must be non-negative, got {start}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     n, good = config.n, config.n - config.t
     _check_coin_cap(good * n, f"a round of {good} streams of {n} coins")
-    raw = substream_bytes(config.seed, start, count, good * n)
-    # +1 where a byte is >= 128, else -1, in place: a block-sized temporary
-    # would double the round engine's peak memory
-    raw >>= 7
-    raw <<= 1
-    raw -= 1
-    streams = raw.view(np.int8).reshape(count, good, n)
+    streams = substream_steps(config.seed, start, count, good * n).reshape(count, good, n)
     k = config.complete_count
     stopped_from = k + config.t_excluded
 
@@ -193,10 +183,7 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     ambiguous_term = -direction * config.ambiguous
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution
     coin = np.where(total >= 0, 1, -1)  # ties resolve to +
-    if direction > 0:
-        good_event = core_sum >= thresholds.alpha_prime
-    else:
-        good_event = core_sum <= -thresholds.alpha_prime
+    good_event = direction * core_sum >= thresholds.alpha_prime
 
     return Rounds(
         config=config,

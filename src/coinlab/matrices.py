@@ -5,9 +5,9 @@ adversary may truncate some columns, which splits the matrix into an
 unstopped +/-1 matrix plus a correction supported on the truncated
 suffixes. Summing columns across rounds gives the iteration-sum matrix
 whose operator norm the concentration claim controls. ``build_G`` and the
-norm experiment's block counter share one round-sum routine over the raw
-coin bytes of ``walks.coin_bytes``; the counter reads a chunk of trials in
-one draw and solves their norms a group of trials at a time. Norms come
+norm experiment's block counter share one round-sum routine over the +/-1
+steps of ``walks.coin_steps``; the counter draws a chunk of trials at a
+time and solves their norms before it draws the next. Norms come
 from one batched symmetric eigensolve of a stack of Gram matrices, each
 certified by the residual of its top eigenvector.
 """
@@ -21,7 +21,8 @@ import numpy as np
 
 from .bounds import Params, check, derive
 from .mc import McEstimate, _check_coin_cap, run_blocks, verdict_for
-from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, coin_bytes, substream_bytes
+from .walks import (_CHUNK_COINS, StoppingStrategy, apply_stop, coin_steps, substream,
+                    substream_steps)
 
 __all__ = [
     "IterationSumMatrices",
@@ -66,15 +67,15 @@ class IterationSumMatrices:
     correction_sums: np.ndarray
 
 
-def _iteration_sums(heads: np.ndarray, t: int, adversary: StoppingStrategy):
-    """Stopped, full and correction column sums, each (..., m, n), of the coin
-    matrices ``heads`` (..., m, n, n), True for +1, whose first t columns the
+def _iteration_sums(steps: np.ndarray, t: int, adversary: StoppingStrategy):
+    """Stopped, full and correction column sums, each (..., m, n), of the +/-1
+    coin matrices ``steps`` (..., m, n, n), whose first t columns the
     adversary stops and whose last t are the bad processors, zero in all
     three: a stopped column's correction is its value minus its sum."""
-    n = heads.shape[-1]
-    full = 2 * heads.sum(axis=-2) - n
+    n = steps.shape[-1]
+    full = steps.sum(axis=-2)
     full[..., n - t:] = 0
-    sums = np.cumsum(np.where(np.swapaxes(heads[..., :t], -1, -2), 1, -1), axis=-1)
+    sums = np.cumsum(np.swapaxes(steps[..., :t], -1, -2), axis=-1)
     correction = np.zeros_like(full)
     correction[..., :t] = apply_stop(sums, adversary).value - sums[..., -1]
     return full + correction, full, correction
@@ -89,12 +90,9 @@ def build_G(params: Params, adversary: StoppingStrategy, seed) -> IterationSumMa
     in the sums (2t < n keeps the two sets apart).
     """
     n, t, m = params.n, params.t, params.m
-    if isinstance(seed, np.random.Generator):
-        raw = coin_bytes(seed, n * n, m)
-    else:
-        raw = substream_bytes(int(seed), 0, m, n * n)
-    heads = raw.reshape(m, n, n) >= 128
-    return IterationSumMatrices(*_iteration_sums(heads, t, adversary))
+    steps = (coin_steps(seed, n * n, m) if isinstance(seed, np.random.Generator)
+             else substream_steps(int(seed), 0, m, n * n))
+    return IterationSumMatrices(*_iteration_sums(steps.reshape(m, n, n), t, adversary))
 
 
 @dataclass(frozen=True)
@@ -173,35 +171,28 @@ def norm_2x2(matrix) -> float:
 
 def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold) -> list:
     # the coins build_G(params, adversary, rng) would draw trial after trial,
-    # read a chunk of trials at a time. Norms are solved a group of trials
-    # at a time, whose three float stacks hold about _CHUNK_COINS entries, so
-    # memory does not grow with the block's m * n; a default block (64
-    # trials of 32 x 32) is one group. Each trial's norm is the same in any
-    # group, and the block's values are summed in trial order, so the sums
-    # are those of one solve.
+    # drawn and solved a chunk of trials at a time: a chunk's coins, and its
+    # three stacks of sums, each hold at most about _CHUNK_COINS entries, so
+    # memory does not grow with the block's m * n. Each trial's norm is the
+    # same in any chunk, and the block's values are summed in trial order, so
+    # the sums are those of one solve.
     params = Params(**params_dict)
     n, t, m = params.n, params.t, params.m
-    chunk = max(1, _CHUNK_COINS // (m * n * n))
-    group = max(1, _CHUNK_COINS // (3 * m * n))
+    chunk = max(1, _CHUNK_COINS // (m * n * max(n, 3)))
     norms = np.empty((3, count))
-    missed = [None, None, None]
-    for lo in range(0, count, group):
-        size = min(group, count - lo)
-        sums = np.empty((3, size, m, n))
-        for first in range(0, size, chunk):
-            part = min(chunk, size - first)
-            heads = coin_bytes(rng, n * n, part * m).reshape(part, m, n, n) >= 128
-            sums[:, first:first + part] = _iteration_sums(heads, t, adversary)
-        for k, stack in enumerate(sums):
+    missed = {}
+    for lo in range(0, count, chunk):
+        size = min(chunk, count - lo)
+        steps = coin_steps(rng, n * n, size * m).reshape(size, m, n, n)
+        for k, stack in enumerate(_iteration_sums(steps, t, adversary)):
             try:
                 norms[k, lo:lo + size] = spectral_norms(stack, _REL_TOL)[0]
             except ConvergenceError as exc:
-                missed[k] = missed[k] or exc
+                missed.setdefault(k, exc)
     # raised as one solve of the whole block would: the first trial that
     # misses, in the first stack that has one
-    for exc in missed:
-        if exc is not None:
-            raise exc
+    if missed:
+        raise missed[min(missed)]
     g_norm, r_norm, z_norm = norms
     allowance = 10.0 * _REL_TOL * (r_norm + z_norm) + 1e-9
     violated = np.flatnonzero(g_norm > r_norm + z_norm + allowance)
@@ -272,7 +263,7 @@ def verify_norm_bound(params: Params, trials: int = 1000, seed: int = 0,
             "triangle_checked": True,
         },
     ]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFACE)))
+    rng = substream(seed, 0xFACE)
     checked = 1000
     matrices = rng.integers(-9, 10, size=(checked, 2, 2))
     matrices[~matrices.any(axis=(1, 2)), 0, 0] = 1

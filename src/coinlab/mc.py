@@ -32,7 +32,7 @@ from scipy.special import betaincinv
 
 from .bounds import Params, check, derive, lemma52_part1_bound, verdict
 from .exact import prob_max_ge_enumeration, prob_max_ge_reflection, prob_sum_ge
-from .walks import walk_peaks
+from .walks import substream, walk_peaks
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -101,8 +101,7 @@ def _bounded_block_size(walk_length: int, trials: int) -> int:
 
 def _eval_block(task) -> np.ndarray:
     counter, seed, index, start, count = task
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    return np.asarray(counter(rng, count, start), dtype=np.float64)
+    return np.asarray(counter(substream(seed, index), count, start), dtype=np.float64)
 
 
 def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 1) -> np.ndarray:

@@ -8,20 +8,23 @@ the window.
 ``draw_steps`` is the reference draw, whose coins every engine reads, and
 ``apply_stop`` chooses the stop wherever prefix sums are held. It takes a
 ``WalkTrace`` or a batch of prefix sums with walks on the last axis, as
-``np.cumsum(steps, axis=-1)`` gives. The engines read ``draw_steps``' coins
-as raw bytes from ``coin_bytes``, which takes PCG64's 64-bit outputs
-straight from ``random_raw``, and a block of per-round substreams (seed, i)
-from ``substream_bytes``, which derives every round's PCG64 state from one
-vectorised run of SeedSequence's hash instead of building a generator per
-round. The Monte Carlo counters read each walk as a counted head and a
-scanned window past it, the adversary's stopping range, from
-``walk_peaks``: it draws a block a cache-sized chunk of walks at a time,
-packs each chunk eight coins to a byte, keeps the head's count of +1 coins
-and the window's packed bytes, and scans the window for its end and its
-highest prefix sum, one popcount and one byte-table lookup per eight coins.
-A lowest prefix sum is read off the mirrored walk. Its bit mask, packed
-bytes and running sums live in one scratch buffer per thread, reused from
-call to call.
+``np.cumsum(steps, axis=-1)`` gives. This module is the only one that seeds
+a generator or reads a coin's format: ``substream(seed, i)`` is the
+generator of substream (seed, i), and the engines read ``draw_steps``'
+coins as raw bytes from ``coin_bytes``, which takes PCG64's 64-bit outputs
+straight from ``random_raw``. ``coin_steps`` turns those bytes into the
++/-1 steps ``draw_steps`` gives, in place, and ``substream_steps`` does the
+same for a block of per-round substreams (seed, i), deriving every round's
+PCG64 state from one vectorised run of SeedSequence's hash instead of
+building a generator per round. The Monte Carlo counters read each walk as
+a counted head and a scanned window past it, the adversary's stopping
+range, from ``walk_peaks``: it draws a block a cache-sized chunk of walks
+at a time, packs each chunk eight coins to a byte, keeps the head's count
+of +1 coins and the window's packed bytes, and scans the window for its end
+and its highest prefix sum, one popcount and one byte-table lookup per
+eight coins. A lowest prefix sum is read off the mirrored walk. Its bit
+mask, packed bytes and running sums live in one scratch buffer per thread,
+reused from call to call.
 """
 from __future__ import annotations
 
@@ -39,7 +42,9 @@ __all__ = [
     "StoppedStream",
     "draw_steps",
     "coin_bytes",
-    "substream_bytes",
+    "coin_steps",
+    "substream",
+    "substream_steps",
     "walk_peaks",
     "apply_stop",
 ]
@@ -117,6 +122,28 @@ def coin_bytes(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarra
     words = -(-size // 4)
     drawn = _pcg64_words(rng.bit_generator, calls * words)
     return drawn.view(np.uint8).reshape(calls, 4 * words)[:, :size]
+
+
+def coin_steps(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarray:
+    """The (calls, size) int8 steps of ``calls`` successive
+    ``draw_steps(rng, size)`` draws, read off ``coin_bytes``, which leaves
+    ``rng`` in the same state."""
+    return _as_steps(coin_bytes(rng, size, calls))
+
+
+def _as_steps(raw: np.ndarray) -> np.ndarray:
+    # +1 where a byte is >= 128, else -1, in place, as an int8 view: a
+    # block-sized temporary would double the round engine's peak memory
+    raw >>= 7
+    raw <<= 1
+    raw -= 1
+    return raw.view(np.int8)
+
+
+def substream(seed: int, i: int) -> np.random.Generator:
+    """The generator of substream (seed, i): block i of a Monte Carlo
+    experiment, or a side stream such as the spectral oracle's."""
+    return np.random.default_rng(np.random.SeedSequence((seed, i)))
 
 
 def _pcg64_words(bit_generator: np.random.PCG64, total: int) -> np.ndarray:
@@ -245,7 +272,7 @@ def _substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
         tail = [np.array([word], dtype=np.uint32) for word in _int_words(high)] if high else []
         pieces.append(_pooled_state(head + [low] + tail, last - first))
         first = last
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    return np.concatenate(pieces)
 
 
 def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
@@ -264,25 +291,25 @@ _SEEDING = threading.local()
 def _seeding_generator() -> np.random.PCG64:
     # One PCG64 per thread, kept between calls: building one takes ~10 us,
     # about a sixth of a one-round call, and run_agreement makes many of
-    # those. substream_bytes sets the whole state before every row, so
+    # those. substream_steps sets the whole state before every row, so
     # nothing carries from one call to the next.
     if not hasattr(_SEEDING, "pcg64"):
         _SEEDING.pcg64 = np.random.PCG64(0)
     return _SEEDING.pcg64
 
 
-def substream_bytes(seed: int, start: int, count: int, size: int) -> np.ndarray:
-    """The (count, size) uint8 block whose row ``j`` is
-    ``coin_bytes(np.random.default_rng(np.random.SeedSequence((seed, i))), size)[0]``
-    for ``i = start + j``, without a ``SeedSequence`` or a ``Generator`` per row.
+def substream_steps(seed: int, start: int, count: int, size: int) -> np.ndarray:
+    """The (count, size) int8 block whose row ``j`` is
+    ``coin_steps(substream(seed, i), size)[0]`` for ``i = start + j``,
+    without a ``SeedSequence`` or a ``Generator`` per row.
 
     The rows' seeds come from one vectorised run of SeedSequence's hash per
     chunk of rows, and each row's PCG64 state from Python-int arithmetic; one
     ``PCG64`` per thread takes each state in turn and writes ``ceil(size / 8)``
     outputs of ``random_raw`` into the row. A freshly seeded generator
-    buffers no half-word, so these are the words ``coin_bytes`` reads. Any
-    non-negative ``seed`` and ``start`` take this one route. The block is a
-    writable view of whole 8-byte rows."""
+    buffers no half-word, so these are the words ``coin_bytes`` reads; they
+    become steps in place. Any non-negative ``seed`` and ``start`` take this
+    one route. The block is a writable view of whole 8-byte rows."""
     if seed < 0 or start < 0:
         raise ValueError(f"need seed >= 0 and start >= 0, got {seed} and {start}")
     if count < 1 or size < 1:
@@ -295,7 +322,7 @@ def substream_bytes(seed: int, start: int, count: int, size: int) -> np.ndarray:
         for row, words in zip(rows, _substream_seeds(seed, start + first, len(rows)).tolist()):
             bit_generator.state = _pcg64_state(*words)
             row[:] = bit_generator.random_raw(outputs)
-    return block.view(np.uint8)[:, :size]
+    return _as_steps(block.view(np.uint8)[:, :size])
 
 
 def _byte_top() -> np.ndarray:

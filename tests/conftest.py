@@ -1,3 +1,7 @@
+# coinlab first: importing it pins BLAS to one thread, which only takes
+# effect if NumPy has not been loaded yet
+import coinlab  # noqa: F401, I001
+
 import tracemalloc
 
 import pytest

@@ -448,8 +448,9 @@ def test_report_version_matches_pyproject(tmp_path):
     assert _load(out)["tool_version"] == version.group(1)
 
 
-# draw_steps is the reference draw: the engines read the same coins as raw
-# bytes, and the tests compare them against it.
+# draw_steps is the reference draw: the engines read the same coins through
+# coin_steps, substream_steps and walk_peaks, and the tests compare them
+# against it.
 _UNREFERENCED_EXPORTS = {"draw_steps"}
 
 
@@ -479,6 +480,39 @@ def test_every_export_resolves(module):
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
     assert [name for name in namespace.__all__
             if name not in _referenced_names() | _UNREFERENCED_EXPORTS] == []
+
+
+_COIN_FORMAT_NAMES = {"coin_bytes", "substream_bytes", "SeedSequence"}
+
+
+def _coin_format_uses(tree) -> list:
+    """Line numbers where ``tree`` names a raw coin draw or SeedSequence, or
+    compares with 128, a coin's byte threshold."""
+    lines = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        compared = (isinstance(node, ast.Compare)
+                    and any(isinstance(operand, ast.Constant) and operand.value == 128
+                            for operand in [node.left, *node.comparators]))
+        if name in _COIN_FORMAT_NAMES or compared:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_walks_seeds_and_decodes_coins():
+    # every other module takes a generator from walks.substream and +/-1
+    # steps from walks.coin_steps or substream_steps, so changing the coin
+    # format (8 coins a byte, say) touches walks alone
+    source = Path(__file__).resolve().parents[1] / "src" / "coinlab"
+    uses = {path.name: _coin_format_uses(ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(source.glob("*.py")) if path.name != "walks.py"}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+    # the guard sees each form it looks for
+    assert len(_coin_format_uses(ast.parse(
+        "from .walks import coin_bytes\nnp.random.SeedSequence(1)\nsubstream_bytes()\n"
+        "heads = raw >= 128\n"))) == 4
 
 
 class _Captured(Exception):

@@ -118,3 +118,18 @@ def test_enumeration_memory_is_a_chunk(traced_peak):
     # 2**18 walks of 18 steps; one chunk of 2**13 walks at a time
     _, peak = traced_peak(lambda: exact._running_max_tally.__wrapped__(18))
     assert peak < 2 * 2**20
+
+
+def test_fact3_exact_column_sums_each_row_once():
+    # fact3 reads prob_max_ge_reflection and prob_sum_ge at every r = 1..n;
+    # re-summing the binomial tail for each r took about n**2 / 2 math.comb
+    # calls, cubic time in n with the big integers' sizes
+    n = 300
+    with mock.patch("math.comb", wraps=math.comb) as comb:
+        column = [(prob_max_ge_reflection(n, r), prob_sum_ge(n, r)) for r in range(1, n + 1)]
+    assert comb.call_count <= n
+    for r in (1, 2, 17, 150, 299, 300):
+        k_min = -((n + r) // -2)
+        tail = Fraction(sum(math.comb(n, k) for k in range(k_min, n + 1)), 2**n)
+        at = Fraction(math.comb(n, (n + r) // 2), 2**n) if (n + r) % 2 == 0 else 0
+        assert column[r - 1] == (at + 2 * (tail - at), tail), r

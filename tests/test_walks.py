@@ -12,8 +12,10 @@ from coinlab.walks import (
     WalkTrace,
     apply_stop,
     coin_bytes,
+    coin_steps,
     draw_steps,
-    substream_bytes,
+    substream,
+    substream_steps,
     walk_peaks,
 )
 from coinlab.walks import _pcg64_state, _substream_seeds
@@ -341,6 +343,14 @@ def test_coin_bytes_matches_integers_words(seed, before, size, calls):
         rng.integers(0, 2**32, size=before, dtype=np.uint32)
     assert np.array_equal(coin_bytes(by_raw, size, calls), _integers_bytes(by_integers, size, calls))
     _assert_same_generators(by_raw, by_integers)
+    # coin_steps reads those bytes as draw_steps' steps, call by call
+    by_steps, by_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (by_steps, by_draws):
+        rng.integers(0, 2**32, size=before, dtype=np.uint32)
+    steps = coin_steps(by_steps, size, calls)
+    assert steps.dtype == np.int8
+    assert np.array_equal(steps, np.stack([draw_steps(by_draws, size) for _ in range(calls)]))
+    _assert_same_generators(by_steps, by_draws)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.SFC64,
@@ -375,22 +385,24 @@ def _words(k):
 @example(seed=2**32, start=2**64 - 3, count=6, size=9)
 @example(seed=2**96 + 5, start=2**32 - 1, count=2, size=8)
 @example(seed=2**256 - 1, start=2**64 - 1, count=3, size=70)
-def test_substream_bytes_match_a_generator_per_round(seed, start, count, size):
-    # Row j is what coin_bytes draws from default_rng(SeedSequence((seed,
-    # start + j))); the hash and the seeded state are NumPy's own, so a NumPy
-    # release that changes either algorithm fails here.
-    block = substream_bytes(seed, start, count, size)
+def test_substream_steps_match_a_generator_per_round(seed, start, count, size):
+    # Row j is what coin_steps draws from substream(seed, start + j), the
+    # generator of default_rng(SeedSequence((seed, start + j))); the hash and
+    # the seeded state are NumPy's own, so a NumPy release that changes
+    # either algorithm fails here.
+    block = substream_steps(seed, start, count, size)
     seeds = _substream_seeds(seed, start, count)
-    assert block.shape == (count, size) and block.dtype == np.uint8
+    assert block.shape == (count, size) and block.dtype == np.int8
     for j, words in enumerate(seeds):
         sequence = np.random.SeedSequence((seed, start + j))
         rng = np.random.default_rng(sequence)
         assert np.array_equal(words, sequence.generate_state(4, np.uint64))
         assert _pcg64_state(*words.tolist()) == rng.bit_generator.state
-        assert np.array_equal(block[j], coin_bytes(rng, size)[0])
+        assert substream(seed, start + j).bit_generator.state == rng.bit_generator.state
+        assert np.array_equal(block[j], coin_steps(rng, size)[0])
 
 
-def test_substream_bytes_rejects_bad_arguments():
+def test_substream_steps_rejects_bad_arguments():
     for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0)):
         with pytest.raises(ValueError):
-            substream_bytes(*args)
+            substream_steps(*args)
