@@ -7,10 +7,11 @@ matrices.
 """
 import os
 
-# One BLAS thread per process: the lab runs in parallel with processes
-# (--workers), and a cold multi-threaded OpenBLAS can stall its first
-# eigh call for about a second. This only takes effect if NumPy is not
-# loaded yet, and a value the caller set is kept.
+# One BLAS thread per calling thread: the lab runs in parallel with
+# threads (--workers), each making its own BLAS calls, and a cold
+# multi-threaded OpenBLAS can stall its first eigh call for about a
+# second. This only takes effect if NumPy is not loaded yet, and a value
+# the caller set is kept.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name

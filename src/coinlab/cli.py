@@ -4,10 +4,10 @@ Every numeric field of a report is a pure function of (subcommand,
 parameters, seed, trials); wall times are reported but excluded from that
 guarantee. Exit status: 0 when no experiment fails (inconclusive CI
 straddles are reported but non-blocking), 1 on any failure, including a
-spectral norm whose certificate misses its tolerance, a worker process
-that dies and a reader that closes standard output before the report is
-written, 2 on usage errors, including parameters an experiment rejects and
-config-file values of the wrong type.
+spectral norm whose certificate misses its tolerance, an experiment that
+runs out of memory (``MemoryError``) and a reader that closes standard
+output before the report is written, 2 on usage errors, including
+parameters an experiment rejects and config-file values of the wrong type.
 
 Each experiment is declared once, in ``_EXPERIMENTS``: its engine, its
 defaults and the flags it reads beyond the common ones. The subparsers,
@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .bounds import Params, check_claims
@@ -193,7 +192,7 @@ def _timed_run(name: str, cfg: dict) -> list[dict]:
     start = time.perf_counter()
     try:
         rows = engine(**_arguments(engine, cfg))
-    except (ConvergenceError, SpectralCheckError, BrokenProcessPool) as exc:
+    except (ConvergenceError, SpectralCheckError, MemoryError) as exc:
         rows = [{"kind": "error", "error": f"{type(exc).__name__}: {exc}", "verdict": "fail"}]
     rows.append({"kind": "timing", "wall_time_s": time.perf_counter() - start})
     return [{"experiment": name, **row} for row in rows]

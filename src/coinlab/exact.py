@@ -9,7 +9,6 @@ of all 2**n walks, so each can certify the other on small lengths.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -40,45 +39,48 @@ def _tail_counts(n: int) -> tuple[int, ...]:
     # entry k is the number of n-step walks with at least k +1-steps, the sum
     # of C(n, j) over j >= k: the row comes from its multiplicative
     # recurrence and is summed once, so fact3's sweep over every threshold
-    # of one length does O(n) big-integer additions, not O(n**2)
+    # of one length does O(n) big-integer additions, not O(n**2), and no
+    # math.comb call
     row = [1]
     for k in range(n):
         row.append(row[-1] * (n - k) // (k + 1))
     return tuple(accumulate(reversed(row)))[::-1]
 
 
+def _count_sum_ge(n: int, r: int) -> int:
+    # n-step walks that end at r or above, those with k +1-steps where
+    # 2k - n >= r, i.e. k >= ceil((n + r) / 2)
+    if r > n:
+        return 0
+    if r <= -n:
+        return 2**n
+    return _tail_counts(n)[-((n + r) // -2)]
+
+
 def prob_sum_eq(n: int, r: int) -> Fraction:
-    """Pr(endpoint sum of an n-step walk equals r), exactly."""
+    """Pr(endpoint sum of an n-step walk equals r), exactly, as
+    Pr(S_n >= r) - Pr(S_n >= r + 1)."""
     _check_n(n)
-    if (n + r) % 2 != 0 or abs(r) > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, (n + r) // 2), 2**n)
+    return Fraction(_count_sum_ge(n, r) - _count_sum_ge(n, r + 1), 2**n)
 
 
 def prob_sum_ge(n: int, r: int) -> Fraction:
-    """Pr(endpoint sum >= r), exactly.
-
-    Counts +1-steps k with 2k - n >= r, i.e. k >= ceil((n + r) / 2).
-    """
+    """Pr(endpoint sum >= r), exactly."""
     _check_n(n)
-    if r > n:
-        return Fraction(0)
-    if r <= -n:
-        return Fraction(1)
-    k_min = -((n + r) // -2)  # ceil division
-    return Fraction(_tail_counts(n)[k_min], 2**n)
+    return Fraction(_count_sum_ge(n, r), 2**n)
 
 
 def prob_max_ge_reflection(n: int, r: int) -> Fraction:
     """Pr(running max over prefixes 1..n reaches r), via the reflection identity.
 
     Valid for r >= 1: the probability equals
-    Pr(S_n = r) + 2 Pr(S_n > r).
+    Pr(S_n = r) + 2 Pr(S_n > r) = Pr(S_n >= r) + Pr(S_n >= r + 1), formed
+    as one count of walks over 2**n.
     """
     _check_n(n)
     if r < 1:
         raise ValueError(f"reflection identity requires r >= 1, got {r}")
-    return prob_sum_eq(n, r) + 2 * prob_sum_ge(n, r + 1)
+    return Fraction(_count_sum_ge(n, r) + _count_sum_ge(n, r + 1), 2**n)
 
 
 def _prefix_peaks(steps: int, floor: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -107,10 +107,13 @@ def _eval_block(task) -> np.ndarray:
 def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 1) -> np.ndarray:
     """Sum ``counter(rng, count, start)`` over deterministic trial blocks.
 
-    ``counter`` must be picklable (module-level function or partial of one)
-    and return a fixed-length vector of tallies for its block of trials,
-    whose global indices are ``start .. start+count-1``. The pool is capped
-    at the CPU count and the number of blocks.
+    ``counter`` returns a fixed-length vector of tallies for its block of
+    trials, whose global indices are ``start .. start+count-1``. With
+    ``workers > 1`` the blocks run on a pool of threads, capped at the CPU
+    count and the number of blocks: the kernels are NumPy and LAPACK calls
+    that release the GIL, and ``walks`` keeps its scratch buffer and seeding
+    generator per thread, so a counter shares no state with another block.
+    The tallies are summed in block order either way.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -129,10 +132,8 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
     if workers == 1:
         results = map(_eval_block, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(
-                executor.map(_eval_block, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
-            )
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            results = list(executor.map(_eval_block, tasks))
     for res in results:
         total = res.copy() if total is None else total + res
     assert total is not None
@@ -194,7 +195,7 @@ def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: st
             "details": details}
 
 
-# --- block counters (module level so worker processes can unpickle them) ---
+# --- block counters ---
 
 def _count_at_least(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     # how many of the integer ``values`` reach each level, read off the

@@ -6,12 +6,12 @@ import importlib.util
 import io
 import json
 import math
-import multiprocessing
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -417,17 +417,17 @@ def test_all_draws_one_sample_per_stream_experiment(monkeypatch):
     assert len(calls) == 5, calls
 
 
-def _counter_that_kills_its_worker(rng, count, start, **kwargs):
-    # the worker process dies without a word, as an out-of-memory kill would
-    if multiprocessing.parent_process() is None:
-        raise AssertionError("ran outside a worker process")
-    os._exit(1)
+def _counter_out_of_memory(rng, count, start, **kwargs):
+    # the block asks for more memory than there is, as a huge array would
+    if threading.current_thread() is threading.main_thread():
+        raise AssertionError("ran on the main thread, not on a pool thread")
+    raise MemoryError("Unable to allocate 64.0 GiB for an array")
 
 
-def test_dead_worker_is_an_error_row(monkeypatch, tmp_path):
+def test_a_block_out_of_memory_is_an_error_row(monkeypatch, tmp_path):
     import coinlab.mc
 
-    monkeypatch.setattr(coinlab.mc, "_tail_counter", _counter_that_kills_its_worker)
+    monkeypatch.setattr(coinlab.mc, "_tail_counter", _counter_out_of_memory)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 even on one CPU
     out = tmp_path / "r.json"
     # n = 1 makes blocks of 8192 walks, so 8193 trials are two blocks for two workers
@@ -436,7 +436,7 @@ def test_dead_worker_is_an_error_row(monkeypatch, tmp_path):
     report = _load(out)
     error = report["results"][0]
     assert (error["kind"], error["verdict"]) == ("error", "fail")
-    assert error["error"].startswith("BrokenProcessPool:")
+    assert error["error"].startswith("MemoryError:")
     assert report["summary"]["fail"] == 1
 
 
@@ -450,8 +450,9 @@ def test_report_version_matches_pyproject(tmp_path):
 
 # draw_steps is the reference draw: the engines read the same coins through
 # coin_steps, substream_steps and walk_peaks, and the tests compare them
-# against it.
-_UNREFERENCED_EXPORTS = {"draw_steps"}
+# against it. prob_sum_eq is the endpoint's point law: the engines read
+# whole tails, and the tests check them against its sums.
+_UNREFERENCED_EXPORTS = {"draw_steps", "prob_sum_eq"}
 
 
 @functools.cache

@@ -14,6 +14,7 @@ from coinlab.exact import (
     prob_sum_eq,
     prob_sum_ge,
 )
+from coinlab.mc import verify_fact3_mc
 
 
 def test_prob_sum_eq_small_cases():
@@ -133,3 +134,12 @@ def test_fact3_exact_column_sums_each_row_once():
         tail = Fraction(sum(math.comb(n, k) for k in range(k_min, n + 1)), 2**n)
         at = Fraction(math.comb(n, (n + r) // 2), 2**n) if (n + r) % 2 == 0 else 0
         assert column[r - 1] == (at + 2 * (tail - at), tail), r
+
+
+def test_fact3_makes_no_math_comb_call():
+    # fact3's exact values are counts read off _tail_counts' one row of
+    # binomial tails, or off the enumeration tally
+    with mock.patch("math.comb", wraps=math.comb) as comb:
+        rows = verify_fact3_mc(16, trials=200, seed=0)
+    assert comb.call_count == 0
+    assert rows[0]["verdict"] == "pass" and len(rows) == 17

@@ -2,6 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +14,12 @@ from hypothesis import strategies as st
 
 import coinlab.mc
 from coinlab.bounds import Params, derive, verdict
+from coinlab.matrices import _norm_trial_counter
 from coinlab.mc import (
     McEstimate,
+    _directional_hit_counter,
+    _tail_counter,
+    _two_phase_counter,
     block_size_for,
     clopper_pearson,
     run_blocks,
@@ -53,14 +60,14 @@ def test_run_blocks_seed_changes_result():
 
 def test_run_blocks_caps_pool_size(monkeypatch):
     # a stand-in pool that records its size and maps serially, so no
-    # process is started whatever size is asked for
+    # thread is started whatever size is asked for
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def map(self, fn, *iterables, chunksize=1):
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
         def __enter__(self):
@@ -69,7 +76,7 @@ def test_run_blocks_caps_pool_size(monkeypatch):
         def __exit__(self, *exc_info):
             pass
 
-    monkeypatch.setattr(coinlab.mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(coinlab.mc, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     serial = run_blocks(_sum_counter, 1000, seed=3, block_size=100)
     pooled = run_blocks(_sum_counter, 1000, seed=3, block_size=100, workers=10**6)
@@ -81,6 +88,42 @@ def test_run_blocks_caps_pool_size(monkeypatch):
 def test_run_blocks_partial_last_block():
     out = run_blocks(_sum_counter, 1000, seed=3, block_size=512)
     assert out[1] == 1000  # 512 + 488
+
+
+def _thread_recording(counter, threads):
+    def run(rng, count, start):
+        threads.add(threading.get_ident())
+        return counter(rng, count, start)
+    return run
+
+
+@pytest.mark.parametrize("counter, block_size", [
+    (partial(_tail_counter, length=2000, thresholds=range(10, 200, 10)), 500),
+    (partial(_directional_hit_counter, length=2000, threshold=60), 500),
+    (partial(_two_phase_counter, n_core=1500, n_full=2000, alpha=25, beta_quarter=15,
+             alpha_prime=12), 500),
+    (partial(_norm_trial_counter, params_dict=asdict(Params(n=8, t=1, m=12)),
+             adversary=StoppingStrategy.omniscient_extreme(-1), threshold=15.0), 8),
+], ids=["tail", "directional", "two_phase", "norm"])
+def test_pooled_blocks_tally_as_serial_ones(monkeypatch, counter, block_size):
+    # four threads draw blocks at once, each walk_peaks call into its
+    # thread's scratch buffer; a buffer shared between threads, or a race,
+    # would change a tally. Nine blocks, the last one short, and a short
+    # switch interval so the threads interleave often.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    trials = 9 * block_size - block_size // 2
+    serial = run_blocks(counter, trials, seed=4, block_size=block_size)
+    threads = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = run_blocks(_thread_recording(counter, threads), trials, seed=4,
+                            block_size=block_size, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.get_ident() not in threads
+    assert np.array_equal(pooled, serial)
+    assert 0 < serial[0] < trials
 
 
 def test_clopper_pearson_edge_cases():
@@ -141,8 +184,10 @@ def _python_with_src(code, **env_vars):
 
 
 def test_importing_the_cli_leaves_scipy_stats_out():
-    code = "import sys, coinlab.cli; print('scipy.stats' in sys.modules)"
-    assert _python_with_src(code) == "False"
+    # nor multiprocessing: --workers runs blocks on threads
+    code = ("import sys, coinlab.cli; "
+            "print(*(m in sys.modules for m in ('scipy.stats', 'multiprocessing')))")
+    assert _python_with_src(code) == "False False"
 
 
 def test_importing_coinlab_pins_blas_threads_unless_set():
@@ -264,8 +309,6 @@ def _block_sums(block, count, length):
     (6, (-7, -6.5, 6.5, 7)),  # beyond +-length: every walk or none
 ])
 def test_tail_counter_matches_direct_counts(length, thresholds):
-    from coinlab.mc import _tail_counter
-
     block = np.random.SeedSequence((7, 3))
     sums = _block_sums(block, 500, length)
     tallies = _tail_counter(np.random.default_rng(block), 500, 0, length=length,
@@ -285,8 +328,6 @@ def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, thresh
                                                      nudge):
     # suffix sums of one bincount give, at each level, the count a comparison
     # against every walk gives; an integer reaches a float level at its ceiling
-    from coinlab.mc import _tail_counter
-
     _, ends, tops = walk_peaks(np.random.default_rng(seed), count, length)
     # levels at, just above and just below the extremes of both statistics
     for edge in edges:
@@ -303,8 +344,6 @@ def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, thresh
 @pytest.mark.parametrize("start", [0, 1])
 def test_directional_hit_counter_matches_direct_counts(start):
     # even global indices target +, odd ones -, whichever walk a block starts on
-    from coinlab.mc import _directional_hit_counter
-
     block = np.random.SeedSequence((3, 1))
     sums = _block_sums(block, 400, 30)
     plus = np.arange(start, start + 400) % 2 == 0
@@ -323,8 +362,6 @@ def test_two_phase_counter_matches_apply_stop(n, t, frame):
     # walks.apply_stop is the specification of the adversary's stop, stated
     # on the walks as drawn (frame +1) or on their mirror image (frame -1),
     # where the stop against the good direction is the mirror's maximum
-    from coinlab.mc import _two_phase_counter
-
     n_core, n_full = n * (n - 2 * t), n * (n - t)
     levels = {"alpha": 0.5 * math.sqrt(n_core), "alpha_prime": 0.25 * math.sqrt(n_core),
               "beta_quarter": max(1.0, 0.5 * math.sqrt(n_full - n_core))}
