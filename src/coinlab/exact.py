@@ -5,7 +5,9 @@ Everything here is big-integer arithmetic: probabilities are
 walk-event probability divides 2**n, so it stays a power of two after
 reduction). Two independent routes to the running-maximum distribution are
 provided: the closed-form reflection identity, and brute-force enumeration
-of all 2**n walks, so each can certify the other on small lengths.
+of all 2**n walks, so each can certify the other on small lengths. The
+endpoint and reflection counts are public too, as integers out of 2**n,
+for a caller that wants a float without reducing a Fraction.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from .walks import _CHUNK_COINS
 
 __all__ = [
     "MAX_ENUM_LENGTH",
+    "count_sum_ge",
+    "count_max_ge_reflection",
     "prob_sum_eq",
     "prob_sum_ge",
     "prob_max_ge_reflection",
@@ -47,9 +51,10 @@ def _tail_counts(n: int) -> tuple[int, ...]:
     return tuple(accumulate(reversed(row)))[::-1]
 
 
-def _count_sum_ge(n: int, r: int) -> int:
-    # n-step walks that end at r or above, those with k +1-steps where
-    # 2k - n >= r, i.e. k >= ceil((n + r) / 2)
+def count_sum_ge(n: int, r: int) -> int:
+    """The number of the 2**n walks of n steps whose endpoint sum is >= r."""
+    _check_n(n)
+    # those with k +1-steps where 2k - n >= r, i.e. k >= ceil((n + r) / 2)
     if r > n:
         return 0
     if r <= -n:
@@ -60,27 +65,31 @@ def _count_sum_ge(n: int, r: int) -> int:
 def prob_sum_eq(n: int, r: int) -> Fraction:
     """Pr(endpoint sum of an n-step walk equals r), exactly, as
     Pr(S_n >= r) - Pr(S_n >= r + 1)."""
-    _check_n(n)
-    return Fraction(_count_sum_ge(n, r) - _count_sum_ge(n, r + 1), 2**n)
+    return Fraction(count_sum_ge(n, r) - count_sum_ge(n, r + 1), 2**n)
 
 
-def prob_sum_ge(n: int, r: int) -> Fraction:
-    """Pr(endpoint sum >= r), exactly."""
-    _check_n(n)
-    return Fraction(_count_sum_ge(n, r), 2**n)
+def count_max_ge_reflection(n: int, r: int) -> int:
+    """The number of the 2**n walks of n steps whose running max over
+    prefixes 1..n reaches r, via the reflection identity.
 
-
-def prob_max_ge_reflection(n: int, r: int) -> Fraction:
-    """Pr(running max over prefixes 1..n reaches r), via the reflection identity.
-
-    Valid for r >= 1: the probability equals
-    Pr(S_n = r) + 2 Pr(S_n > r) = Pr(S_n >= r) + Pr(S_n >= r + 1), formed
-    as one count of walks over 2**n.
+    Valid for r >= 1: the walks ending at r, plus twice those ending above
+    r, which is #{S_n >= r} + #{S_n >= r + 1}.
     """
     _check_n(n)
     if r < 1:
         raise ValueError(f"reflection identity requires r >= 1, got {r}")
-    return Fraction(_count_sum_ge(n, r) + _count_sum_ge(n, r + 1), 2**n)
+    return count_sum_ge(n, r) + count_sum_ge(n, r + 1)
+
+
+def prob_sum_ge(n: int, r: int) -> Fraction:
+    """Pr(endpoint sum >= r), exactly."""
+    return Fraction(count_sum_ge(n, r), 2**n)
+
+
+def prob_max_ge_reflection(n: int, r: int) -> Fraction:
+    """Pr(running max over prefixes 1..n reaches r), via the reflection
+    identity: ``count_max_ge_reflection`` over 2**n, for r >= 1."""
+    return Fraction(count_max_ge_reflection(n, r), 2**n)
 
 
 def _prefix_peaks(steps: int, floor: int) -> tuple[np.ndarray, np.ndarray]:

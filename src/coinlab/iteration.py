@@ -24,13 +24,19 @@ import numpy as np
 
 from .bounds import Params, check, derive
 from .mc import McEstimate, _check_coin_cap, block_size_for
-from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, substream_steps
+from .walks import _CHUNK_COINS, StoppingStrategy, _sum_dtype, apply_stop, substream_steps
 
 # Coins per block of rounds: a block holds about a byte per coin, so about
 # 1 MB. Each run_rounds call costs about 100 us however small, so smaller
 # blocks pay that more often: with 2**18, 20000 coin-iter rounds and 30
 # agreement runs at n=60, t=3 took about a fifth longer (2-vCPU Xeon).
 _ROUND_BUDGET = 2**20
+# Rounds in run_agreement's first chunk, which then doubles up to a block.
+# Most runs agree within a few rounds, so the per-call cost, not the coins,
+# sets their time: 100 agreement runs at n=60, t=3 (one stream excluded, two
+# stopped) took 81 ms starting from one round and 45 ms from eight; sixteen
+# was as fast and 32 slower (2-vCPU Xeon).
+_FIRST_CHUNK = 8
 
 __all__ = [
     "IterationConfig",
@@ -128,22 +134,34 @@ def rounds_per_block(config: IterationConfig) -> int:
     return block_size_for((config.n - config.t) * config.n, minimum=1, budget=_ROUND_BUDGET)
 
 
+def _part_sums(streams: np.ndarray, first: int, end: int) -> np.ndarray:
+    """Per-round int64 sums of the streams ``streams[:, first:end]`` of a
+    (rounds, streams, n) int8 block, summed in int16 while the part holds
+    fewer than 2**15 coins and in int32 up to the coin cap, both exact."""
+    part = streams[:, first:end]
+    return part.sum(axis=(1, 2), dtype=_sum_dtype(part[0].size)).astype(np.int64)
+
+
 def _stopped_walks(streams: np.ndarray, first: int):
     """Yield ``(rows, cols, walks)`` over the stopped streams
     ``streams[:, first:]`` of a (rounds, streams, n) int8 block, a group of
-    whole streams at a time: ``walks`` is the int32 prefix sums of
-    ``streams[rows, first:][:, cols]``. A group holds about ``_CHUNK_COINS``
-    coins, whole rounds where they fit and else part of one round's
-    streams, so the prefix sums stay a chunk however wide a round is."""
+    whole streams at a time: ``walks`` is the prefix sums of
+    ``streams[rows, first:][:, cols]``, in int16, which holds every sum of
+    n < 2**15 steps, as the coin cap keeps n. A group holds about
+    ``_CHUNK_COINS`` coins, whole rounds where they fit and else part of one
+    round's streams, so the prefix sums stay a chunk however wide a round
+    is."""
     count, good, n = streams.shape
     stopped = good - first
     per_group = max(1, _CHUNK_COINS // n)
     rows_step, cols_step = max(1, per_group // max(stopped, 1)), max(1, min(stopped, per_group))
+    prefix = _sum_dtype(n)
     for r in range(0, count, rows_step):
         for c in range(0, stopped, cols_step):
             rows, cols = slice(r, r + rows_step), slice(c, c + cols_step)
-            walks = streams[rows, first + c : first + c + cols_step].astype(np.int32)
-            np.cumsum(walks, axis=-1, out=walks)  # in place: a cast inside cumsum would copy
+            walks = streams[rows, first + c : first + c + cols_step].astype(prefix)
+            # in place: a cast inside cumsum would copy
+            np.cumsum(walks, axis=-1, dtype=prefix, out=walks)
             yield rows, cols, walks
 
 
@@ -153,8 +171,9 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
 
     The stream layout is fixed, complete streams first, then excluded, then
     stopped, so the core does not depend on the adversary's behavioral
-    choices. The block holds one byte per coin, as int8 steps; the stopped
-    streams' int32 prefix sums and their stop are taken a group of whole
+    choices. The block holds one byte per coin, as int8 steps. The core and
+    excluded sums run in int16 or int32 (``_part_sums``); the stopped
+    streams' int16 prefix sums and their stop are taken a group of whole
     streams at a time (``_stopped_walks``). A round is drawn whole, so one
     of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw;
     ``substream_steps`` refuses a negative ``start`` or an empty block.
@@ -168,8 +187,8 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     thresholds = derive(Params(n=config.n, t=config.t))
     direction = config.direction
 
-    core_sum = streams[:, :k].sum(axis=(1, 2), dtype=np.int64)
-    excluded_sum = streams[:, k:stopped_from].sum(axis=(1, 2), dtype=np.int64)
+    core_sum = _part_sums(streams, 0, k)
+    excluded_sum = _part_sums(streams, k, stopped_from)
 
     # Stopped streams are truncated at the opposing extreme over the whole round.
     strategy = StoppingStrategy.omniscient_extreme(direction=-direction)
@@ -213,13 +232,15 @@ def run_agreement(config: IterationConfig, max_iterations: int) -> AgreementResu
     """Iterate rounds until the coin matches the good direction with total
     deviation at least alpha_prime, or the round budget runs out.
 
-    Rounds are drawn in chunks that double from one up to a block, so at
-    most about twice the rounds used are drawn.
+    Rounds are drawn in chunks that double from ``_FIRST_CHUNK`` rounds up
+    to a block, so at most about twice the rounds used, or the first chunk,
+    are drawn. Round i is substream (seed, i) in any chunk, so the schedule
+    moves no result, only the number of ``run_rounds`` calls.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     block = rounds_per_block(config)
-    start, size = 0, 1
+    start, size = 0, min(_FIRST_CHUNK, block)
     while start < max_iterations:
         rounds = run_rounds(config, start, min(size, max_iterations - start))
         hits = np.flatnonzero((rounds.coin == config.direction)
@@ -243,8 +264,8 @@ def _component_failures(rounds: Rounds) -> tuple[int, int]:
     config = rounds.config
     k = config.complete_count
     stopped_from = k + config.t_excluded
-    core = rounds.streams[:, :k].sum(axis=(1, 2))
-    excluded = rounds.streams[:, k:stopped_from].sum(axis=(1, 2))
+    core = _part_sums(rounds.streams, 0, k)
+    excluded = _part_sums(rounds.streams, k, stopped_from)
     stopped = np.zeros(len(rounds), dtype=np.int64)
     off_extreme = np.zeros(len(rounds), dtype=bool)
     for rows, cols, walks in _stopped_walks(rounds.streams, stopped_from):

@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .bounds import Params, check, derive, lemma52_part1_bound, verdict
-from .exact import prob_max_ge_enumeration, prob_max_ge_reflection, prob_sum_ge
+from .exact import (count_max_ge_reflection, count_sum_ge, prob_max_ge_enumeration,
+                    prob_max_ge_reflection, prob_sum_ge)
 from .walks import substream, walk_peaks
 
 __all__ = [
@@ -67,10 +68,12 @@ _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # 200, 5.0 for fact3's 8192 walks of 16 (its per-walk arrays outweigh its
 # 131k coins), and 0.67 for 128 walks of 10^5 coins scanned whole for
 # their max. A block of rounds (iteration.run_rounds) is drawn
-# whole, one byte per coin, while its stopped streams' int32 prefix sums
-# are taken a chunk at a time: 1.20 at coin-iter's defaults, 1.5 for two
-# rounds of n = 2000 with 900 of 1100 streams stopped; a round over the cap
-# is refused, and rounds_per_block keeps blocks near 2**20 coins.
+# whole, one byte per coin, while its stopped streams' int16 prefix sums
+# are taken a chunk at a time: 1.12 at coin-iter's defaults, 1.5 for two
+# rounds of n = 2000 with 900 of 1100 streams stopped (the block plus one
+# round's raw PCG64 outputs); a round over the cap is refused, and
+# rounds_per_block keeps blocks near 2**20 coins. The cap keeps a round's
+# sums inside int32 and its n below 2**15, so inside int16 for a stream.
 _MAX_BLOCK_ENTRIES = 2**26
 
 
@@ -270,13 +273,18 @@ def verify_fact3_mc(n: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: int = 0,
     else:
         rows = [{"kind": "note",
                  "note": f"exact enumeration skipped for n={n} > {_ENUM_ROW_LIMIT}"}]
+    # Each exact value is a count of walks over 2**n. Python's int true
+    # division is correctly rounded, and so is float(Fraction), so this
+    # gives the Fraction's float without the gcd that reducing a Fraction
+    # of n-bit integers takes at every threshold.
+    walks = 2**n
     for r in range(1, n + 1):
         est = McEstimate.from_counts(int(hits[r - 1]), trials, seed)
-        exact = float(prob_max_ge_reflection(n, r))
+        exact = count_max_ge_reflection(n, r) / walks
         rows.append(verdict_for(
             claim_id=f"max_tail_le_twice_sum_tail_n{n}_r{r}",
             empirical=est,
-            bound=float(2 * prob_sum_ge(n, r)),
+            bound=2 * count_sum_ge(n, r) / walks,
             relation="<=",
             details={
                 "walk_length": n,

@@ -143,3 +143,18 @@ def test_fact3_makes_no_math_comb_call():
         rows = verify_fact3_mc(16, trials=200, seed=0)
     assert comb.call_count == 0
     assert rows[0]["verdict"] == "pass" and len(rows) == 17
+
+
+def test_fact3_floats_need_no_fraction():
+    # fact3's floats are counts of walks over 2**n, one correctly rounded
+    # int division each, as float(Fraction) is; reducing a Fraction of
+    # n-bit integers at every threshold took most of fact3's time at large n
+    n = 100
+    with mock.patch("fractions.math", wraps=math) as spy:
+        assert float(Fraction(6, 4)) == 1.5  # the spy sees a Fraction's gcd
+        seen = spy.gcd.call_count
+        rows = verify_fact3_mc(n, trials=200, seed=0)
+    assert seen == 1 and spy.gcd.call_count == seen
+    for r, row in enumerate(rows[1:], start=1):
+        assert row["details"]["exact_probability"] == float(prob_max_ge_reflection(n, r))
+        assert row["analytic_bound"] == float(2 * prob_sum_ge(n, r))

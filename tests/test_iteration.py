@@ -281,9 +281,10 @@ def test_round_draws_build_no_generator_per_round():
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=_configs(), budget=st.integers(1, 30), block=st.integers(1, 5))
+@given(config=_configs(), budget=st.integers(1, 80), block=st.integers(1, 40))
 def test_run_agreement_matches_a_plain_loop(config, budget, block):
-    # small blocks make the doubling chunks (1, 2, 4, ...) hit their cap
+    # blocks below the first chunk of 8 cap it, and larger ones let the
+    # doubling chunks (8, 16, 32, ...) run into their cap or the budget
     with mock.patch.object(coinlab.iteration, "rounds_per_block", lambda config: block):
         result = run_agreement(config, budget)
     agrees = [_reference_round(config, i)["agrees"] for i in range(budget)]
@@ -342,7 +343,7 @@ def test_stopped_stream_groups_match_one_group(config, start, count, streams_per
 
 def test_a_wide_round_holds_its_coins_and_a_chunk(traced_peak):
     # 2 rounds of 1100 streams of 2000 coins, 900 of them stopped: a byte per
-    # coin plus int32 prefix sums of one group of stopped streams at a time
+    # coin plus int16 prefix sums of one group of stopped streams at a time
     config = IterationConfig(n=2000, t=900, t_stopped=900, seed=0)
     count = 2
     coins = count * (config.n - config.t) * config.n
@@ -350,3 +351,39 @@ def test_a_wide_round_holds_its_coins_and_a_chunk(traced_peak):
     failures, peak = traced_peak(lambda: _component_failures(run_rounds(config, 0, count)))
     assert failures == (0, 0)
     assert peak < 1.5 * coins + 2 * 2**20
+
+
+@pytest.mark.parametrize("config", [
+    # parts of 2**15 - 1 coins, the most int16 sums: the core (151 streams
+    # of 217 coins) and the excluded streams (31 of 1057)
+    IterationConfig(n=217, t=33, t_excluded=31, t_stopped=2),
+    IterationConfig(n=1057, t=31, t_excluded=31, t_stopped=31),
+    # parts of 2**15 coins, summed in int32: the core (128 of 256) and the
+    # excluded streams (32 of 1024)
+    IterationConfig(n=256, t=64, t_excluded=64),
+    IterationConfig(n=1024, t=32, t_excluded=32, t_stopped=16),
+    # about 40k coins: the core holds 194 streams of 200
+    IterationConfig(n=200, t=3, t_stopped=3),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_narrow_sums_hold_at_the_int16_boundary(config, sign):
+    # Rounds of all +1 or all -1 coins put every part's sum at its limit,
+    # which random coins never come near; the adversary stops against the
+    # coins' sign, at the stopped streams' far end. Every sum must equal a
+    # plain int64 one, in run_rounds and in the check that rebuilds them.
+    config = replace(config, direction=-sign)
+    count = 2
+
+    def steps(seed, start, count, size):
+        return np.full((count, size), sign, dtype=np.int8)
+
+    with mock.patch.object(coinlab.iteration, "substream_steps", steps):
+        rounds = run_rounds(config, 0, count)
+    k, stopped_from = config.complete_count, config.complete_count + config.t_excluded
+    streams = rounds.streams.astype(np.int64)
+    walks = np.cumsum(streams[:, stopped_from:], axis=-1)
+    assert rounds.core_sum.tolist() == streams[:, :k].sum(axis=(1, 2)).tolist()
+    assert rounds.excluded_sum.tolist() == streams[:, k:stopped_from].sum(axis=(1, 2)).tolist()
+    assert rounds.stopped_sum.tolist() == walks[..., -1].sum(axis=-1).tolist()
+    assert abs(rounds.core_sum[0]) == k * config.n
+    assert _component_failures(rounds) == (0, 0)

@@ -171,10 +171,17 @@ def test_batched_stop_matches_reference_row_by_row(case):
 
 def _assert_peaks_match_cumsum(count, length, head, seed, signs):
     rng = np.random.default_rng(seed)
-    at_head, ends, tops = walk_peaks(rng, count, length, head, signs)
+    peaks = walk_peaks(rng, count, length, head, signs)
     reference = np.random.default_rng(seed)
     steps = np.asarray(signs)[..., None] * draw_steps(reference, (count, length))
     assert rng.bit_generator.state == reference.bit_generator.state
+    _assert_peaks_of(steps, head, peaks)
+
+
+def _assert_peaks_of(steps, head, peaks):
+    # walk_peaks' three arrays against a plain int64 cumsum of the steps
+    at_head, ends, tops = peaks
+    count, length = steps.shape
     sums = np.zeros((count, length + 1), dtype=np.int64)  # column k holds S_k
     np.cumsum(steps, axis=1, out=sums[:, 1:])
     assert at_head.shape == ends.shape == tops.shape == (count,)
@@ -214,6 +221,28 @@ def test_walk_peaks_long_walks_scan_wider():
     # past 2**15 steps a prefix sum may leave int16, so the scan widens; here
     # the head itself is past 2**15 and every walk is mirrored
     _assert_peaks_match_cumsum(3, 40_000, 33_000, 5, -1)
+
+
+@pytest.mark.parametrize("head", [2**15 - 1, 2**15, 40_000])
+@pytest.mark.parametrize("signs", [1, -1])
+def test_walk_peaks_head_counts_hold_at_the_int16_boundary(head, signs):
+    # a head's count of +1 coins is summed in int16 below 2**15 coins and in
+    # int32 from there; heads of all +1 coins reach the count's limit, which
+    # random coins never come near
+    length = head + 21
+    raw = np.random.default_rng(head).integers(0, 256, size=(4, length), dtype=np.uint8)
+    raw[0], raw[1], raw[2, :head] = 255, 0, 255  # all +1, all -1, a head of +1
+    flat, drawn = raw.reshape(-1), []
+
+    def coin_bytes(rng, size, calls=1):
+        first = sum(drawn)
+        drawn.append(calls * size)
+        return flat[first : first + calls * size].reshape(calls, size)
+
+    with mock.patch.object(coinlab.walks, "coin_bytes", coin_bytes):
+        peaks = walk_peaks(np.random.default_rng(0), len(raw), length, head, signs)
+    assert sum(drawn) == raw.size
+    _assert_peaks_of(signs * np.where(raw >= 128, 1, -1), head, peaks)
 
 
 @st.composite
