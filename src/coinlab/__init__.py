@@ -16,4 +16,4 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"

@@ -17,7 +17,7 @@ straight from ``random_raw``. ``coin_steps`` turns those bytes into the
 same for a block of per-round substreams (seed, i), deriving every round's
 PCG64 state from one vectorised run of SeedSequence's hash instead of
 building a generator per round. Both decode whole rows padded to PCG64's
-words, a right shift and two vectorised adds per byte, and slice the pad
+words, a compare and two vectorised adds per byte, and slice the pad
 off afterwards, so a block costs little more than its draw. The Monte
 Carlo counters read each walk as a counted head and a scanned window past
 it, the adversary's stopping range, from ``walk_peaks``: it draws a block
@@ -36,6 +36,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+# NumPy loads numpy.random on first use (about 10 ms); every experiment but
+# constants draws coins, so it loads here, with the package, rather than
+# inside the first experiment's run.
+import numpy.random  # noqa: F401
 
 __all__ = [
     "MAX_STREAM_LENGTH",
@@ -143,9 +147,11 @@ def coin_steps(rng: np.random.Generator, size: int, calls: int = 1) -> np.ndarra
 def _as_steps(raw: np.ndarray) -> np.ndarray:
     # +1 where a byte is >= 128, else -1, in place, as an int8 view: a
     # block-sized temporary would double the round engine's peak memory.
-    # The bit is added to itself because NumPy does not vectorise an 8-bit
-    # left shift: over 205k bytes, 75 us for `<<= 1` against 5 us for the add.
-    raw >>= 7
+    # NumPy vectorises neither 8-bit shift, so bit 7 is read by a compare
+    # written as bools into the same bytes (over 205k bytes, 7.7 us against
+    # 16.5 us for `>>= 7`), and doubled by adding it to itself (75 us for
+    # `<<= 1` against 5 us for the add).
+    np.greater_equal(raw, 128, out=raw.view(bool))
     np.add(raw, raw, raw)
     raw -= 1
     return raw.view(np.int8)

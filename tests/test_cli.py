@@ -596,7 +596,7 @@ def test_any_small_all_argv_exits_cleanly(argv):
 # verdict row, in report order (for lemma52-1 the total, then the + and -
 # directions; for lemma52-2 p_first, p_adversary_max, p_full; for lemma71
 # the running max, then the endpoint).
-_PINNED_VERSION = "0.2.1"
+_PINNED_VERSION = "0.2.2"
 _PINNED_SUCCESSES = {
     "fact3 --n 8 --trials 4000": {
         f"max_tail_le_twice_sum_tail_n8_r{r}": [hits]

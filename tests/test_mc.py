@@ -2,8 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import asdict
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -153,41 +155,89 @@ def test_clopper_pearson_coverage():
     assert covered >= 95
 
 
-def test_clopper_pearson_equals_beta_quantiles():
-    # reports carry these floats, so the interval must match scipy.stats'
-    # Beta quantiles bit for bit, at every edge count up to 10^6 trials
-    from scipy.stats import beta
+def _cp_root(x, n, tail, end, upper):
+    # The p near the float ``end`` where Pr(X <= x) (upper) or Pr(X >= x)
+    # (lower) equals ``tail``, X ~ Binomial(n, p): one Newton step from
+    # ``end``, whose error is second order in a distance of a few ulps. The
+    # tail is summed by the ratio recurrence away from x, exactly in
+    # rationals up to 100 trials and to 32 digits with mpmath beyond.
+    import mpmath
 
+    exact = n <= 100
+    with mpmath.workdps(32):
+        p = Fraction(end) if exact else mpmath.mpf(end)
+        q = 1 - p
+        odds = q / p if upper else p / q
+        term = series = 1
+        small = 0 if exact else mpmath.mpf(10) ** -32  # the rest is then below 1e-28 of the sum
+        for k in range(x, 0, -1) if upper else range(x, n):
+            term = term * odds * (k if upper else n - k) / (n - k + 1 if upper else k + 1)
+            series += term
+            if term < small:
+                break
+        pmf = (math.comb(n, x) if exact else mpmath.binomial(n, x)) * p**x * q ** (n - x)
+        slope = -pmf * (n - x) / q if upper else pmf * x / p
+        return p - (pmf * series - Fraction(tail)) / slope
+
+
+def test_clopper_pearson_ends_lie_within_two_ulps_of_the_exact_roots():
+    # every end of every interval in the grid up to 10**6 trials, at three
+    # confidences, and two ends where SciPy's betaincinv was far off
+    cases = [(13, 10**9, 0.99), (505, 1000, 0.99)]
     for trials in sorted({1, 2, 3, 5, 7, *(int(10 ** (k / 4)) for k in range(4, 25))}):
         counts = {0, 1, 2, trials // 3, trials // 2, trials - 2, trials - 1, trials}
-        for successes in sorted(c for c in counts if 0 <= c <= trials):
-            for confidence in (0.95, 0.99, 0.999):
-                tail = (1.0 - confidence) / 2.0
-                low = 0.0 if successes == 0 else float(
-                    beta.ppf(tail, successes, trials - successes + 1))
-                high = 1.0 if successes == trials else float(
-                    beta.ppf(1.0 - tail, successes + 1, trials - successes))
-                assert clopper_pearson(successes, trials, confidence) == (low, high), (
-                    successes, trials, confidence)
+        cases += [(x, trials, c) for x in sorted(counts) if 0 <= x <= trials
+                  for c in (0.95, 0.99, 0.999)]
+    for x, n, confidence in cases:
+        tail = (1.0 - confidence) / 2.0
+        for end, upper in zip(clopper_pearson(x, n, confidence), (False, True)):
+            if end in (0.0, 1.0):
+                assert (end == 1.0) == upper and x == (n if upper else 0), (x, n, confidence)
+                continue
+            root = _cp_root(x, n, tail, end, upper)
+            assert abs(end - root) <= 2 * math.ulp(float(root)), (x, n, confidence, upper)
 
 
-def _python_with_src(code, **env_vars):
-    # stdout of `python -c code` with this checkout's src on the path; an
-    # env var given as None is unset
+def test_clopper_pearson_rejects_bad_arguments():
+    for args in ((1, 0), (-1, 10), (11, 10), (1, 10, 0.0), (1, 10, 1.0)):
+        with pytest.raises(ValueError):
+            clopper_pearson(*args)
+
+
+def test_clopper_pearson_ends_cover_their_rates():
+    # Clopper-Pearson is conservative: each 99% interval misses its exact
+    # rate with probability at most 1% (0.84% here, summed over all 101
+    # counts). Over 800 independent seeds of fact3's r = 3 row, n = 10 and
+    # 100 trials, a 1% rate gives 21 misses or more with probability 8e-5.
+    rows = [verify_fact3_mc(10, trials=100, seed=seed)[3] for seed in range(800)]
+    assert {row["details"]["threshold"] for row in rows} == {3}
+    assert sum(not row["details"]["ci_covers_exact"] for row in rows) <= 20
+
+
+def _python_with_src(code, args=(), **env_vars):
+    # stdout of `python -c code args...` with this checkout's src on the
+    # path; an env var given as None is unset
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars}
     env = {k: v for k, v in env.items() if v is not None}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, check=True)
     return out.stdout.strip()
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
+def test_importing_the_cli_or_running_all_loads_no_scipy():
     # nor multiprocessing: --workers runs blocks on threads
-    code = ("import sys, coinlab.cli; "
-            "print(*(m in sys.modules for m in ('scipy.stats', 'multiprocessing')))")
-    assert _python_with_src(code) == "False False"
+    code = ("import sys, coinlab.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+            "                  or m == 'multiprocessing')\n"
+            "print(loaded())\n"
+            "coinlab.cli.run(['all', '--seed', '0', '--trials', '300', '--out', sys.argv[1]])\n"
+            "print(loaded())\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _python_with_src(code, args=[os.path.join(tmp, "report.json")])
+    assert out.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_importing_coinlab_pins_blas_threads_unless_set():
