@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import functools
 import inspect
 import io
@@ -255,31 +254,9 @@ def _emit(report: dict, cfg: dict) -> bool:
     return True
 
 
-@functools.cache  # once a process: each mallopt call also consolidates the heap
-def _keep_freed_heap() -> None:
-    # glibc gives the kernel back every freed array of M_MMAP_THRESHOLD
-    # bytes or more, and a freed heap top past M_TRIM_THRESHOLD (both start
-    # at 128 KB and only grow when a large mmapped block is freed). A Monte
-    # Carlo block's few-hundred-KB temporaries, such as a chunk's raw PCG64
-    # words and take()'s intp indices, then land on fresh pages block after
-    # block: one streams pass (fact3, lemma52-1, lemma52-2, lemma71) took
-    # 16,500 minor page faults, against 500 while importing SciPy (no longer
-    # a dependency) had raised both. Fixed thresholds keep such arrays on
-    # reused pages.
-    # Nothing is done without glibc, whose mallopt codes these are.
-    try:
-        os.confstr("CS_GNU_LIBC_VERSION")
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ValueError, OSError, AttributeError):
-        return
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
-
-
 def run(argv=None) -> int:
     """Parse arguments, run the experiments, emit the report; returns the
     process exit code."""
-    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -195,9 +195,8 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     stop_indices = np.empty((count, config.t_stopped), dtype=np.intp)
     stopped_sum = np.zeros(count, dtype=np.int64)
     for rows, cols, walks in _stopped_walks(streams, stopped_from):
-        result = apply_stop(walks, strategy)
-        stop_indices[rows, cols] = result.stop_index
-        stopped_sum[rows] += result.value.sum(axis=-1, dtype=np.int64)
+        stop_indices[rows, cols], value = apply_stop(walks, strategy)
+        stopped_sum[rows] += value.sum(axis=-1, dtype=np.int64)
 
     ambiguous_term = -direction * config.ambiguous
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution

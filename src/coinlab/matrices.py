@@ -77,7 +77,7 @@ def _iteration_sums(steps: np.ndarray, t: int, adversary: StoppingStrategy):
     full[..., n - t:] = 0
     sums = np.cumsum(np.swapaxes(steps[..., :t], -1, -2), axis=-1)
     correction = np.zeros_like(full)
-    correction[..., :t] = apply_stop(sums, adversary).value - sums[..., -1]
+    correction[..., :t] = apply_stop(sums, adversary)[1] - sums[..., -1]
     return full + correction, full, correction
 
 

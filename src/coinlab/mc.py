@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -63,6 +64,8 @@ DEFAULT_TRIALS_COMPOSITE = 10**5  # multi-phase / multi-stream experiments
 _ENUM_ROW_LIMIT = 20  # fact3's identity row enumerates all 2**n walks; keep it snappy
 
 _MAX_BLOCK = 8192
+# Trials per call at most: float64 tallies count exactly up to here.
+_MAX_TRIALS = 2**53
 _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # Cap on one block's walk matrix, in entries (coins). It caps a block's
 # work, and the parts of its memory that grow with the block; every other
@@ -122,31 +125,41 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
     count and the number of blocks: the kernels are NumPy and LAPACK calls
     that release the GIL, and ``walks`` keeps its scratch buffer and seeding
     generator per thread, so a counter shares no state with another block.
-    The tallies are summed in block order either way.
+    The blocks are made one at a time as they are run, with at most
+    2 * workers of them in flight, so memory does not grow with the trial
+    count, and the tallies are summed in block order either way. Over
+    ``_MAX_TRIALS`` trials is refused: float64 tallies count exactly only
+    up to 2**53.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be <= 2**53 = {_MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
-    tasks = []
-    index = 0
-    for start in range(0, trials, block_size):
-        count = min(block_size, trials - start)
-        tasks.append((counter, seed, index, start, count))
-        index += 1
-    workers = min(int(workers), os.cpu_count() or 1, len(tasks))
-    total: np.ndarray | None = None
-    if workers == 1:
-        results = map(_eval_block, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_eval_block, tasks))
+    tasks = ((counter, seed, index, start, min(block_size, trials - start))
+             for index, start in enumerate(range(0, trials, block_size)))
+    workers = min(int(workers), os.cpu_count() or 1, -(-trials // block_size))
+    results = map(_eval_block, tasks) if workers == 1 else _pooled(tasks, workers)
+    total = next(results).copy()
     for res in results:
-        total = res.copy() if total is None else total + res
-    assert total is not None
+        total += res
     return total
+
+
+def _pooled(tasks, workers: int):
+    """``_eval_block`` of each task, in order, on ``workers`` threads, with
+    at most 2 * workers tasks submitted and not yet taken."""
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        pending: deque = deque()
+        for task in tasks:
+            pending.append(executor.submit(_eval_block, task))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 # stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)**k), Stirling's error, for
@@ -419,9 +432,9 @@ def _two_phase_counter(rng, count, start, *, n_core, n_full, alpha, beta_quarter
                        alpha_prime):
     # The good direction is +1. The adversary's most damaging stop in the
     # window n_core..n_full is the window's minimum; walks.apply_stop with
-    # omniscient_extreme(-1, (n_core, n_full)) on the prefix sums states the
-    # same stop. The walks are read mirrored, so the window's minimum is the
-    # negated highest prefix past the head.
+    # omniscient_extreme(-1) on the slice sums[..., n_core-1:n_full] of the
+    # prefix sums states the same stop. The walks are read mirrored, so the
+    # window's minimum is the negated highest prefix past the head.
     at_head, _, top = walk_peaks(rng, count, n_full, n_core, -1)
     core = -at_head
     stopped = -np.maximum(at_head, top)

@@ -1,13 +1,12 @@
-"""Symmetric +/-1 walks and adversarial stopping rules.
+"""Symmetric +/-1 walks and the adversary's stop.
 
-A walk is a finite stream of fair coinflips. An adversary may truncate the
-stream at a point of its choosing: at the first prefix inside a window that
-reaches a threshold, or clairvoyantly at the most extreme prefix sum inside
-the window.
+A walk is a finite stream of fair coinflips. The adversary truncates the
+stream clairvoyantly, at its most extreme prefix sum against the good
+direction.
 
 ``draw_steps`` is the reference draw, whose coins every engine reads, and
-``apply_stop`` chooses the stop wherever prefix sums are held. It takes a
-``WalkTrace`` or a batch of prefix sums with walks on the last axis, as
+``apply_stop`` makes the adversary's stop wherever prefix sums are held: on
+whole rows of prefix sums, walks on the last axis, as
 ``np.cumsum(steps, axis=-1)`` gives. This module is the only one that seeds
 a generator or reads a coin's format: ``substream(seed, i)`` is the
 generator of substream (seed, i), and the engines read ``draw_steps``'
@@ -45,7 +44,6 @@ __all__ = [
     "MAX_STREAM_LENGTH",
     "WalkTrace",
     "StoppingStrategy",
-    "StoppedStream",
     "draw_steps",
     "coin_bytes",
     "coin_steps",
@@ -67,7 +65,9 @@ class WalkTrace:
     ``prefix_sums[k]`` is the sum of the first ``k`` steps, so the array has
     one more entry than ``steps`` and starts at 0. Extremes are taken over
     all prefixes including the empty one; ``argmax``/``argmin`` report the
-    smallest attaining prefix index.
+    smallest attaining prefix index. No engine builds one: it is a
+    reference walk for tests, and the benchmark's tracer hooks
+    ``from_steps``.
     """
 
     steps: np.ndarray
@@ -475,96 +475,30 @@ def walk_peaks(rng: np.random.Generator, count: int, length: int, head: int = 0,
     return at_head, ends, at_head + run.max(axis=0)
 
 
-def _as_direction(direction) -> int:
-    if direction in (+1, -1):
-        return int(direction)
-    raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-
-
-def _checked_window(window) -> tuple[int, int] | None:
-    if window is None:
-        return None
-    lo, hi = int(window[0]), int(window[1])
-    if not 1 <= lo <= hi:
-        raise ValueError(f"window must satisfy 1 <= lo <= hi, got ({lo},{hi})")
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class StoppingStrategy:
-    """An adversary's rule for truncating a stream.
+    """The adversary's stop: the clairvoyant stop at the most extreme prefix
+    sum, the highest for ``direction`` +1 and the lowest for -1. Build it
+    with ``omniscient_extreme``, which checks the direction."""
 
-    Use the classmethod constructors; ``kind`` is ``first_hit`` or
-    ``omniscient_extreme``. Windows are inclusive prefix-index ranges
-    ``(lo, hi)`` with ``1 <= lo <= hi <= len``; ``None`` means the full
-    stream.
-    """
-
-    kind: str
-    threshold: int | None = None
-    direction: int = +1
-    window: tuple[int, int] | None = None
+    direction: int
 
     @classmethod
-    def first_hit(cls, threshold: int, direction=+1, window=None) -> "StoppingStrategy":
-        if threshold < 1:
-            raise ValueError("first-hit threshold must be >= 1")
-        return cls(
-            kind="first_hit",
-            threshold=int(threshold),
-            direction=_as_direction(direction),
-            window=_checked_window(window),
-        )
-
-    @classmethod
-    def omniscient_extreme(cls, direction=+1, window=None) -> "StoppingStrategy":
-        return cls(
-            kind="omniscient_extreme",
-            direction=_as_direction(direction),
-            window=_checked_window(window),
-        )
+    def omniscient_extreme(cls, direction=+1) -> "StoppingStrategy":
+        if direction not in (+1, -1):
+            raise ValueError(f"direction must be +1 or -1, got {direction!r}")
+        return cls(int(direction))
 
 
-@dataclass(frozen=True)
-class StoppedStream:
-    """Outcome of a stopping rule: where it stopped and the value there (arrays for a batch)."""
-
-    stop_index: int | np.ndarray
-    value: int | np.ndarray
-
-
-def _resolve_window(strategy: StoppingStrategy, length: int) -> tuple[int, int]:
-    lo, hi = strategy.window if strategy.window is not None else (1, length)
-    if not (1 <= lo <= hi <= length):
-        raise ValueError(f"window ({lo},{hi}) invalid for stream of length {length}")
-    return lo, hi
-
-
-def apply_stop(walk, strategy: StoppingStrategy) -> StoppedStream:
-    """Apply ``strategy`` to ``walk`` and report the stop point and stopped value.
-
-    ``walk`` is a ``WalkTrace`` or prefix sums with walks on the last axis
-    (``sums[..., k-1]`` is the k-th prefix sum). Stop point k keeps the
-    first k steps. ``first_hit`` stops at the first prefix inside the window
-    whose sum reaches the threshold in the targeted direction, and at the
-    window's upper bound if that never happens.
-    ``omniscient_extreme`` stops at the most extreme prefix sum in the
-    window, smallest index on ties.
+def apply_stop(sums, strategy: StoppingStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """The adversary's stop on prefix sums with walks on the last axis
+    (``sums[..., k-1]`` is the k-th prefix sum): the ``(stop_index, value)``
+    arrays of the stop point k, which keeps the first k steps, at the most
+    extreme prefix sum in ``strategy.direction``, smallest k on ties, and
+    the sum there. To stop only at points ``lo..hi``, pass the slice
+    ``sums[..., lo-1:hi]`` and add ``lo - 1`` to its stop.
     """
-    scalar = isinstance(walk, WalkTrace)
-    sums = walk.prefix_sums[1:] if scalar else np.asarray(walk)
-    lo, hi = _resolve_window(strategy, sums.shape[-1])
-    segment = sums[..., lo - 1 : hi]
-    up = strategy.direction > 0
-    if strategy.kind == "first_hit":
-        hit = segment >= strategy.threshold if up else segment <= -strategy.threshold
-        offset = np.where(hit.any(axis=-1), hit.argmax(axis=-1), hi - lo)
-    elif strategy.kind == "omniscient_extreme":
-        offset = segment.argmax(axis=-1) if up else segment.argmin(axis=-1)
-    else:
-        raise ValueError(f"unknown stopping rule {strategy.kind!r}")
-    value = np.take_along_axis(segment, offset[..., None], axis=-1)[..., 0]
-    stop = lo + offset
-    if scalar:
-        stop, value = int(stop), int(value)
-    return StoppedStream(stop_index=stop, value=value)
+    sums = np.asarray(sums)
+    offset = sums.argmax(axis=-1) if strategy.direction > 0 else sums.argmin(axis=-1)
+    value = np.take_along_axis(sums, offset[..., None], axis=-1)[..., 0]
+    return offset + 1, value

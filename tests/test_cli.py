@@ -75,6 +75,9 @@ def test_bad_format_rejected():
     # only -1 stands for "t"; a lower value would run with t yet echo itself
     ["coin-iter", "--seed", "0", "--ambiguous", "-5"],
     ["coin-iter", "--seed", "0", "--direction", "0"],
+    # past 2**53 trials a float64 tally no longer counts exactly
+    ["fact3", "--seed", "1", "--trials", str(2**53 + 1)],
+    ["fact3", "--seed", "1", "--trials", "1" + "0" * 20],
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -88,6 +91,8 @@ def test_rejected_parameters_are_usage_errors(argv, capsys):
             assert err.startswith(f"error: {flag} must")
     if "8194" in argv or "8193" in argv:
         assert "over the limit" in err
+    if argv[-2] == "--trials" and int(argv[-1]) > 2**53:
+        assert "2**53" in err
 
 
 def test_fact3_json_report(tmp_path):
@@ -520,15 +525,41 @@ class _Captured(Exception):
     pass
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    # a perfbench module loaded by its path, as the benchmark runs it
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark imports, calls and hooks these names of the package; a
+    # change that removes one fails here rather than in a benchmark run
+    imported = []
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coinlab"):
+                module = importlib.import_module(node.module)
+                imported += [(node.module, alias.name) for alias in node.names]
+                assert [alias.name for alias in node.names
+                        if not hasattr(module, alias.name)] == [], path.name
+    assert ("coinlab.walks", "StoppingStrategy") in imported
+    checks = _perfbench_module("checks")
+    assert checks.check_build_g_norms({"n": 32, "t": 1, "m": 32, "epsilon": 0.1}, 0) == []
+    from coinlab.walks import WalkTrace
+    assert isinstance(WalkTrace.__dict__["from_steps"], classmethod)
+
+
 @pytest.mark.parametrize("name, coins", [("fact3", 16), ("lemma52-1", 200), ("lemma52-2", 3420),
                                          ("lemma71", 40), ("spectral", 32 * 32**2)])
 def test_benchmark_reads_coins_per_trial_off_each_counter(name, coins, monkeypatch):
     # perfbench's traced runs count mc.flips from the keywords each counter
     # is bound with, so a renamed keyword would count no flips at all
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     counters = []
 
     def capture(counter, *args, **kwargs):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from concurrent.futures import Future
 from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
@@ -60,17 +61,31 @@ def test_run_blocks_seed_changes_result():
     assert a[0] != b[0]
 
 
-def test_run_blocks_caps_pool_size(monkeypatch):
-    # a stand-in pool that records its size and maps serially, so no
-    # thread is started whatever size is asked for
-    sizes = []
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """Puts in place of run_blocks' thread pool one that runs each task as
+    it is submitted, so no thread is started whatever size is asked for.
+    Returns its record: the pool sizes asked for, the blocks submitted, the
+    blocks whose results were taken, and the blocks in flight at each
+    submit."""
+    record = {"sizes": [], "submitted": [], "taken": [], "in_flight": []}
 
-    class RecordingPool:
+    class Taken(Future):
+        def result(self, timeout=None):
+            record["taken"].append(self.index)
+            return super().result(timeout)
+
+    class StandInPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record["sizes"].append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, task):
+            record["submitted"].append(task[2])
+            record["in_flight"].append(len(record["submitted"]) - len(record["taken"]))
+            future = Taken()
+            future.index = task[2]
+            future.set_result(fn(task))
+            return future
 
         def __enter__(self):
             return self
@@ -78,18 +93,59 @@ def test_run_blocks_caps_pool_size(monkeypatch):
         def __exit__(self, *exc_info):
             pass
 
-    monkeypatch.setattr(coinlab.mc, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(coinlab.mc, "ThreadPoolExecutor", StandInPool)
+    return record
+
+
+def test_run_blocks_caps_pool_size(monkeypatch, stand_in_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     serial = run_blocks(_sum_counter, 1000, seed=3, block_size=100)
     pooled = run_blocks(_sum_counter, 1000, seed=3, block_size=100, workers=10**6)
     assert np.array_equal(pooled, serial)
     run_blocks(_sum_counter, 300, seed=3, block_size=100, workers=8)
-    assert sizes == [4, 3]  # capped by the CPU count, then by the 3 blocks
+    assert stand_in_pool["sizes"] == [4, 3]  # capped by the CPU count, then by the 3 blocks
 
 
 def test_run_blocks_partial_last_block():
     out = run_blocks(_sum_counter, 1000, seed=3, block_size=512)
     assert out[1] == 1000  # 512 + 488
+
+
+class _BlockZero(Exception):
+    pass
+
+
+def _fails_at_block_zero(rng, count, start):
+    if start == 0:
+        raise _BlockZero
+    return np.zeros(2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_blocks_makes_each_block_as_it_runs_it(workers, traced_peak):
+    # 10**12 trials are 10**9 blocks: a list of every block's task, or a
+    # pool handed all of them at once, would take gigabytes before block 0
+    def call():
+        with pytest.raises(_BlockZero):
+            run_blocks(_fails_at_block_zero, 10**12, seed=0, block_size=1000, workers=workers)
+
+    _, peak = traced_peak(call)
+    assert peak < 2**20
+
+
+def test_run_blocks_keeps_a_few_blocks_in_flight(monkeypatch, stand_in_pool):
+    # the pool is handed at most 2 * workers blocks that the sum has not
+    # taken yet, and the sum takes them in block order
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pooled = run_blocks(_sum_counter, 10_000, seed=3, block_size=100, workers=3)
+    assert np.array_equal(pooled, run_blocks(_sum_counter, 10_000, seed=3, block_size=100))
+    assert stand_in_pool["submitted"] == stand_in_pool["taken"] == list(range(100))
+    assert max(stand_in_pool["in_flight"]) == 6
+
+
+def test_run_blocks_refuses_more_trials_than_float64_counts():
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        run_blocks(_sum_counter, 2**53 + 1, seed=0, block_size=2**40)
 
 
 def _thread_recording(counter, threads):
@@ -411,15 +467,16 @@ def test_directional_hit_counter_matches_direct_counts(start):
 def test_two_phase_counter_matches_apply_stop(n, t, frame):
     # walks.apply_stop is the specification of the adversary's stop, stated
     # on the walks as drawn (frame +1) or on their mirror image (frame -1),
-    # where the stop against the good direction is the mirror's maximum
+    # where the stop against the good direction is the mirror's maximum; its
+    # window of stop points n_core..n_full is a slice of the prefix sums
     n_core, n_full = n * (n - 2 * t), n * (n - t)
     levels = {"alpha": 0.5 * math.sqrt(n_core), "alpha_prime": 0.25 * math.sqrt(n_core),
               "beta_quarter": max(1.0, 0.5 * math.sqrt(n_full - n_core))}
     block = np.random.SeedSequence((5, 2))
     sums = frame * _block_sums(block, 400, n_full)
     core = frame * sums[:, n_core - 1]
-    stop = StoppingStrategy.omniscient_extreme(-frame, (n_core, n_full))
-    stopped = frame * apply_stop(sums, stop).value
+    window = sums[:, n_core - 1 : n_full]
+    stopped = frame * apply_stop(window, StoppingStrategy.omniscient_extreme(-frame))[1]
     expected = [np.count_nonzero(core >= levels["alpha"]),
                 np.count_nonzero(core - stopped >= levels["beta_quarter"]),
                 np.count_nonzero(stopped >= levels["alpha_prime"])]
@@ -427,3 +484,12 @@ def test_two_phase_counter_matches_apply_stop(n, t, frame):
                                  n_full=n_full, **levels)
     assert tallies == expected
     assert 0 < expected[0] < 400 and 0 < expected[2] < 400
+    # For the full event the clairvoyant stop is no stronger than a causal
+    # one: stopping at the first prefix in the window below alpha_prime, or
+    # at the window's end if none is, gives the same indicator on every walk.
+    good = frame * window
+    below = good < levels["alpha_prime"]
+    first_hit = np.where(below.any(axis=1), below.argmax(axis=1), good.shape[1] - 1)
+    causal_full = good[np.arange(len(good)), first_hit] >= levels["alpha_prime"]
+    assert np.array_equal(causal_full, stopped >= levels["alpha_prime"])
+    assert np.count_nonzero(causal_full) == tallies[2]

@@ -54,119 +54,66 @@ def test_trace_extremes_match_prefixes(steps):
     assert trace.run_min == prefixes.min()
 
 
-def test_first_hit_stops_at_threshold():
-    trace = WalkTrace.from_steps([1, 1, 1, -1, 1])
-    strategy = StoppingStrategy.first_hit(2, direction=+1)
-    stopped = apply_stop(trace, strategy)
-    assert stopped.stop_index == 2
-    assert stopped.value == 2
-
-
-def test_first_hit_falls_back_to_window_end():
-    trace = WalkTrace.from_steps([1, -1, 1, -1])
-    strategy = StoppingStrategy.first_hit(3, direction=+1, window=(1, 3))
-    stopped = apply_stop(trace, strategy)
-    assert stopped.stop_index == 3
-    assert stopped.value == 1
-
-
-def test_first_hit_negative_direction():
-    # prefixes 0, 1, 0, -1, -2: the first prefix at or below -2 is the last
-    trace = WalkTrace.from_steps([1, -1, -1, -1])
-    stopped = apply_stop(trace, StoppingStrategy.first_hit(2, direction=-1))
-    assert stopped.stop_index == 4
-    assert stopped.value == -2
-
-
-def test_first_hit_requires_positive_threshold():
-    with pytest.raises(ValueError):
-        StoppingStrategy.first_hit(0)
-
-
 def test_omniscient_extreme_picks_smallest_argmin():
     # both prefix 2 and prefix 6 sit at the minimum; adversary takes the first
-    trace = WalkTrace.from_steps([-1, -1, 1, 1, -1, -1])
-    stopped = apply_stop(trace, StoppingStrategy.omniscient_extreme(direction=-1))
-    assert stopped.stop_index == 2
-    assert stopped.value == -2
+    sums = np.cumsum([[-1, -1, 1, 1, -1, -1]], axis=-1)
+    stop, value = apply_stop(sums, StoppingStrategy.omniscient_extreme(direction=-1))
+    assert stop.tolist() == [2] and value.tolist() == [-2]
 
 
-def test_window_validation():
-    trace = WalkTrace.from_steps([1, 1])
-    bad = StoppingStrategy.omniscient_extreme(direction=+1, window=(1, 5))
-    with pytest.raises(ValueError):
-        apply_stop(trace, bad)
-    with pytest.raises(ValueError):
-        StoppingStrategy.omniscient_extreme(direction=+1, window=(0, 2))
+def test_omniscient_extreme_refuses_other_directions():
+    for direction in (0, 2, "+"):
+        with pytest.raises(ValueError, match="direction"):
+            StoppingStrategy.omniscient_extreme(direction)
 
 
 @given(step_lists, st.sampled_from([-1, 1]))
 @settings(max_examples=200)
 def test_omniscient_dominates_every_other_stop(steps, direction):
     # the omniscient stop is by definition the worst over all stop points
-    trace = WalkTrace.from_steps(steps)
-    best = apply_stop(trace, StoppingStrategy.omniscient_extreme(direction=direction))
-    assert np.all(direction * best.value >= direction * trace.prefix_sums[1:])
+    sums = np.cumsum([steps], axis=-1)
+    stop, value = apply_stop(sums, StoppingStrategy.omniscient_extreme(direction=direction))
+    assert value[0] == sums[0, stop[0] - 1]
+    assert np.all(direction * value[0] >= direction * sums[0])
 
 
-@given(step_lists)
-def test_first_hit_value_is_exact_on_hit(steps):
-    trace = WalkTrace.from_steps(steps)
-    stopped = apply_stop(trace, StoppingStrategy.first_hit(1, direction=+1))
-    if trace.run_max >= 1:
-        assert stopped.value == 1  # +/-1 increments cannot overshoot
-    else:
-        assert stopped.stop_index == len(steps)
-
-
-def _reference_stop(steps, strategy):
-    # plain-Python statement of each rule, for the batched path to agree with
+def _reference_stop(steps, direction, lo, hi):
+    # plain-Python statement of the omniscient rule on stop points lo..hi,
+    # for the batched path to agree with
     prefix = [0]
     for step in steps:
         prefix.append(prefix[-1] + int(step))
-    lo, hi = strategy.window if strategy.window is not None else (1, len(steps))
-    d = strategy.direction
-    if strategy.kind == "first_hit":
-        hits = [k for k in range(lo, hi + 1) if d * prefix[k] >= strategy.threshold]
-        stop = hits[0] if hits else hi
-    else:
-        stop = lo
-        for k in range(lo + 1, hi + 1):
-            if d * prefix[k] > d * prefix[stop]:
-                stop = k
+    stop = lo
+    for k in range(lo + 1, hi + 1):
+        if direction * prefix[k] > direction * prefix[stop]:
+            stop = k
     return stop, prefix[stop]
 
 
 @st.composite
-def batches_and_strategies(draw):
+def batches_and_windows(draw):
     rows = draw(st.integers(1, 5))
     length = draw(st.integers(1, 12))
     row = st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length)
     steps = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int8)
-    direction = draw(st.sampled_from([-1, 1]))
-    window = draw(st.none() | st.integers(1, length).flatmap(
-        lambda lo: st.tuples(st.just(lo), st.integers(lo, length))))
-    if draw(st.booleans()):
-        strategy = StoppingStrategy.first_hit(draw(st.integers(1, length + 1)), direction, window)
-    else:
-        strategy = StoppingStrategy.omniscient_extreme(direction, window)
-    return steps, strategy
+    lo = draw(st.integers(1, length))
+    return steps, draw(st.sampled_from([-1, 1])), lo, draw(st.integers(lo, length))
 
 
-@given(batches_and_strategies())
-@example((np.array([[1]], dtype=np.int8), StoppingStrategy.omniscient_extreme(-1)))
-@example((np.array([[-1, 1, -1, 1], [1, -1, 1, -1]], dtype=np.int8),
-          StoppingStrategy.omniscient_extreme(+1, window=(1, 4))))
+@given(batches_and_windows())
+@example((np.array([[1]], dtype=np.int8), -1, 1, 1))
+@example((np.array([[-1, 1, -1, 1], [1, -1, 1, -1]], dtype=np.int8), +1, 1, 4))
+@example((np.array([[1, 1, -1, -1, -1, 1]], dtype=np.int8), -1, 3, 5))
 @settings(max_examples=300)
 def test_batched_stop_matches_reference_row_by_row(case):
-    steps, strategy = case
-    batched = apply_stop(np.cumsum(steps, axis=-1), strategy)
-    assert batched.stop_index.shape == batched.value.shape == steps.shape[:1]
+    # a window of stop points lo..hi is the slice of the sums that holds it
+    steps, direction, lo, hi = case
+    sums = np.cumsum(steps, axis=-1)
+    stop, value = apply_stop(sums[..., lo - 1 : hi], StoppingStrategy.omniscient_extreme(direction))
+    assert stop.shape == value.shape == steps.shape[:1]
     for i, row in enumerate(steps):
-        expected = _reference_stop(row, strategy)
-        assert (int(batched.stop_index[i]), int(batched.value[i])) == expected
-        scalar = apply_stop(WalkTrace.from_steps(row), strategy)
-        assert (scalar.stop_index, scalar.value) == expected
+        expected = _reference_stop(row, direction, lo, hi)
+        assert (int(stop[i]) + lo - 1, int(value[i])) == expected
 
 
 def _assert_peaks_match_cumsum(count, length, head, seed, signs):
