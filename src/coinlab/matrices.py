@@ -6,8 +6,9 @@ unstopped +/-1 matrix plus a correction supported on the truncated
 suffixes. Summing columns across rounds gives the iteration-sum matrix
 whose operator norm the concentration claim controls. ``build_G`` and the
 norm experiment's block counter share one round-sum routine over the +/-1
-steps of ``walks.coin_steps``; the counter draws a chunk of trials at a
-time and solves their norms before it draws the next. Norms come
+steps of ``walks.coin_steps``, drawn one trial after another from one
+generator; the counter draws a chunk of trials at a time and solves their
+norms before it draws the next. Norms come
 from one batched symmetric eigensolve of a stack of Gram matrices, each
 certified by the residual of its top eigenvector.
 """
@@ -21,8 +22,7 @@ import numpy as np
 
 from .bounds import Params, check, derive
 from .mc import McEstimate, _check_coin_cap, run_blocks, verdict_for
-from .walks import (_CHUNK_COINS, StoppingStrategy, apply_stop, coin_steps, substream,
-                    substream_steps)
+from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, coin_steps, substream
 
 __all__ = [
     "IterationSumMatrices",
@@ -82,16 +82,16 @@ def _iteration_sums(steps: np.ndarray, t: int, adversary: StoppingStrategy):
 
 
 def build_G(params: Params, adversary: StoppingStrategy, seed) -> IterationSumMatrices:
-    """Build the m x n iteration-sum matrices for ``params``.
-
-    Round i draws from substream (seed, i) when ``seed`` is an int, or
-    sequentially when it is a Generator. The adversary truncates the first
-    t columns each round; the last t columns are the bad processors, zeroed
-    in the sums (2t < n keeps the two sets apart).
+    """Build the m x n iteration-sum matrices for ``params`` from m rounds
+    drawn in turn from ``seed``, a Generator, or an int for the generator
+    ``substream(seed, 0)``: trial 0 of ``spectral --seed seed``. The
+    adversary truncates the first t columns each round; the last t columns
+    are the bad processors, zeroed in the sums (2t < n keeps the two sets
+    apart).
     """
     n, t, m = params.n, params.t, params.m
-    steps = (coin_steps(seed, n * n, m) if isinstance(seed, np.random.Generator)
-             else substream_steps(int(seed), 0, m, n * n))
+    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), 0)
+    steps = coin_steps(rng, n * n, m)
     return IterationSumMatrices(*_iteration_sums(steps.reshape(m, n, n), t, adversary))
 
 

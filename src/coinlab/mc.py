@@ -62,6 +62,9 @@ DEFAULT_TRIALS_SINGLE = 10**6   # single-walk tail events
 DEFAULT_TRIALS_COMPOSITE = 10**5  # multi-phase / multi-stream experiments
 
 _ENUM_ROW_LIMIT = 20  # fact3's identity row enumerates all 2**n walks; keep it snappy
+# fact3's exact column reads a cached row of n + 1 big integers
+# (exact._tail_counts), about 0.11 * n**2 bytes: 29 MB at this n.
+_FACT3_MAX_N = 2**14
 
 _MAX_BLOCK = 8192
 # Trials per call at most: float64 tallies count exactly up to here.
@@ -123,13 +126,12 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
     trials, whose global indices are ``start .. start+count-1``. With
     ``workers > 1`` the blocks run on a pool of threads, capped at the CPU
     count and the number of blocks: the kernels are NumPy and LAPACK calls
-    that release the GIL, and ``walks`` keeps its scratch buffer and seeding
-    generator per thread, so a counter shares no state with another block.
-    The blocks are made one at a time as they are run, with at most
-    2 * workers of them in flight, so memory does not grow with the trial
-    count, and the tallies are summed in block order either way. Over
-    ``_MAX_TRIALS`` trials is refused: float64 tallies count exactly only
-    up to 2**53.
+    that release the GIL, and ``walks`` keeps its seeding generator per
+    thread, so a counter shares no state with another block. The blocks
+    are made one at a time as they are run, with at most 2 * workers of
+    them in flight, so memory does not grow with the trial count, and the
+    tallies are summed in block order either way. Over ``_MAX_TRIALS``
+    trials is refused: float64 tallies count exactly only up to 2**53.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -456,9 +458,10 @@ def verify_fact3_mc(n: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: int = 0,
     r) and compare it against the exact bound 2 Pr(S_n >= r). All n
     thresholds are read off one sample of walks. The rows follow one that
     checks the reflection identity against enumerating all 2**n walks, or
-    notes that enumeration was skipped when n > ``_ENUM_ROW_LIMIT``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    notes that enumeration was skipped when n > ``_ENUM_ROW_LIMIT``. An n
+    over ``_FACT3_MAX_N`` is refused before any draw."""
+    if not 1 <= n <= _FACT3_MAX_N:
+        raise ValueError(f"n must lie in [1, {_FACT3_MAX_N}], got {n}")
     block_size = _bounded_block_size(n, trials)
     counter = partial(_tail_counter, length=n, thresholds=range(1, n + 1))
     hits = run_blocks(counter, trials, seed, block_size, workers)

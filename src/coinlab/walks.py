@@ -24,8 +24,7 @@ a cache-sized chunk of walks at a time, packs each chunk eight coins to a
 byte, keeps the head's count of +1 coins and the window's packed bytes,
 and scans the window for its end and its highest prefix sum, one popcount
 and one byte-table lookup per eight coins. A lowest prefix sum is read off
-the mirrored walk. Its bit mask, packed bytes and running sums live in one
-scratch buffer per thread, reused from call to call.
+the mirrored walk.
 """
 from __future__ import annotations
 
@@ -357,19 +356,6 @@ _BYTE_TOP = _byte_top()
 # in chunks of about this size, the round engine takes stopped streams'
 # prefix sums, and exact enumeration its walks, a chunk at a time.
 _CHUNK_COINS = 2**18
-_SCRATCH = threading.local()
-
-
-def _scratch(nbytes: int) -> np.ndarray:
-    # ``nbytes`` bytes of one buffer per thread, kept between calls and grown
-    # when a call needs more. A block's bit mask, packed bytes and running
-    # sums would otherwise land on fresh pages on every call: the allocator
-    # hands a call's freed high-water heap back to the kernel, and a
-    # lemma52-1 block then took 160-280 minor page faults growing it again.
-    buffer = getattr(_SCRATCH, "buffer", None)
-    if buffer is None or buffer.size < nbytes:
-        buffer = _SCRATCH.buffer = np.empty(nbytes, dtype=np.uint8)
-    return buffer[:nbytes]
 
 
 def _sum_dtype(bound: int) -> np.dtype:
@@ -407,8 +393,8 @@ def walk_peaks(rng: np.random.Generator, count: int, length: int, head: int = 0,
     flipping its packed bits. The zero bits that pad the window's
     last byte are -1 steps past its end, which cannot raise a highest prefix
     and are added back to the end. The chunk's bit mask, the packed bytes and
-    the running sums live in the thread's scratch buffer (``_scratch``),
-    whose contents no call reads before writing them.
+    the running sums are plain arrays made per call: ``coinlab`` fixes
+    glibc's malloc thresholds at import, so they land on reused heap pages.
     """
     if count < 1 or length < 1:
         raise ValueError(f"need count >= 1 and length >= 1, got {count} x {length}")
@@ -426,18 +412,12 @@ def walk_peaks(rng: np.random.Generator, count: int, length: int, head: int = 0,
     # A chunk's bit mask gives the head's coins and the window's whole bytes,
     # coin i of a byte in bit i; the pad bits are zeroed here and never
     # written, so one flat pack per chunk keeps the walks and the two parts
-    # apart. The front of the scratch buffer holds the mask while the block
-    # is drawn, then the window's running sums; the window's packed bytes,
-    # walks on axis 1, follow.
+    # apart. The window's packed bytes hold walks on axis 1.
     split, size = -(-head // 8), -(-width // 8)
-    scan = _sum_dtype(width + 8)  # the window's running sums, its pad steps too
-    mask_shape = (min(rows, count), 8 * (split + size))
-    front = max(mask_shape[0] * mask_shape[1], size * count * scan.itemsize)
-    scratch = _scratch(front + size * count)
-    bits = scratch[: mask_shape[0] * mask_shape[1]].view(bool).reshape(mask_shape)
+    bits = np.empty((min(rows, count), 8 * (split + size)), dtype=bool)
     bits[:, head : 8 * split] = False
     bits[:, 8 * split + width :] = False
-    window = scratch[front:].reshape(size, count)
+    window = np.empty((size, count), dtype=np.uint8)
     heads = np.zeros(count, dtype=np.int64)
     head_sum = _sum_dtype(head)  # a head's count of +1 coins
     for first in range(0, count, rows):
@@ -457,8 +437,9 @@ def walk_peaks(rng: np.random.Generator, count: int, length: int, head: int = 0,
         real = np.full(size, 0xFF, dtype=np.uint8)
         real[-1] >>= -width % 8  # the pad bits stay 0, -1 steps
         window ^= real[:, None] * (signs < 0)
-    # scan the window one row of bytes per eight coins, each column a walk
-    run = scratch[: window.size * scan.itemsize].view(scan).reshape(window.shape)
+    # scan the window one row of bytes per eight coins, each column a walk,
+    # in running sums wide enough for its pad steps too
+    run = np.empty(window.shape, dtype=_sum_dtype(width + 8))
     np.bitwise_count(window, out=run)
     run += run  # faster than a left shift, which NumPy does not vectorise
     run -= 8  # a byte's step sum is 2 * popcount - 8

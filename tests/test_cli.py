@@ -78,6 +78,8 @@ def test_bad_format_rejected():
     # past 2**53 trials a float64 tally no longer counts exactly
     ["fact3", "--seed", "1", "--trials", str(2**53 + 1)],
     ["fact3", "--seed", "1", "--trials", "1" + "0" * 20],
+    # fact3's exact column holds O(n**2) bytes, so n past 2**14 is refused
+    ["fact3", "--seed", "0", "--n", str(2**14 + 1), "--trials", "1"],
 ])
 def test_rejected_parameters_are_usage_errors(argv, capsys):
     assert run(argv) == 2
@@ -245,9 +247,11 @@ def test_coin_iter_report_does_not_depend_on_block_size(monkeypatch):
 
     argv = ["coin-iter", "--seed", "5", "--iterations", "450", "--t-stopped", "3"]
     whole = _untimed_report(argv)
+    assert _untimed_report(argv + ["--workers", "2"]) == whole
     # blocks of 7 rounds split the 200-round invariance probe across 29 blocks
     monkeypatch.setattr(coinlab.iteration, "rounds_per_block", lambda config: 7)
     assert _untimed_report(argv) == whole
+    assert _untimed_report(argv + ["--workers", "2"]) == whole
 
 
 def _coin_iter_check(monkeypatch, corrupt):

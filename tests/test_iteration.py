@@ -16,8 +16,7 @@ from coinlab.iteration import (
     run_agreement,
     run_rounds,
 )
-from coinlab.matrices import build_G
-from coinlab.walks import StoppingStrategy, draw_steps
+from coinlab.walks import draw_steps
 
 BASE = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5)
 
@@ -262,22 +261,19 @@ def test_run_rounds_across_a_round_index_of_2_to_the_32(direction):
 
 
 def test_round_draws_build_no_generator_per_round():
-    # run_rounds and build_G with an int seed derive every round's substream
-    # without a SeedSequence or a Generator per round; both modules reach
-    # these through np.random, so a return to per-round seeding raises here.
+    # run_rounds derives every round's substream without a SeedSequence or a
+    # Generator per round; it reaches these through np.random, so a return
+    # to per-round seeding raises here.
     def per_round_seeding(*args, **kwargs):
         raise AssertionError("a SeedSequence or a Generator was built for a round")
 
-    params = Params(n=12, t=2, m=8)
-    adversary = StoppingStrategy.omniscient_extreme(direction=-1)
-    want_rounds, want_G = run_rounds(BASE, 0, 64), build_G(params, adversary, 4)
+    want = run_rounds(BASE, 0, 64)
     with mock.patch.multiple(np.random, SeedSequence=per_round_seeding,
                              default_rng=per_round_seeding):
         assert coinlab.iteration.np.random.default_rng is per_round_seeding
         assert coinlab.walks.np.random.SeedSequence is per_round_seeding
-        rounds, G = run_rounds(BASE, 0, 64), build_G(params, adversary, 4)
-    assert np.array_equal(rounds.streams, want_rounds.streams)
-    assert np.array_equal(G.stopped_sums, want_G.stopped_sums)
+        rounds = run_rounds(BASE, 0, 64)
+    assert np.array_equal(rounds.streams, want.streams)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from coinlab.matrices import (
     spectral_norms,
     verify_norm_bound,
 )
-from coinlab.walks import StoppingStrategy, draw_steps
+from coinlab.walks import StoppingStrategy, draw_steps, substream
 
 ADV = StoppingStrategy.omniscient_extreme(direction=-1)
 
@@ -35,14 +35,13 @@ def test_build_G_decomposition():
 @pytest.mark.parametrize("as_generator", [False, True])
 def test_build_G_rows_are_build_H_column_sums(as_generator):
     # build_G stops all rounds at once; per round it must equal the column
-    # sums of one n x n coin matrix H drawn by hand from the same substream
-    # (int seed) or the same sequential generator, each of the first t
-    # columns stopped at its prefix minimum and the last t zeroed
+    # sums of one n x n coin matrix H drawn by hand, round after round, from
+    # the same generator (substream (seed, 0) for an int seed), each of the
+    # first t columns stopped at its prefix minimum and the last t zeroed
     params, seed = Params(n=12, t=2, m=8), 4
     G = build_G(params, ADV, np.random.default_rng(seed) if as_generator else seed)
-    shared = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if as_generator else np.random.SeedSequence((seed, 0)))
     for i in range(params.m):
-        rng = shared if as_generator else np.random.default_rng(np.random.SeedSequence((seed, i)))
         H = draw_steps(rng, (12, 12)).astype(np.int64)
         full = H.sum(axis=0)
         full[10:] = 0
@@ -51,6 +50,19 @@ def test_build_G_rows_are_build_H_column_sums(as_generator):
         assert np.array_equal(G.stopped_sums[i], stopped)
         assert np.array_equal(G.full_sums[i], full)
         assert np.array_equal(G.correction_sums[i], stopped - full)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 7])
+def test_build_G_with_an_int_seed_is_trial_0_of_the_norm_experiment(seed):
+    # build_G(params, adversary, s) draws what block 0 of `spectral --seed s`
+    # draws for its first trial, so its three norms are that trial's
+    params = Params(n=9, t=3, m=5)
+    G = build_G(params, ADV, seed)
+    tallies = matrices._norm_trial_counter(
+        substream(seed, 0), 1, 0, params_dict={"n": params.n, "t": params.t, "m": params.m},
+        adversary=ADV, threshold=20.0)
+    assert tallies[3:] == [spectral_norms(sums[None])[0][0]
+                           for sums in (G.stopped_sums, G.full_sums, G.correction_sums)]
 
 
 def test_build_G_deterministic():

@@ -1,0 +1,112 @@
+"""Seeded defects that the lab's verdicts must catch.
+
+Each case patches one defect into the engines and runs the experiment it
+affects at a small seeded trial count through ``cli.run``. At least one
+row must then turn to ``fail``, or report ``ci_covers_exact: false``. The
+same runs without a defect catch nothing. A defect that no verdict can
+catch yet is a known escape: a strict xfail with its reason, so a check
+that starts catching it shows as XPASS.
+"""
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+import coinlab.iteration
+import coinlab.matrices
+import coinlab.walks
+from coinlab import mc
+from coinlab.cli import run
+
+FACT3 = ["fact3", "--seed", "0", "--trials", "20000"]
+COIN_ITER = ["coin-iter", "--seed", "0"]
+LEMMA52_1 = ["lemma52-1", "--seed", "0", "--trials", "100000"]
+LEMMA52_2 = ["lemma52-2", "--seed", "0", "--trials", "20000"]
+
+
+def _results(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        run(argv)
+    return json.loads(out.getvalue())["results"]
+
+
+def _caught(rows):
+    return [row.get("claim_id") for row in rows
+            if row.get("verdict") == "fail"
+            or (row.get("details") or {}).get("ci_covers_exact") is False]
+
+
+def _biased_coin(monkeypatch):
+    # P(+1) = 1/2 + 1/64: bit 7 of a byte, which makes a coin +1, is ORed
+    # with a mask set at one byte in 32
+    words, mask = coinlab.walks._pcg64_words, np.random.default_rng(1)
+
+    def biased(bit_generator, total):
+        drawn = words(bit_generator, total)
+        drawn.view(np.uint8)[mask.integers(0, 32, size=4 * drawn.size) == 0] |= 0x80
+        return drawn
+
+    monkeypatch.setattr(coinlab.walks, "_pcg64_words", biased)
+
+
+def _adversary_never_stops(monkeypatch):
+    # every stop keeps the whole stream, in the rounds and in the spectral
+    # matrices, where each engine binds apply_stop
+    def last_prefix(sums, strategy):
+        sums = np.asarray(sums)
+        return np.full(sums.shape[:-1], sums.shape[-1]), sums[..., -1].copy()
+
+    for module in (coinlab.iteration, coinlab.matrices):
+        monkeypatch.setattr(module, "apply_stop", last_prefix)
+
+
+def _lemma52_2_stops_at_the_end(monkeypatch):
+    # the two-phase counter with the adversary's stop at S_end, not at the
+    # window's minimum
+    def counter(rng, count, start, *, n_core, n_full, alpha, beta_quarter, alpha_prime):
+        at_head, ends, _ = coinlab.walks.walk_peaks(rng, count, n_full, n_core, -1)
+        core, stopped = -at_head, -ends
+        return [np.count_nonzero(core >= alpha), np.count_nonzero(core - stopped >= beta_quarter),
+                np.count_nonzero(stopped >= alpha_prime)]
+
+    monkeypatch.setattr(mc, "_two_phase_counter", counter)
+
+
+def _lemma52_1_threshold_floor(monkeypatch):
+    # the strict excess threshold floor(x) where floor(x) + 1 is meant
+    monkeypatch.setattr(mc, "_strict_excess_threshold", lambda x: int(math.floor(x)))
+
+
+@pytest.mark.parametrize("argv", [FACT3, COIN_ITER, COIN_ITER + ["--workers", "2"],
+                                  LEMMA52_1, LEMMA52_2], ids=" ".join)
+def test_runs_without_a_defect_catch_nothing(argv):
+    assert _caught(_results(argv)) == []
+
+
+@pytest.mark.parametrize("defect, argv, caught_by", [
+    pytest.param(_biased_coin, FACT3, "max_tail_le_twice_sum_tail", id="coin-bias-1/64"),
+    # the rounds run as run_blocks blocks, on the calling thread or on a pool
+    pytest.param(_adversary_never_stops, COIN_ITER, "deviation_components_additive",
+                 id="never-stops-workers-1"),
+    pytest.param(_adversary_never_stops, COIN_ITER + ["--workers", "2"],
+                 "deviation_components_additive", id="never-stops-workers-2"),
+    pytest.param(_lemma52_2_stops_at_the_end, LEMMA52_2, "", id="lemma52-2-stop-at-end",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "lemma52-2's only verdict, p_full >= p_first - p_adversary_max, holds "
+                     "whatever the stop: its right side is below 0 at n = 60, t = 3, and "
+                     "p_full is not checked against its exact value"))),
+    pytest.param(_lemma52_1_threshold_floor, LEMMA52_1, "", id="lemma52-1-threshold-floor",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "the tail at 70 (6.1e-7) and at 71 (3.9e-7) both sit far below the "
+                     "bound 9.5e-6 and cannot be told apart at any affordable trial count, "
+                     "and nothing recomputes the row's integer threshold"))),
+])
+def test_seeded_defect_is_caught(monkeypatch, defect, argv, caught_by):
+    defect(monkeypatch)
+    caught = _caught(_results(argv))
+    assert caught
+    assert all(claim.startswith(caught_by) for claim in caught)

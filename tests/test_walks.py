@@ -1,4 +1,3 @@
-import threading
 from unittest import mock
 
 import numpy as np
@@ -230,18 +229,8 @@ def test_walk_peaks_memory_is_a_chunk_not_a_block(count, length, head, signs, bu
                                                   traced_peak):
     walk_peaks(np.random.default_rng(0), 8, length, head, signs)
     rng = np.random.default_rng(0)
-    # a fresh scratch buffer, so the call's own share of it is traced too
-    with mock.patch.object(coinlab.walks, "_SCRATCH", threading.local()):
-        _, peak = traced_peak(lambda: walk_peaks(rng, count, length, head, signs))
+    _, peak = traced_peak(lambda: walk_peaks(rng, count, length, head, signs))
     assert peak < budget
-
-
-def test_walk_peaks_keeps_its_scratch_between_calls():
-    # a second block of the same shape reuses the first one's buffer
-    walk_peaks(np.random.default_rng(0), 300, 200)
-    buffer = coinlab.walks._SCRATCH.buffer
-    walk_peaks(np.random.default_rng(1), 300, 200)
-    assert coinlab.walks._SCRATCH.buffer is buffer
 
 
 def test_walk_peaks_rejects_bad_arguments():
