@@ -38,13 +38,14 @@ def _check_n(n: int) -> None:
         raise ValueError(f"walk length must be >= 1, got {n}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _tail_counts(n: int) -> tuple[int, ...]:
     # entry k is the number of n-step walks with at least k +1-steps, the sum
     # of C(n, j) over j >= k: the row comes from its multiplicative
     # recurrence and is summed once, so fact3's sweep over every threshold
     # of one length does O(n) big-integer additions, not O(n**2), and no
-    # math.comb call
+    # math.comb call. Only the last row is kept: fact3 and lemma71 each read
+    # one length at a time, and a row near n = 2**14 holds about 29 MB.
     row = [1]
     for k in range(n):
         row.append(row[-1] * (n - k) // (k + 1))

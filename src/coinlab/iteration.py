@@ -12,7 +12,8 @@ direction.
 ``run_rounds`` draws a block of rounds with one ``walks.substream_steps``
 call: round i's +/-1 steps are those ``walks.draw_steps`` would draw from
 substream (seed, i), with no generator built per round. It scores the
-block with array operations. ``verify_coin_iter`` and
+block with array operations, reading each stop back off its walk for
+coin-iter's check as it goes. ``verify_coin_iter`` and
 ``verify_agreement`` are the coin-iter and agreement experiments: each
 returns its report rows. Coin-iter runs on ``mc.run_blocks``, as every
 sampled experiment does; agreement stops at its first useful round, so it
@@ -103,9 +104,11 @@ class Rounds:
     """Rounds ``start .. start+count-1`` of one config, one entry per round.
 
     ``streams[j]`` holds round ``start + j``'s n-t good streams, complete
-    first, then excluded, then stopped, so every component can be re-derived.
+    first, then excluded, then stopped, the coins ``draw_steps`` would draw.
     The per-round fields are arrays of length count (``stop_indices`` has one
     column per stopped stream); the fields every round shares are scalars.
+    ``stops_unread`` and ``stops_off_extreme`` mark the rounds whose stops,
+    read back off their walks, miss ``stopped_sum`` or the walk's extreme.
 
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term
     (+ the config's bad_contribution when enabled); excluded_sum is the raw
@@ -122,6 +125,8 @@ class Rounds:
     total: np.ndarray
     coin: np.ndarray
     good_event: np.ndarray
+    stops_unread: np.ndarray
+    stops_off_extreme: np.ndarray
     ambiguous_term: int
     alpha_prime: float
 
@@ -176,10 +181,11 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     stopped, so the core does not depend on the adversary's behavioral
     choices. The block holds one byte per coin, as int8 steps. The core and
     excluded sums run in int16 or int32 (``_part_sums``); the stopped
-    streams' int16 prefix sums and their stop are taken a group of whole
-    streams at a time (``_stopped_walks``). A round is drawn whole, so one
-    of more than ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw;
-    ``substream_steps`` refuses a negative ``start`` or an empty block.
+    streams' int16 prefix sums, their stop and its read-back are taken a
+    group of whole streams at a time (``_stopped_walks``). A round is drawn
+    whole, so one of more than ``_MAX_BLOCK_ENTRIES`` coins is refused
+    before any draw; ``substream_steps`` refuses a negative ``start`` or an
+    empty block.
     """
     n, good = config.n, config.n - config.t
     _check_coin_cap(good * n, f"a round of {good} streams of {n} coins")
@@ -193,13 +199,23 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     core_sum = _part_sums(streams, 0, k)
     excluded_sum = _part_sums(streams, k, stopped_from)
 
-    # Stopped streams are truncated at the opposing extreme over the whole round.
+    # Stopped streams are truncated at the opposing extreme over the whole
+    # round. Each stop is read back off its walk for coin-iter's check:
+    # walks[..., j - 1] is the sum of the first j coins; a stop at 0 is worth 0.
     strategy = StoppingStrategy.omniscient_extreme(direction=-direction)
     stop_indices = np.empty((count, config.t_stopped), dtype=np.intp)
     stopped_sum = np.zeros(count, dtype=np.int64)
+    read_sum = np.zeros(count, dtype=np.int64)
+    off_extreme = np.zeros(count, dtype=bool)
     for rows, cols, walks in _stopped_walks(streams, stopped_from):
-        stop_indices[rows, cols], value = apply_stop(walks, strategy)
+        stop, value = apply_stop(walks, strategy)
+        stop_indices[rows, cols] = stop
+        at_stop = np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0]
+        read = np.where(stop > 0, at_stop, 0)
+        extreme = walks.min(axis=-1) if direction > 0 else walks.max(axis=-1)
         stopped_sum[rows] += value.sum(axis=-1, dtype=np.int64)
+        read_sum[rows] += read.sum(axis=-1, dtype=np.int64)
+        off_extreme[rows] |= (read != extreme).any(axis=-1)
 
     ambiguous_term = -direction * config.ambiguous
     total = core_sum + excluded_sum + stopped_sum + ambiguous_term + config.bad_contribution
@@ -217,6 +233,8 @@ def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
         total=total,
         coin=coin,
         good_event=good_event,
+        stops_unread=read_sum != stopped_sum,
+        stops_off_extreme=off_extreme,
         ambiguous_term=ambiguous_term,
         alpha_prime=thresholds.alpha_prime,
     )
@@ -253,31 +271,9 @@ def run_agreement(config: IterationConfig, max_iterations: int) -> AgreementResu
     return AgreementResult(agreed=False, iterations_used=max_iterations)
 
 
-def _component_failures(rounds: Rounds) -> tuple[int, int]:
-    """Rounds whose components, recomputed from the raw streams, do not add
-    up to the reported total, and rounds with a stop off the extreme."""
-    config = rounds.config
-    k = config.complete_count
-    stopped_from = k + config.t_excluded
-    core = _part_sums(rounds.streams, 0, k)
-    excluded = _part_sums(rounds.streams, k, stopped_from)
-    stopped = np.zeros(len(rounds), dtype=np.int64)
-    off_extreme = np.zeros(len(rounds), dtype=bool)
-    for rows, cols, walks in _stopped_walks(rounds.streams, stopped_from):
-        # walks[..., k - 1] is the sum of the first k coins; a stop at 0 is worth 0
-        stop = rounds.stop_indices[rows, cols]
-        at_stop = np.take_along_axis(walks, stop[..., None] - 1, axis=-1)[..., 0]
-        value = np.where(stop > 0, at_stop, 0)
-        extreme = walks.min(axis=-1) if config.direction > 0 else walks.max(axis=-1)
-        stopped[rows] += value.sum(axis=-1)
-        off_extreme[rows] |= (value != extreme).any(axis=-1)
-    rebuilt = core + excluded + stopped + rounds.ambiguous_term + config.bad_contribution
-    additive = np.count_nonzero((rebuilt != rounds.total) | (core != rounds.core_sum))
-    return int(additive), int(np.count_nonzero(off_extreme))
-
-
 def _coin_iter_counter(rng, count, start, *, config, probe) -> list:
-    # good-event hits, the two counts of _component_failures, and the rounds
+    # good-event hits, the rounds whose stops read back off their walks do
+    # not add up to the stopped sum or sit off the extreme, and the rounds
     # below probe whose good event moves with the adversary's behavioral
     # knobs; rng goes unused, as round i draws from substream (seed, i)
     rounds = run_rounds(config, start, count)
@@ -288,16 +284,18 @@ def _coin_iter_counter(rng, count, start, *, config, probe) -> list:
                     replace(config, bad_contribution=-config.direction * config.t * config.n))
         moved = np.count_nonzero(np.logical_or.reduce(
             [run_rounds(v, start, len(base)).good_event != base for v in variants]))
-    return [np.count_nonzero(rounds.good_event), *_component_failures(rounds), moved]
+    return [np.count_nonzero(rounds.good_event), np.count_nonzero(rounds.stops_unread),
+            np.count_nonzero(rounds.stops_off_extreme), moved]
 
 
 def verify_coin_iter(config: IterationConfig, iterations: int, workers: int = 1) -> list[dict]:
-    """Report rows for ``iterations`` rounds: that every round's components,
-    rebuilt from its streams, add up to its total with each stop at the
-    extreme; that the good event does not move when the adversary's
-    behavioral knobs do; and the good event's frequency next to 1/20. The
-    rounds run in ``run_blocks`` blocks of ``rounds_per_block(config)`` on
-    ``workers`` threads, neither of which moves a result."""
+    """Report rows for ``iterations`` rounds: that every round's stops, read
+    back off its stopped walks, add up to the stopped sum its total used,
+    each at the extreme; that the good event does not move when the
+    adversary's behavioral knobs do; and the good event's frequency next to
+    1/20. The rounds run in ``run_blocks`` blocks of
+    ``rounds_per_block(config)`` on ``workers`` threads, neither of which
+    moves a result."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     # Paired-seed invariance probe: the good event reads only the core, so

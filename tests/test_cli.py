@@ -13,7 +13,6 @@ import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -255,44 +254,52 @@ def test_coin_iter_report_does_not_depend_on_block_size(monkeypatch):
 
 
 def _coin_iter_check(monkeypatch, corrupt):
+    # coin-iter's component row with corrupt(walks, stop, value) in place of
+    # each (stop, value) the rounds' apply_stop returns
     import coinlab.iteration
-    from coinlab.iteration import run_rounds
 
-    def corrupted_rounds(config, start, count):
-        rounds = run_rounds(config, start, count)
-        return replace(rounds, **corrupt(rounds))
+    stop_of = coinlab.iteration.apply_stop
 
-    monkeypatch.setattr(coinlab.iteration, "run_rounds", corrupted_rounds)
+    def corrupted_stop(sums, strategy):
+        return corrupt(sums, *stop_of(sums, strategy))
+
+    monkeypatch.setattr(coinlab.iteration, "apply_stop", corrupted_stop)
     _, report = _untimed_report(["coin-iter", "--seed", "1", "--iterations", "30"])
     return report["results"][0]
 
 
 def test_coin_iter_check_counts_rounds_that_do_not_add_up(monkeypatch):
-    def every_third_total_off_by_one(rounds):
-        index = rounds.start + np.arange(len(rounds))
-        return {"total": rounds.total + (index % 3 == 0)}
+    def every_third_value_off_by_one(walks, stop, value):
+        # the 30 rounds run as one block of one group, so row j is round j
+        assert len(walks) == 30
+        value = value.copy()
+        value[::3, 0] += 1
+        return stop, value
 
-    row = _coin_iter_check(monkeypatch, every_third_total_off_by_one)
+    row = _coin_iter_check(monkeypatch, every_third_value_off_by_one)
     assert (row["additive_failures"], row["stop_extreme_failures"], row["verdict"]) == (
         10, 0, "fail")
 
 
 def test_coin_iter_check_counts_stops_off_the_extreme(monkeypatch):
-    def stop_at_the_end(rounds):
-        return {"stop_indices": np.full_like(rounds.stop_indices, rounds.config.n)}
+    def stop_at_the_end(walks, stop, value):
+        return np.full_like(stop, walks.shape[-1]), value
 
     row = _coin_iter_check(monkeypatch, stop_at_the_end)
     assert row["stop_extreme_failures"] > 0 and row["verdict"] == "fail"
 
 
 def test_coin_iter_check_reads_a_stop_at_0_as_worth_0(monkeypatch):
-    checked = []
+    import coinlab.iteration
 
-    def stop_at_0(rounds):
-        checked.append(rounds)
-        return {"stop_indices": np.zeros_like(rounds.stop_indices)}
+    checked, rounds_of = [], coinlab.iteration.run_rounds
 
-    row = _coin_iter_check(monkeypatch, stop_at_0)
+    def recorded_rounds(config, start, count):
+        checked.append(rounds_of(config, start, count))
+        return checked[-1]
+
+    monkeypatch.setattr(coinlab.iteration, "run_rounds", recorded_rounds)
+    row = _coin_iter_check(monkeypatch, lambda walks, stop, value: (np.zeros_like(stop), value))
     # the invariance probe's variants run under other configs
     checked = [rounds for rounds in checked if rounds.config == checked[0].config]
     config = checked[0].config
@@ -523,6 +530,49 @@ def test_only_walks_seeds_and_decodes_coins():
     assert len(_coin_format_uses(ast.parse(
         "from .walks import coin_bytes\nnp.random.SeedSequence(1)\nsubstream_bytes()\n"
         "heads = raw >= 128\n"))) == 4
+
+
+def _dead_private_names(trees) -> tuple[int, list]:
+    """The module-level private names (``_x``) the parsed modules define,
+    and those of them no module names outside the statement that defines
+    it: as a name, an attribute or an imported name."""
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     else [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)])
+            defined += [(name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+
+    def uses(node, skip):
+        if node is skip:
+            return
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name is not None:
+            yield name
+        for child in ast.iter_child_nodes(node):
+            yield from uses(child, skip)
+
+    dead = [name for name, node in defined
+            if not any(name == used for tree in trees for used in uses(tree, node))]
+    return len(defined), dead
+
+
+def test_no_private_helper_is_left_unused():
+    # a helper the package no longer calls, which only tests would keep
+    # alive, fails here: every module-level _name is used in the package
+    source = Path(__file__).resolve().parents[1] / "src" / "coinlab"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(source.glob("*.py"))]
+    defined, dead = _dead_private_names(trees)
+    assert defined > 50 and dead == []
+    # the guard sees a helper that only calls itself, and one that is only assigned
+    assert _dead_private_names([ast.parse(
+        "def _loop(n):\n    return _loop(n - 1)\n_SET, _USED = 1, 2\nprint(_USED)\n")]) == (
+        3, ["_loop", "_SET"])
 
 
 class _Captured(Exception):

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -134,6 +136,23 @@ def test_fact3_exact_column_sums_each_row_once():
         tail = Fraction(sum(math.comb(n, k) for k in range(k_min, n + 1)), 2**n)
         at = Fraction(math.comb(n, (n + r) // 2), 2**n) if (n + r) % 2 == 0 else 0
         assert column[r - 1] == (at + 2 * (tail - at), tail), r
+
+
+def test_tail_counts_keep_one_row(traced_peak):
+    # after reads at several lengths near 4000, about one row of binomial
+    # tails is still held, not one row per length
+    lengths = range(4000, 3940, -10)
+
+    def read_each_length():
+        exact._tail_counts.cache_clear()
+        for n in lengths:
+            exact.count_sum_ge(n, 2)
+        return tracemalloc.get_traced_memory()[0]
+
+    held, _ = traced_peak(read_each_length)
+    row = exact._tail_counts(lengths[-1])
+    row_bytes = sys.getsizeof(row) + sum(sys.getsizeof(count) for count in row)
+    assert row_bytes < held < 1.5 * row_bytes
 
 
 def test_fact3_makes_no_math_comb_call():

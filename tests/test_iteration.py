@@ -11,12 +11,12 @@ import coinlab.walks
 from coinlab.bounds import Params, derive
 from coinlab.iteration import (
     IterationConfig,
-    _component_failures,
     rounds_per_block,
     run_agreement,
     run_rounds,
+    verify_coin_iter,
 )
-from coinlab.walks import draw_steps
+from coinlab.walks import apply_stop, draw_steps
 
 BASE = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5)
 
@@ -244,6 +244,8 @@ def _assert_rounds_match_reference(config, start, count):
             "ambiguous_term": rounds.ambiguous_term,
         }
         assert got == {key: want[key] for key in got}, start + j
+    # the reference's stops are read back whole and at the extreme
+    assert not rounds.stops_unread.any() and not rounds.stops_off_extreme.any()
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,14 +303,18 @@ def test_run_rounds_turns_coin_bytes_into_steps_in_place(traced_peak):
     assert peak < 1.5 * count * (config.n - config.t) * config.n + 2**20
 
 
+def _check_counts(rounds):
+    return (np.count_nonzero(rounds.stops_unread), np.count_nonzero(rounds.stops_off_extreme))
+
+
 def test_a_default_coin_iter_block_fits_in_a_small_budget(traced_peak):
-    # coin-iter's default round block, scored and then checked by the CLI,
-    # peaks at about its own raw bytes: (n-t)*n coins a round, about 1 MB
+    # coin-iter's default round block, scored and checked in one pass, peaks
+    # at about its own raw bytes: (n-t)*n coins a round, about 1 MB
     config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=0)
     count = rounds_per_block(config)
-    _component_failures(run_rounds(config, 0, 1))
-    failures, peak = traced_peak(lambda: _component_failures(run_rounds(config, 0, count)))
-    assert failures == (0, 0)
+    run_rounds(config, 0, 1)
+    rounds, peak = traced_peak(lambda: run_rounds(config, 0, count))
+    assert _check_counts(rounds) == (0, 0)
     assert peak < 2 * 2**20
 
 
@@ -318,23 +324,26 @@ def test_a_default_coin_iter_block_fits_in_a_small_budget(traced_peak):
 def test_stopped_stream_groups_match_one_group(config, start, count, streams_per_group,
                                                corrupt_seed):
     # groups of 1-5 whole streams split rounds and their stopped streams
-    # anywhere; every field and both check counts must equal one group's
-    whole = run_rounds(config, start, count)
-    rng = np.random.default_rng(corrupt_seed)
-    corrupted = replace(
-        whole,
-        stop_indices=rng.integers(0, config.n + 1, size=whole.stop_indices.shape),
-        total=whole.total + rng.integers(0, 2, size=count))
-    with mock.patch.object(coinlab.iteration, "_CHUNK_COINS", streams_per_group * config.n):
-        grouped = run_rounds(config, start, count)
-        checks = [_component_failures(rounds) for rounds in (grouped, corrupted)]
-    for field in fields(whole):
-        got, want = getattr(grouped, field.name), getattr(whole, field.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
-        else:
-            assert got == want, field.name
-    assert checks == [_component_failures(rounds) for rounds in (whole, corrupted)]
+    # anywhere; every field, both check arrays among them, must equal one
+    # group's, with the true stop and with one that moves each stop and its
+    # value by a function of the walk alone
+    def corrupted_stop(sums, strategy):
+        stop, value = apply_stop(sums, strategy)
+        key = (sums * np.arange(1, config.n + 1)).sum(axis=-1, dtype=np.int64) + corrupt_seed
+        return key % (config.n + 1), value + (key // (config.n + 1)) % 2
+
+    for stop in (apply_stop, corrupted_stop):
+        with mock.patch.object(coinlab.iteration, "apply_stop", stop):
+            whole = run_rounds(config, start, count)
+            with mock.patch.object(coinlab.iteration, "_CHUNK_COINS",
+                                   streams_per_group * config.n):
+                grouped = run_rounds(config, start, count)
+        for field in fields(whole):
+            got, want = getattr(grouped, field.name), getattr(whole, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
 
 
 def test_a_wide_round_holds_its_coins_and_a_chunk(traced_peak):
@@ -343,10 +352,24 @@ def test_a_wide_round_holds_its_coins_and_a_chunk(traced_peak):
     config = IterationConfig(n=2000, t=900, t_stopped=900, seed=0)
     count = 2
     coins = count * (config.n - config.t) * config.n
-    _component_failures(run_rounds(BASE, 0, 2))
-    failures, peak = traced_peak(lambda: _component_failures(run_rounds(config, 0, count)))
-    assert failures == (0, 0)
+    run_rounds(BASE, 0, 2)
+    rounds, peak = traced_peak(lambda: run_rounds(config, 0, count))
+    assert _check_counts(rounds) == (0, 0)
     assert peak < 1.5 * coins + 2 * 2**20
+
+
+def test_coin_iter_takes_each_stopped_stream_prefix_sums_once(monkeypatch):
+    # the check reads the stops run_rounds takes: one _stopped_walks pass a
+    # run_rounds call, over the blocks and the invariance probe's variants
+    calls = {"run_rounds": 0, "_stopped_walks": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(coinlab.iteration, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(coinlab.iteration, name, counted)
+    verify_coin_iter(BASE, 2 * rounds_per_block(BASE) + 1)
+    assert calls["run_rounds"] == 5 and calls["_stopped_walks"] == calls["run_rounds"]
 
 
 @pytest.mark.parametrize("config", [
@@ -366,7 +389,8 @@ def test_narrow_sums_hold_at_the_int16_boundary(config, sign):
     # Rounds of all +1 or all -1 coins put every part's sum at its limit,
     # which random coins never come near; the adversary stops against the
     # coins' sign, at the stopped streams' far end. Every sum must equal a
-    # plain int64 one, in run_rounds and in the check that rebuilds them.
+    # plain int64 one, in run_rounds and in the check that reads the stops
+    # back.
     config = replace(config, direction=-sign)
     count = 2
 
@@ -382,4 +406,4 @@ def test_narrow_sums_hold_at_the_int16_boundary(config, sign):
     assert rounds.excluded_sum.tolist() == streams[:, k:stopped_from].sum(axis=(1, 2)).tolist()
     assert rounds.stopped_sum.tolist() == walks[..., -1].sum(axis=-1).tolist()
     assert abs(rounds.core_sum[0]) == k * config.n
-    assert _component_failures(rounds) == (0, 0)
+    assert _check_counts(rounds) == (0, 0)

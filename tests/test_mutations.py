@@ -11,6 +11,8 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ FACT3 = ["fact3", "--seed", "0", "--trials", "20000"]
 COIN_ITER = ["coin-iter", "--seed", "0"]
 LEMMA52_1 = ["lemma52-1", "--seed", "0", "--trials", "100000"]
 LEMMA52_2 = ["lemma52-2", "--seed", "0", "--trials", "20000"]
+SPECTRAL = ["spectral", "--seed", "0", "--trials", "200"]
+AGREEMENT = ["agreement", "--seed", "5", "--t", "3", "--t-excluded", "1", "--t-stopped", "2"]
 
 
 def _results(argv):
@@ -40,17 +44,29 @@ def _caught(rows):
             or (row.get("details") or {}).get("ci_covers_exact") is False]
 
 
-def _biased_coin(monkeypatch):
-    # P(+1) = 1/2 + 1/64: bit 7 of a byte, which makes a coin +1, is ORed
-    # with a mask set at one byte in 32
+def _biased_coin(monkeypatch, one_in=32):
+    # P(+1) = 1/2 + 1/(2 * one_in): bit 7 of a byte, which makes a coin +1,
+    # is ORed with a mask set at one byte in one_in
     words, mask = coinlab.walks._pcg64_words, np.random.default_rng(1)
 
     def biased(bit_generator, total):
         drawn = words(bit_generator, total)
-        drawn.view(np.uint8)[mask.integers(0, 32, size=4 * drawn.size) == 0] |= 0x80
+        drawn.view(np.uint8)[mask.integers(0, one_in, size=4 * drawn.size) == 0] |= 0x80
         return drawn
 
     monkeypatch.setattr(coinlab.walks, "_pcg64_words", biased)
+
+
+def _biased_round_coins(monkeypatch):
+    # P(+1) = 1/2 + 1/16 in the rounds' coins: the decode substream_steps
+    # uses sets bit 7 of one byte in 8 before reading it
+    decode, mask = coinlab.walks._as_steps, np.random.default_rng(1)
+
+    def biased(raw):
+        raw[mask.integers(0, 8, size=raw.shape) == 0] |= 0x80
+        return decode(raw)
+
+    monkeypatch.setattr(coinlab.walks, "_as_steps", biased)
 
 
 def _adversary_never_stops(monkeypatch):
@@ -62,6 +78,39 @@ def _adversary_never_stops(monkeypatch):
 
     for module in (coinlab.iteration, coinlab.matrices):
         monkeypatch.setattr(module, "apply_stop", last_prefix)
+
+
+def _stop_one_early(monkeypatch):
+    # the rounds' stop index one before the stop, with the right value
+    stop = coinlab.iteration.apply_stop
+
+    def early(sums, strategy):
+        index, value = stop(sums, strategy)
+        return index - 1, value
+
+    monkeypatch.setattr(coinlab.iteration, "apply_stop", early)
+
+
+def _norms_read_high(monkeypatch):
+    # every norm solve 0.1% high
+    solve = coinlab.matrices.spectral_norms
+
+    def high(stack, *args, **kwargs):
+        values, bounds = solve(stack, *args, **kwargs)
+        return values * 1.001, bounds
+
+    monkeypatch.setattr(coinlab.matrices, "spectral_norms", high)
+
+
+def _agreement_reads_the_flipped_coin(monkeypatch):
+    # run_agreement reads each round's coin with its sign flipped
+    rounds_of = coinlab.iteration.run_rounds
+
+    def flipped(config, start, count):
+        rounds = rounds_of(config, start, count)
+        return replace(rounds, coin=-rounds.coin)
+
+    monkeypatch.setattr(coinlab.iteration, "run_rounds", flipped)
 
 
 def _lemma52_2_stops_at_the_end(monkeypatch):
@@ -81,8 +130,13 @@ def _lemma52_1_threshold_floor(monkeypatch):
     monkeypatch.setattr(mc, "_strict_excess_threshold", lambda x: int(math.floor(x)))
 
 
+_NO_EXACT_ROUND = ("no verdict reads the rounds' coin distribution: the good-event frequency "
+                   "is an info row, and agreement needs only one agreeing round; ROADMAP "
+                   "item 5's exact checks should catch it")
+
+
 @pytest.mark.parametrize("argv", [FACT3, COIN_ITER, COIN_ITER + ["--workers", "2"],
-                                  LEMMA52_1, LEMMA52_2], ids=" ".join)
+                                  LEMMA52_1, LEMMA52_2, SPECTRAL, AGREEMENT], ids=" ".join)
 def test_runs_without_a_defect_catch_nothing(argv):
     assert _caught(_results(argv)) == []
 
@@ -94,6 +148,23 @@ def test_runs_without_a_defect_catch_nothing(argv):
                  id="never-stops-workers-1"),
     pytest.param(_adversary_never_stops, COIN_ITER + ["--workers", "2"],
                  "deviation_components_additive", id="never-stops-workers-2"),
+    pytest.param(_stop_one_early, COIN_ITER, "deviation_components_additive",
+                 id="stop-one-early-workers-1"),
+    pytest.param(_stop_one_early, COIN_ITER + ["--workers", "2"],
+                 "deviation_components_additive", id="stop-one-early-workers-2"),
+    pytest.param(_norms_read_high, SPECTRAL, "power_iteration_matches_2x2_oracle",
+                 id="norms-read-high"),
+    pytest.param(partial(_biased_coin, one_in=4), LEMMA52_1, "stopped_stream_deviation_tail",
+                 id="coin-bias-1/8"),
+    pytest.param(_biased_round_coins, COIN_ITER, "", id="round-coin-bias-1/16-coin-iter",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_EXACT_ROUND)),
+    pytest.param(_biased_round_coins, AGREEMENT, "", id="round-coin-bias-1/16-agreement",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_NO_EXACT_ROUND)),
+    pytest.param(_agreement_reads_the_flipped_coin, AGREEMENT, "", id="agreement-coin-flipped",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "agreement's one verdict asks only that some round agree within the "
+                     "budget, and a flipped coin still agrees within a few rounds; ROADMAP "
+                     "item 5's exact checks should catch it"))),
     pytest.param(_lemma52_2_stops_at_the_end, LEMMA52_2, "", id="lemma52-2-stop-at-end",
                  marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
                      "lemma52-2's only verdict, p_full >= p_first - p_adversary_max, holds "
