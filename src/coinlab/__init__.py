@@ -10,7 +10,7 @@ import os
 
 # One BLAS thread per calling thread: the lab runs in parallel with
 # threads (--workers), each making its own BLAS calls, and a cold
-# multi-threaded OpenBLAS can stall its first eigh call for about a
+# multi-threaded OpenBLAS can stall its first eigensolve for about a
 # second. This only takes effect if NumPy is not loaded yet, and a value
 # the caller set is kept.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -42,4 +42,4 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"

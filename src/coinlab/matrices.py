@@ -8,9 +8,11 @@ whose operator norm the concentration claim controls. ``build_G`` and the
 norm experiment's block counter share one round-sum routine over the +/-1
 steps of ``walks.coin_steps``, drawn one trial after another from one
 generator; the counter draws a chunk of trials at a time and solves their
-norms before it draws the next. Norms come
-from one batched symmetric eigensolve of a stack of Gram matrices, each
-certified by the residual of its top eigenvector.
+norms before it draws the next, each stack on its columns that can be
+nonzero. Norms come from a stack of Gram matrices: the top eigenvalues from
+one batched ``eigvalsh``, the top eigenvectors from two batched shifted
+solves, each norm certified by its vector's residual and its distance from
+the top eigenvalue, and any that misses solved again by ``eigh``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from .bounds import Params, check, derive
 from .mc import McEstimate, _check_coin_cap, run_blocks, verdict_for
-from .walks import _CHUNK_COINS, StoppingStrategy, apply_stop, coin_steps, substream
+from .walks import (_CHUNK_COINS, StoppingStrategy, _sum_dtype, apply_stop, coin_steps,
+                    substream)
 
 __all__ = [
     "IterationSumMatrices",
@@ -73,12 +76,23 @@ def _iteration_sums(steps: np.ndarray, t: int, adversary: StoppingStrategy):
     adversary stops and whose last t are the bad processors, zero in all
     three: a stopped column's correction is its value minus its sum."""
     n = steps.shape[-1]
-    full = steps.sum(axis=-2)
+    full = steps.sum(axis=-2, dtype=_sum_dtype(n))
     full[..., n - t:] = 0
     sums = np.cumsum(np.swapaxes(steps[..., :t], -1, -2), axis=-1)
     correction = np.zeros_like(full)
     correction[..., :t] = apply_stop(sums, adversary)[1] - sums[..., -1]
     return full + correction, full, correction
+
+
+def _nonzero_columns(sums, t: int):
+    """The stopped, full and correction sums (..., m, n) of
+    ``_iteration_sums`` cut to the columns that can be nonzero: the n - t
+    good ones for the first two, the t stopped ones for the correction (one
+    zero column when t = 0). Zero columns leave the singular values as they
+    are, and the norm solve is cheaper without them."""
+    stopped, full, correction = sums
+    n = stopped.shape[-1]
+    return stopped[..., :n - t], full[..., :n - t], correction[..., :max(t, 1)]
 
 
 def build_G(params: Params, adversary: StoppingStrategy, seed) -> IterationSumMatrices:
@@ -105,15 +119,36 @@ class NormEstimate:
     iterations_used: int
 
 
+def _rayleigh(unit, v, top=1.0):
+    # theta = v^T G v for v normalised, on G scaled so that ``top`` is its
+    # top eigenvalue, and the bound on sigma = sqrt(theta). G is symmetric
+    # PSD, so the residual ||Gv - theta v|| bounds the distance from theta
+    # to some eigenvalue and |theta - top| ties theta to the top one,
+    # whichever vector v is; to first order sigma's relative error is half
+    # theta's.
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    w = (unit @ v[..., None])[..., 0]
+    theta = np.einsum("ij,ij->i", v, w)
+    residual = np.linalg.norm(w - theta[:, None] * v, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return theta, (residual + np.abs(theta - top)) / (2.0 * theta)
+
+
 def spectral_norms(stack, rel_tol: float = _REL_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Largest singular values of a (k, r, c) stack of matrices, with their
-    certified relative error bounds, from one batched eigensolve.
+    certified relative error bounds.
 
-    Each matrix's smaller Gram matrix G is solved by ``np.linalg.eigh``; the
-    value is sqrt(theta) with theta = v^T G v for the top eigenvector v, and
-    the bound is ||Gv - theta v|| / theta / 2. An all-zero matrix gets value
-    0 and bound 0. Raises ConvergenceError, carrying the first estimate
-    whose bound exceeds ``rel_tol``, if any does.
+    Each matrix's smaller Gram matrix G gets its top eigenvalue lambda from
+    ``np.linalg.eigvalsh`` and its top eigenvector v from two batched
+    ``np.linalg.solve`` steps on G - lambda (1 + 2^-30) I from a fixed
+    start. The value is sqrt(theta) with theta = v^T G v for unit v, and
+    the bound is (||Gv - theta v|| + |theta - lambda|) / theta / 2, so a v
+    that misses the top eigenvector misses its certificate instead of
+    reading low. A matrix whose bound exceeds ``rel_tol`` is solved again
+    by ``np.linalg.eigh``. Each matrix's value and bound depend on it
+    alone. An all-zero matrix gets value 0 and bound 0. Raises
+    ConvergenceError, carrying the first estimate whose bound still exceeds
+    ``rel_tol``, if any does.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.size == 0:
@@ -123,18 +158,28 @@ def spectral_norms(stack, rel_tol: float = _REL_TOL) -> tuple[np.ndarray, np.nda
     if a.shape[1] > a.shape[2]:
         a = np.swapaxes(a, 1, 2)
     gram = a @ np.swapaxes(a, 1, 2)
-    v = np.linalg.eigh(gram)[1][..., -1]
-    w = (gram @ v[..., None])[..., 0]
-    theta = np.einsum("ij,ij->i", v, w)
-    residual = np.linalg.norm(w - theta[:, None] * v, axis=1)
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    # G / lambda: the shift is relative, so a uniformly tiny or huge G is
+    # solved as a unit one, and no square in the certificate overflows
+    scale = np.where(top > 0, top, 1.0)
+    unit = gram / scale[:, None, None]
+    # each solve grows the top direction by about 2^30 against the rest;
+    # after one, certificates at the defaults reached 5e-6, past _REL_TOL
+    size = unit.shape[-1]
+    v = np.ones((len(unit), size, 1))
+    shifted = unit - (1.0 + 2.0**-30) * np.eye(size)
+    for _ in range(2):
+        v = np.linalg.solve(shifted, v)
+    theta, bounds = _rayleigh(unit, v[..., 0])
     nonzero = a.any(axis=(1, 2))
-    values = np.where(nonzero, np.sqrt(np.maximum(theta, 0.0)), 0.0)
-    # The Gram matrix is symmetric PSD, so the Rayleigh residual bounds the
-    # distance from theta to the top eigenvalue; to first order the relative
-    # error in sigma is half the relative error in theta.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = np.where(nonzero, residual / (2.0 * theta), 0.0)
+    bounds[~nonzero] = 0.0
     missed = np.flatnonzero(~(bounds <= rel_tol))  # a NaN bound misses too
+    if missed.size:
+        eigenvalues, vectors = np.linalg.eigh(unit[missed])
+        theta[missed], bounds[missed] = _rayleigh(unit[missed], vectors[..., -1],
+                                                  eigenvalues[:, -1])
+        missed = missed[~(bounds[missed] <= rel_tol)]
+    values = np.sqrt(np.maximum(scale * theta, 0.0))  # 0 for an all-zero matrix
     if missed.size:
         i = missed[0]
         raise ConvergenceError(
@@ -184,7 +229,7 @@ def _norm_trial_counter(rng, count, start, *, params_dict, adversary, threshold)
     for lo in range(0, count, chunk):
         size = min(chunk, count - lo)
         steps = coin_steps(rng, n * n, size * m).reshape(size, m, n, n)
-        for k, stack in enumerate(_iteration_sums(steps, t, adversary)):
+        for k, stack in enumerate(_nonzero_columns(_iteration_sums(steps, t, adversary), t)):
             try:
                 norms[k, lo:lo + size] = spectral_norms(stack, _REL_TOL)[0]
             except ConvergenceError as exc:

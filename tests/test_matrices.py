@@ -61,8 +61,21 @@ def test_build_G_with_an_int_seed_is_trial_0_of_the_norm_experiment(seed):
     tallies = matrices._norm_trial_counter(
         substream(seed, 0), 1, 0, params_dict={"n": params.n, "t": params.t, "m": params.m},
         adversary=ADV, threshold=20.0)
-    assert tallies[3:] == [spectral_norms(sums[None])[0][0]
-                           for sums in (G.stopped_sums, G.full_sums, G.correction_sums)]
+    solved = matrices._nonzero_columns((G.stopped_sums, G.full_sums, G.correction_sums), params.t)
+    assert tallies[3:] == [spectral_norms(sums[None])[0][0] for sums in solved]
+
+
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_nonzero_columns_drop_only_zero_columns(t):
+    # the norm counter solves each stack on the columns _nonzero_columns
+    # keeps: a prefix of each, past which every column is zero
+    G = build_G(Params(n=8, t=t, m=5), ADV, seed=3)
+    sums = (G.stopped_sums, G.full_sums, G.correction_sums)
+    kept = matrices._nonzero_columns(sums, t)
+    assert [cut.shape[-1] for cut in kept] == [8 - t, 8 - t, max(t, 1)]
+    for whole, cut in zip(sums, kept):
+        assert np.array_equal(whole[..., :cut.shape[-1]], cut)
+        assert not whole[..., cut.shape[-1]:].any()
 
 
 def test_build_G_deterministic():
@@ -159,10 +172,26 @@ def matrix_stacks(draw):
     return stack
 
 
+def _near_tied_top_pair():
+    # singular values 3, 3 (1 - 1e-12) and 1, rotated off the axes, so the
+    # Gram matrix's top two eigenvalues differ by about 2e-12 of the top
+    rotation = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2)[0]
+    return (rotation * np.array([3.0, 3.0 * (1 - 1e-12), 1.0])) @ rotation.T
+
+
 @given(matrix_stacks())
 @example(np.arange(2 * 3 * 7, dtype=np.float64).reshape(2, 3, 7) - 20)
 @example(np.arange(2 * 7 * 3, dtype=np.float64).reshape(2, 7, 3) - 20)
 @example(np.stack([np.ones((4, 4)), np.zeros((4, 4)), np.eye(4)]))
+# uniformly tiny: a shift with an absolute term would swamp its Gram matrix
+@example(np.full((1, 2, 2), 2.0**-12))
+# entries near 1e150, whose Gram matrix is near 1e301
+@example(np.array([[[1e150, -2e150, 3e150], [2e150, 1.5e150, -1e150]]]))
+@example(_near_tied_top_pair()[None])
+# rank 1 with left vector (1, -1), orthogonal to the solves' start vector of
+# ones: the solves never leave the start's direction, and the matrix is
+# solved again by eigh
+@example(np.outer([1.0, -1.0], [1.0, 2.0, 3.0])[None])
 @settings(max_examples=200)
 def test_spectral_norms_match_svd_within_certificate(stack):
     values, bounds = spectral_norms(stack)
@@ -221,9 +250,10 @@ def norm_trial_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_norm_trial_counter_matches_build_G_per_trial(case, seed):
     # the block engine reads whole chunks of trials at once and solves their
-    # norms a group of trials at a time; it must tally what build_G gives
-    # trial after trial on the same generator, float sums bit for bit, and
-    # leave the generator where build_G does
+    # norms a group of trials at a time, on the columns _nonzero_columns
+    # keeps; it must tally what build_G gives trial after trial on the same
+    # generator, cut the same way, float sums bit for bit, and leave the
+    # generator where build_G does
     params, adversary, count, chunk_coins, scale = case
     threshold = scale * np.sqrt(params.n * params.m)
     engine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -234,8 +264,9 @@ def test_norm_trial_counter_matches_build_G_per_trial(case, seed):
     norms = []
     for _ in range(count):
         G = build_G(params, adversary, reference)
-        norms.append([spectral_norms(sums[None])[0][0]
-                      for sums in (G.stopped_sums, G.full_sums, G.correction_sums)])
+        solved = matrices._nonzero_columns(
+            (G.stopped_sums, G.full_sums, G.correction_sums), params.t)
+        norms.append([spectral_norms(sums[None])[0][0] for sums in solved])
     g, r, z = np.array(norms).T
     expected = [int(np.count_nonzero(g > threshold)), int(np.count_nonzero(r > threshold / 2)),
                 int(np.count_nonzero(z > threshold / 2)), float(g.sum()), float(r.sum()),
@@ -282,6 +313,18 @@ def test_norm_groups_raise_as_one_solve_would(monkeypatch):
     with mock.patch.object(matrices, "_CHUNK_COINS", 3 * params.m * params.n):
         with pytest.raises(ConvergenceError, match="stack 0 group 1"):
             _norm_tallies(params, 3, 0)
+
+
+def test_default_spectral_norms_need_no_eigh(monkeypatch):
+    # eigvalsh and the two shifted solves certify every norm of a default
+    # spectral block by themselves; eigh, which re-solves a matrix that
+    # misses its certificate, is never called
+    def eigh(gram):
+        raise AssertionError(f"{len(gram)} matrices fell back to eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    _norm_tallies(Params(n=32, t=1, m=32), 16, 0)
+    _norm_tallies(Params(n=32, t=4, m=32), 8, 1)
 
 
 def test_a_tall_spectral_block_fits_in_a_small_budget(traced_peak):
