@@ -15,16 +15,18 @@ and block ``i`` draws from ``SeedSequence((seed, i))``. Results are
 aggregated in block order, so the outcome depends only on (seed, trials,
 block size) and never on the worker count. Block size is itself a fixed
 function of the walk length, so a given experiment is reproducible byte for
-byte. Each experiment makes one ``run_blocks`` call; fact3 and lemma71 read
-every threshold of their sweep from that one sample.
+byte. Each experiment makes one ``run_blocks`` call.
 
-The block counters never hold a walk's prefix sums. They ask
-``walks.walk_peaks`` for each walk's sum after a head, its end and its
-highest prefix sum past the head, of walks mirrored where a direction or a
-lowest prefix calls for it. It reads these off the same coins
-``walks.draw_steps`` draws, taken from the generator's raw 64-bit outputs
-and scanned eight per byte, so every tally equals the one a full
-``np.cumsum`` of those coins gives.
+The walk counters return laws, not events: the ``np.bincount`` over [-L, L]
+of each statistic they read off walks of L steps, which ``run_blocks`` sums
+in block order. Every row's count is a tail sum of one law (``_at_least``),
+so fact3 and lemma71 read their whole sweep off two laws. The counters never
+hold a walk's prefix sums. They ask ``walks.walk_peaks`` for each walk's sum
+after a head, its end and its highest prefix sum past the head, of walks
+mirrored where a direction or a lowest prefix calls for it. It reads these
+off the same coins ``walks.draw_steps`` draws, taken from the generator's
+raw 64-bit outputs and scanned eight per byte, so every law equals the one a
+full ``np.cumsum`` of those coins gives.
 """
 from __future__ import annotations
 
@@ -79,13 +81,18 @@ _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # block of 2452 walks of 3420 coins, 0.80 for lemma52-1's 8192 walks of
 # 200, 5.0 for fact3's 8192 walks of 16 (its per-walk arrays outweigh its
 # 131k coins), and 0.67 for 128 walks of 10^5 coins scanned whole for
-# their max. A block of rounds (iteration.run_rounds) is drawn
-# whole, one byte per coin, while its stopped streams' int16 prefix sums
-# are taken a chunk at a time: 1.12 at coin-iter's defaults, 1.5 for two
-# rounds of n = 2000 with 900 of 1100 streams stopped (the block plus one
-# round's raw PCG64 outputs); a round over the cap is refused, and
-# rounds_per_block keeps blocks near 2**20 coins. The cap keeps a round's
-# sums inside int32 and its n below 2**15, so inside int16 for a stream.
+# their max. A block's laws take 8 bytes a bin, 2L + 1 bins a law: 164 KB
+# for lemma52-2's three, 16.8 MB for the two of the longest lemma71 walk
+# (128 walks of 2**19 coins, whose block peaks at walk_peaks' 43.4 MB).
+# run_blocks holds those of up to 2 * workers + 1 blocks: 6 such blocks
+# traced 77 MB at --workers 1 and 120 MB at 2. A block of rounds
+# (iteration.run_rounds) is drawn whole, one byte per coin, while its
+# stopped streams' int16 prefix sums are taken a chunk at a time: 1.12 at
+# coin-iter's defaults, 1.5 for two rounds of n = 2000 with 900 of 1100
+# streams stopped (the block plus one round's raw PCG64 outputs); a round
+# over the cap is refused, and rounds_per_block keeps blocks near 2**20
+# coins. The cap keeps a round's sums inside int32 and its n below 2**15,
+# so inside int16 for a stream.
 _MAX_BLOCK_ENTRIES = 2**26
 
 
@@ -401,53 +408,47 @@ def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: st
 
 # --- block counters ---
 
-def _count_at_least(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # how many of the integer ``values`` reach each level, read off the
-    # suffix sums of one bincount over [min, max]: an integer reaches a
-    # float level when it reaches its ceiling
-    low = values.min()
-    at_least = np.zeros(values.max() - low + 2, dtype=np.int64)
-    at_least[:-1] = np.cumsum(np.bincount(values - low)[::-1])[::-1]
-    index = np.clip(np.ceil(levels) - low, 0, len(at_least) - 1)
-    return at_least[index.astype(np.int64)]
+def _laws(length: int, *stats: np.ndarray) -> np.ndarray:
+    # each integer statistic's np.bincount over [-length, length], bin i
+    # counting the value i - length, one after another in one float64 vector
+    return np.concatenate([np.bincount(s + length, minlength=2 * length + 1) for s in stats],
+                          dtype=np.float64)
 
 
-def _tail_counter(rng, count, start, *, length, thresholds):
-    # hits of the running max at each threshold, then of the endpoint
+def _at_least(law: np.ndarray, level: float) -> int:
+    # how many values a law over [-L, L] counts at or above level: its tail
+    # sum from ceil(level), as an integer reaches a level at its ceiling
+    half = len(law) // 2
+    return int(law[min(max(math.ceil(level) + half, 0), len(law)):].sum())
+
+
+def _tail_counter(rng, count, start, *, length):
+    # the law of the running max, then of the endpoint
     _, ends, tops = walk_peaks(rng, count, length)
-    levels = np.asarray(thresholds, dtype=np.float64)
-    return np.concatenate([_count_at_least(tops, levels), _count_at_least(ends, levels)])
+    return _laws(length, tops, ends)
 
 
-def _directional_hit_counter(rng, count, start, *, length, threshold):
+def _directional_hit_counter(rng, count, start, *, length):
     # Trials alternate target direction by global index: even -> +, odd -> -.
-    # An odd walk is read mirrored, so its running min <= -threshold is its
-    # mirror's running max >= threshold.
+    # An odd walk is read mirrored, so its running min <= -level is its
+    # mirror's running max >= level. Returns the law of the max of the even
+    # trials, then of the odd ones; each law sums to its direction's trials.
     plus = (np.arange(start, start + count) % 2) == 0
     tops = walk_peaks(rng, count, length, 0, np.where(plus, 1, -1))[2]
-    plus_hits = int(np.count_nonzero(tops[plus] >= threshold))
-    minus_hits = int(np.count_nonzero(tops[~plus] >= threshold))
-    return [plus_hits, minus_hits, int(plus.sum()), int(count - plus.sum())]
+    return _laws(length, tops[plus], tops[~plus])
 
 
-def _two_phase_counter(rng, count, start, *, n_core, n_full, alpha, beta_quarter,
-                       alpha_prime):
+def _two_phase_counter(rng, count, start, *, length, head):
     # The good direction is +1. The adversary's most damaging stop in the
-    # window n_core..n_full is the window's minimum; walks.apply_stop with
-    # omniscient_extreme(-1) on the slice sums[..., n_core-1:n_full] of the
+    # window head..length is the window's minimum; walks.apply_stop with
+    # omniscient_extreme(-1) on the slice sums[..., head-1:length] of the
     # prefix sums states the same stop. The walks are read mirrored, so the
-    # window's minimum is the negated highest prefix past the head.
-    at_head, _, top = walk_peaks(rng, count, n_full, n_core, -1)
+    # window's minimum is the negated highest prefix past the head. Returns
+    # the laws of the core sum, of core - stopped, and of the stopped sum.
+    at_head, _, top = walk_peaks(rng, count, length, head, -1)
     core = -at_head
     stopped = -np.maximum(at_head, top)
-    first = core >= alpha
-    adversary = core - stopped >= beta_quarter
-    full = stopped >= alpha_prime
-    return [
-        int(np.count_nonzero(first)),
-        int(np.count_nonzero(adversary)),
-        int(np.count_nonzero(full)),
-    ]
+    return _laws(length, core, core - stopped, stopped)
 
 
 # --- experiments ---
@@ -463,8 +464,8 @@ def verify_fact3_mc(n: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: int = 0,
     if not 1 <= n <= _FACT3_MAX_N:
         raise ValueError(f"n must lie in [1, {_FACT3_MAX_N}], got {n}")
     block_size = _bounded_block_size(n, trials)
-    counter = partial(_tail_counter, length=n, thresholds=range(1, n + 1))
-    hits = run_blocks(counter, trials, seed, block_size, workers)
+    maxima = run_blocks(partial(_tail_counter, length=n), trials, seed, block_size,
+                        workers).reshape(2, -1)[0]
     if n <= _ENUM_ROW_LIMIT:
         mismatches = [
             r for r in range(1, n + 1)
@@ -481,7 +482,7 @@ def verify_fact3_mc(n: int, trials: int = DEFAULT_TRIALS_SINGLE, seed: int = 0,
     # of n-bit integers takes at every threshold.
     walks = 2**n
     for r in range(1, n + 1):
-        est = McEstimate.from_counts(int(hits[r - 1]), trials, seed)
+        est = McEstimate.from_counts(_at_least(maxima, r), trials, seed)
         exact = count_max_ge_reflection(n, r) / walks
         rows.append(verdict_for(
             claim_id=f"max_tail_le_twice_sum_tail_n{n}_r{r}",
@@ -531,9 +532,11 @@ def verify_lemma52_part1(params: Params, trials: int = DEFAULT_TRIALS_SINGLE, se
         return rows
     length = n * t
     threshold = _strict_excess_threshold(thresholds.beta_quarter)
-    counter = partial(_directional_hit_counter, length=length, threshold=threshold)
-    tallies = run_blocks(counter, trials, seed, _bounded_block_size(length, trials), workers)
-    plus_hits, minus_hits, plus_trials, minus_trials = (int(v) for v in tallies)
+    counter = partial(_directional_hit_counter, length=length)
+    # each direction's trials are its law's sum
+    plus, minus = run_blocks(counter, trials, seed, _bounded_block_size(length, trials),
+                             workers).reshape(2, -1)
+    plus_hits, minus_hits = _at_least(plus, threshold), _at_least(minus, threshold)
     est = McEstimate.from_counts(plus_hits + minus_hits, trials, seed)
     rows.append(verdict_for(
         claim_id="stopped_stream_deviation_tail",
@@ -544,8 +547,8 @@ def verify_lemma52_part1(params: Params, trials: int = DEFAULT_TRIALS_SINGLE, se
             "walk_length": length,
             "beta_quarter": thresholds.beta_quarter,
             "integer_threshold": threshold,
-            "plus_direction": asdict(McEstimate.from_counts(plus_hits, plus_trials, seed)),
-            "minus_direction": asdict(McEstimate.from_counts(minus_hits, minus_trials, seed)),
+            "plus_direction": asdict(McEstimate.from_counts(plus_hits, int(plus.sum()), seed)),
+            "minus_direction": asdict(McEstimate.from_counts(minus_hits, int(minus.sum()), seed)),
         },
     ))
     return rows
@@ -571,16 +574,12 @@ def verify_lemma52_part2(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE,
     thresholds = derive(params)
     n_core = n * (n - 2 * t)
     n_full = n * (n - t)
-    counter = partial(
-        _two_phase_counter,
-        n_core=n_core,
-        n_full=n_full,
-        alpha=thresholds.alpha,
-        beta_quarter=thresholds.beta_quarter,
-        alpha_prime=thresholds.alpha_prime,
-    )
-    tallies = run_blocks(counter, trials, seed, _bounded_block_size(n_full, trials), workers)
-    p_first, p_adv, p_full = (McEstimate.from_counts(int(v), trials, seed) for v in tallies)
+    counter = partial(_two_phase_counter, length=n_full, head=n_core)
+    laws = run_blocks(counter, trials, seed, _bounded_block_size(n_full, trials),
+                      workers).reshape(3, -1)
+    levels = (thresholds.alpha, thresholds.beta_quarter, thresholds.alpha_prime)
+    p_first, p_adv, p_full = (McEstimate.from_counts(_at_least(law, level), trials, seed)
+                              for law, level in zip(laws, levels))
     slack = (p_first.p_hat - p_first.ci_low) + (p_adv.ci_high - p_adv.p_hat) \
         + (p_full.ci_high - p_full.p_hat)
     lhs = p_full.p_hat
@@ -636,13 +635,12 @@ def verify_lemma71(params: Params, trials: int = DEFAULT_TRIALS_COMPOSITE, seed:
     sigma = math.sqrt(length)
     sweep = {"default_threshold": (derive(params).beta / 6.0) * c1 * m,
              **{f"{mult}sigma": mult * sigma for mult in (0.5, 1.0, 2.0)}}
-    counter = partial(_tail_counter, length=length, thresholds=tuple(sweep.values()))
-    maxima, endpoints = run_blocks(counter, trials, seed, _bounded_block_size(length, trials),
-                                   workers).reshape(2, -1)
+    maxima, endpoints = run_blocks(partial(_tail_counter, length=length), trials, seed,
+                                   _bounded_block_size(length, trials), workers).reshape(2, -1)
     rows = []
-    for (label, tau), x_hits, y_hits in zip(sweep.items(), maxima, endpoints):
-        est_x = McEstimate.from_counts(int(x_hits), trials, seed)
-        est_y = McEstimate.from_counts(int(y_hits), trials, seed)
+    for label, tau in sweep.items():
+        est_x = McEstimate.from_counts(_at_least(maxima, tau), trials, seed)
+        est_y = McEstimate.from_counts(_at_least(endpoints, tau), trials, seed)
         slack = (est_x.ci_high - est_x.p_hat) + 2.0 * (est_y.p_hat - est_y.ci_low)
         rows.append(verdict_for(
             claim_id=f"running_max_vs_endpoint@{label}",

@@ -20,6 +20,7 @@ from coinlab.bounds import Params, derive, verdict
 from coinlab.matrices import _norm_trial_counter
 from coinlab.mc import (
     McEstimate,
+    _at_least,
     _directional_hit_counter,
     _tail_counter,
     _two_phase_counter,
@@ -155,15 +156,19 @@ def _thread_recording(counter, threads):
     return run
 
 
-@pytest.mark.parametrize("counter, block_size", [
-    (partial(_tail_counter, length=2000, thresholds=range(10, 200, 10)), 500),
-    (partial(_directional_hit_counter, length=2000, threshold=60), 500),
-    (partial(_two_phase_counter, n_core=1500, n_full=2000, alpha=25, beta_quarter=15,
-             alpha_prime=12), 500),
+@pytest.mark.parametrize("counter, block_size, hits", [
+    # bin 0 of a law counts the impossible value -length, so a law is read
+    # by a tail sum
+    (partial(_tail_counter, length=2000), 500, lambda laws: _at_least(laws[:4001], 60)),
+    (partial(_directional_hit_counter, length=2000), 500,
+     lambda laws: _at_least(laws[4001:], 60)),
+    (partial(_two_phase_counter, length=2000, head=1500), 500,
+     lambda laws: _at_least(laws[8002:], 12)),
     (partial(_norm_trial_counter, params_dict=asdict(Params(n=8, t=1, m=12)),
-             adversary=StoppingStrategy.omniscient_extreme(-1), threshold=15.0), 8),
+             adversary=StoppingStrategy.omniscient_extreme(-1), threshold=15.0), 8,
+     lambda tallies: tallies[0]),
 ], ids=["tail", "directional", "two_phase", "norm"])
-def test_pooled_blocks_tally_as_serial_ones(monkeypatch, counter, block_size):
+def test_pooled_blocks_tally_as_serial_ones(monkeypatch, counter, block_size, hits):
     # four threads draw blocks at once, each walk_peaks call into its
     # thread's scratch buffer; a buffer shared between threads, or a race,
     # would change a tally. Nine blocks, the last one short, and a short
@@ -181,7 +186,7 @@ def test_pooled_blocks_tally_as_serial_ones(monkeypatch, counter, block_size):
         sys.setswitchinterval(interval)
     assert threading.get_ident() not in threads
     assert np.array_equal(pooled, serial)
-    assert 0 < serial[0] < trials
+    assert 0 < hits(serial) < trials
 
 
 def test_clopper_pearson_edge_cases():
@@ -409,6 +414,11 @@ def _block_sums(block, count, length):
     return np.cumsum(draw_steps(np.random.default_rng(block), (count, length)), axis=1)
 
 
+def _law(stat, length):
+    # the law a counter returns for an integer statistic in [-length, length]
+    return np.bincount(stat + length, minlength=2 * length + 1).tolist()
+
+
 @pytest.mark.parametrize("length, thresholds", [
     (25, (1, 2, 5, 25, 26)),
     (25, (-3, -0.5, 0.5, 2.7, 4.2)),
@@ -417,49 +427,46 @@ def _block_sums(block, count, length):
 def test_tail_counter_matches_direct_counts(length, thresholds):
     block = np.random.SeedSequence((7, 3))
     sums = _block_sums(block, 500, length)
-    tallies = _tail_counter(np.random.default_rng(block), 500, 0, length=length,
-                            thresholds=thresholds)
-    expected = [np.count_nonzero(sums.max(axis=1) >= tau) for tau in thresholds]
-    expected += [np.count_nonzero(sums[:, -1] >= tau) for tau in thresholds]
-    assert tallies.tolist() == expected
+    tops, ends = sums.max(axis=1), sums[:, -1]
+    laws = _tail_counter(np.random.default_rng(block), 500, 0, length=length)
+    assert laws.tolist() == _law(tops, length) + _law(ends, length)
+    for law, stat in zip(laws.reshape(2, -1), (tops, ends)):
+        assert [_at_least(law, tau) for tau in thresholds] == \
+            [np.count_nonzero(stat >= tau) for tau in thresholds]
 
 
 @given(length=st.integers(1, 40), count=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       thresholds=st.lists(st.integers(-45, 45) | st.floats(-45.0, 45.0)
-                           | st.sampled_from([1e300, -1e300, 2**70, -(2**70)]), max_size=8),
+       levels=st.lists(st.integers(-45, 45) | st.floats(-45.0, 45.0)
+                       | st.sampled_from([1e300, -1e300, 2**70, -(2**70)]), max_size=8),
        edges=st.lists(st.sampled_from(["max", "min"]), max_size=4),
        nudge=st.sampled_from([-0.5, 0, 0.5, 1]))
 @settings(max_examples=200, deadline=None)
-def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, thresholds, edges,
-                                                     nudge):
-    # suffix sums of one bincount give, at each level, the count a comparison
-    # against every walk gives; an integer reaches a float level at its ceiling
+def test_tail_counter_matches_a_broadcast_comparison(length, count, seed, levels, edges, nudge):
+    # _at_least's tail sum of a law gives, at each level, the count a
+    # comparison against every walk gives; an integer reaches a float level
+    # at its ceiling
     _, ends, tops = walk_peaks(np.random.default_rng(seed), count, length)
     # levels at, just above and just below the extremes of both statistics
     for edge in edges:
         for stat in (ends, tops):
-            thresholds.append(getattr(stat, edge)() + nudge)
-    tallies = _tail_counter(np.random.default_rng(seed), count, 0, length=length,
-                            thresholds=thresholds)
-    levels = np.asarray(thresholds, dtype=np.float64)[:, None]
-    expected = np.concatenate([np.count_nonzero(tops >= levels, axis=1),
-                               np.count_nonzero(ends >= levels, axis=1)])
-    assert tallies.tolist() == expected.tolist()
+            levels.append(getattr(stat, edge)() + nudge)
+    laws = _tail_counter(np.random.default_rng(seed), count, 0, length=length).reshape(2, -1)
+    grid = np.asarray(levels, dtype=np.float64)[:, None]
+    for law, stat in zip(laws, (tops, ends)):
+        assert [_at_least(law, level) for level in levels] == \
+            np.count_nonzero(stat >= grid, axis=1).tolist()
 
 
 @pytest.mark.parametrize("start", [0, 1])
 def test_directional_hit_counter_matches_direct_counts(start):
-    # even global indices target +, odd ones -, whichever walk a block starts on
+    # even global indices target +, odd ones -, whichever walk a block starts
+    # on; an odd walk's law is that of its negated running min
     block = np.random.SeedSequence((3, 1))
     sums = _block_sums(block, 400, 30)
     plus = np.arange(start, start + 400) % 2 == 0
-    expected = [np.count_nonzero(sums[plus].max(axis=1) >= 6),
-                np.count_nonzero(sums[~plus].min(axis=1) <= -6),
-                np.count_nonzero(plus), np.count_nonzero(~plus)]
-    tallies = _directional_hit_counter(np.random.default_rng(block), 400, start, length=30,
-                                       threshold=6)
-    assert tallies == expected
-    assert 0 < expected[0] < 200 and 0 < expected[1] < 200
+    laws = _directional_hit_counter(np.random.default_rng(block), 400, start, length=30)
+    assert laws.tolist() == _law(sums[plus].max(axis=1), 30) + _law(-sums[~plus].min(axis=1), 30)
+    assert all(0 < _at_least(law, 6) < 200 for law in laws.reshape(2, -1))
 
 
 @pytest.mark.parametrize("frame", [+1, -1])
@@ -470,26 +477,51 @@ def test_two_phase_counter_matches_apply_stop(n, t, frame):
     # where the stop against the good direction is the mirror's maximum; its
     # window of stop points n_core..n_full is a slice of the prefix sums
     n_core, n_full = n * (n - 2 * t), n * (n - t)
-    levels = {"alpha": 0.5 * math.sqrt(n_core), "alpha_prime": 0.25 * math.sqrt(n_core),
-              "beta_quarter": max(1.0, 0.5 * math.sqrt(n_full - n_core))}
+    alpha, alpha_prime = 0.5 * math.sqrt(n_core), 0.25 * math.sqrt(n_core)
     block = np.random.SeedSequence((5, 2))
     sums = frame * _block_sums(block, 400, n_full)
     core = frame * sums[:, n_core - 1]
     window = sums[:, n_core - 1 : n_full]
     stopped = frame * apply_stop(window, StoppingStrategy.omniscient_extreme(-frame))[1]
-    expected = [np.count_nonzero(core >= levels["alpha"]),
-                np.count_nonzero(core - stopped >= levels["beta_quarter"]),
-                np.count_nonzero(stopped >= levels["alpha_prime"])]
-    tallies = _two_phase_counter(np.random.default_rng(block), 400, 0, n_core=n_core,
-                                 n_full=n_full, **levels)
-    assert tallies == expected
-    assert 0 < expected[0] < 400 and 0 < expected[2] < 400
+    laws = _two_phase_counter(np.random.default_rng(block), 400, 0, length=n_full, head=n_core)
+    assert laws.tolist() == (_law(core, n_full) + _law(core - stopped, n_full)
+                             + _law(stopped, n_full))
+    core_law, _, stopped_law = laws.reshape(3, -1)
+    assert 0 < _at_least(core_law, alpha) < 400 and 0 < _at_least(stopped_law, alpha_prime) < 400
     # For the full event the clairvoyant stop is no stronger than a causal
     # one: stopping at the first prefix in the window below alpha_prime, or
     # at the window's end if none is, gives the same indicator on every walk.
     good = frame * window
-    below = good < levels["alpha_prime"]
+    below = good < alpha_prime
     first_hit = np.where(below.any(axis=1), below.argmax(axis=1), good.shape[1] - 1)
-    causal_full = good[np.arange(len(good)), first_hit] >= levels["alpha_prime"]
-    assert np.array_equal(causal_full, stopped >= levels["alpha_prime"])
-    assert np.count_nonzero(causal_full) == tallies[2]
+    causal_full = good[np.arange(len(good)), first_hit] >= alpha_prime
+    assert np.array_equal(causal_full, stopped >= alpha_prime)
+    assert np.count_nonzero(causal_full) == _at_least(stopped_law, alpha_prime)
+
+
+@pytest.mark.parametrize("count, start", [(1, 0), (1, 1), (7, 3), (64, 0)])
+@pytest.mark.parametrize("counter, laws", [
+    (partial(_tail_counter, length=30), 2),
+    (partial(_directional_hit_counter, length=30), 2),
+    (partial(_two_phase_counter, length=30, head=20), 3),
+], ids=["tail", "directional", "two_phase"])
+def test_each_law_counts_every_walk_of_the_block_once(counter, laws, count, start):
+    # the directional counter's two laws split the block by direction
+    sums = counter(np.random.default_rng(count), count, start).reshape(laws, -1).sum(axis=1)
+    even = np.count_nonzero(np.arange(start, start + count) % 2 == 0)
+    expected = [even, count - even] if counter.func is _directional_hit_counter else [count] * laws
+    assert sums.tolist() == expected
+
+
+def test_the_laws_waiting_in_run_blocks_fit_a_budget(monkeypatch, traced_peak):
+    # A block of _tail_counter returns two laws of 2L + 1 float64 bins, and
+    # run_blocks holds at most 2 * workers + 1 of these: the blocks in flight
+    # and the running total. Each running block also holds its int64
+    # bincounts next to their float64 copy, and its walk_peaks draw. Sixteen
+    # blocks held at once would be over the budget.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    length, block, workers = 2**16, 8, 2
+    laws = 16 * (2 * length + 1)
+    _, peak = traced_peak(lambda: run_blocks(partial(_tail_counter, length=length), 16 * block,
+                                             seed=0, block_size=block, workers=workers))
+    assert peak < (2 * workers + 1) * laws + workers * (2 * laws + 2**21)

@@ -133,11 +133,10 @@ def _agreement_reads_the_flipped_coin(monkeypatch):
 def _lemma52_2_stops_at_the_end(monkeypatch):
     # the two-phase counter with the adversary's stop at S_end, not at the
     # window's minimum
-    def counter(rng, count, start, *, n_core, n_full, alpha, beta_quarter, alpha_prime):
-        at_head, ends, _ = coinlab.walks.walk_peaks(rng, count, n_full, n_core, -1)
+    def counter(rng, count, start, *, length, head):
+        at_head, ends, _ = coinlab.walks.walk_peaks(rng, count, length, head, -1)
         core, stopped = -at_head, -ends
-        return [np.count_nonzero(core >= alpha), np.count_nonzero(core - stopped >= beta_quarter),
-                np.count_nonzero(stopped >= alpha_prime)]
+        return mc._laws(length, core, core - stopped, stopped)
 
     monkeypatch.setattr(mc, "_two_phase_counter", counter)
 
