@@ -42,4 +42,4 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
-__version__ = "0.2.3"
+__version__ = "0.3.0"

@@ -9,13 +9,12 @@ opposing value. The "core" is the complete, untouched good streams; the
 round is useful when the core alone deviates past alpha_prime in the good
 direction.
 
-``run_rounds`` draws a block of rounds with one ``walks.substream_steps``
-call: round i's +/-1 steps are those ``walks.draw_steps`` would draw from
-substream (seed, i), with no generator built per round. It scores the
-block with array operations, reading each stop back off its walk for
-coin-iter's check as it goes. ``verify_coin_iter`` and
-``verify_agreement`` are the coin-iter and agreement experiments: each
-returns its report rows. Coin-iter runs on ``mc.run_blocks``, as every
+``run_rounds`` draws a block of rounds with one ``walks.round_steps``
+call: round i's +/-1 steps are its run of the seed's round stream, one coin
+per bit, with no generator built per round. It scores the block with array
+operations, reading each stop back off its walk for coin-iter's check as it
+goes. ``verify_coin_iter`` and ``verify_agreement`` are the coin-iter and
+agreement experiments: each returns its report rows. Coin-iter runs on ``mc.run_blocks``, as every
 sampled experiment does; agreement stops at its first useful round, so it
 runs on one thread.
 """
@@ -28,19 +27,19 @@ import numpy as np
 
 from .bounds import Params, check, derive
 from .mc import McEstimate, _check_coin_cap, block_size_for, run_blocks
-from .walks import _CHUNK_COINS, StoppingStrategy, _sum_dtype, apply_stop, substream_steps
+from .walks import _CHUNK_COINS, StoppingStrategy, _sum_dtype, apply_stop, round_steps
 
 # Coins per block of rounds: a block holds about a byte per coin, so about
-# 1 MB. Each run_rounds call costs about 100 us however small, so smaller
-# blocks pay that more often: with 2**18, 20000 coin-iter rounds and 30
-# agreement runs at n=60, t=3 took about a fifth longer (2-vCPU Xeon).
+# 1 MB. Each run_rounds call costs about 85 us however small, so smaller
+# blocks pay that more often: 20000 coin-iter rounds at n=60, t=3 took 65 ms
+# in blocks of 2**18 coins against 43 ms in blocks of 2**20 (2-vCPU Xeon).
 _ROUND_BUDGET = 2**20
 # Rounds in run_agreement's first chunk, which then doubles up to a block.
 # Most runs agree within a few rounds, so the per-call cost, not the coins,
 # sets their time: 100 agreement runs at n=60, t=3 (one stream excluded, two
-# stopped) took 81 ms starting from one round and 45 ms from eight; sixteen
-# was as fast and 32 slower (2-vCPU Xeon).
-_FIRST_CHUNK = 8
+# stopped) took 36 ms starting from one round, 25 ms from eight and 16-21 ms
+# from sixteen; 32 was as fast and 64 slower (2-vCPU Xeon).
+_FIRST_CHUNK = 16
 
 __all__ = [
     "IterationConfig",
@@ -104,9 +103,10 @@ class Rounds:
     """Rounds ``start .. start+count-1`` of one config, one entry per round.
 
     ``streams[j]`` holds round ``start + j``'s n-t good streams, complete
-    first, then excluded, then stopped, the coins ``draw_steps`` would draw.
-    The per-round fields are arrays of length count (``stop_indices`` has one
-    column per stopped stream); the fields every round shares are scalars.
+    first, then excluded, then stopped: the round's coins of the seed's
+    round stream, as ``walks.round_steps`` reads them. The per-round
+    fields are arrays of length count (``stop_indices`` has one column per
+    stopped stream); the fields every round shares are scalars.
     ``stops_unread`` and ``stops_off_extreme`` mark the rounds whose stops,
     read back off their walks, miss ``stopped_sum`` or the walk's extreme.
 
@@ -137,8 +137,8 @@ class Rounds:
 def rounds_per_block(config: IterationConfig) -> int:
     """Rounds per ``run_rounds`` block: about ``_ROUND_BUDGET`` coins of
     (n-t)*n per round, with ``mc.block_size_for``'s cap, down to one round.
-    Round i draws from substream (seed, i) in any block, so the block size
-    moves no result, only memory and per-call overhead."""
+    Round i reads the same coins of the round stream in any block, so the
+    block size moves no result, only memory and per-call overhead."""
     return block_size_for((config.n - config.t) * config.n, minimum=1, budget=_ROUND_BUDGET)
 
 
@@ -175,21 +175,21 @@ def _stopped_walks(streams: np.ndarray, first: int):
 
 def run_rounds(config: IterationConfig, start: int, count: int) -> Rounds:
     """Simulate rounds ``start .. start+count-1``; round i always draws its
-    n-t good streams as one matrix from substream (seed, i).
+    n-t good streams as one matrix, its run of the seed's round stream.
 
     The stream layout is fixed, complete streams first, then excluded, then
     stopped, so the core does not depend on the adversary's behavioral
-    choices. The block holds one byte per coin, as int8 steps. The core and
-    excluded sums run in int16 or int32 (``_part_sums``); the stopped
-    streams' int16 prefix sums, their stop and its read-back are taken a
-    group of whole streams at a time (``_stopped_walks``). A round is drawn
-    whole, so one of more than ``_MAX_BLOCK_ENTRIES`` coins is refused
-    before any draw; ``substream_steps`` refuses a negative ``start`` or an
-    empty block.
+    choices. The block holds one byte per coin, as int8 steps unpacked from
+    one bit per coin drawn. The core and excluded sums run in int16 or
+    int32 (``_part_sums``); the stopped streams' int16 prefix sums, their
+    stop and its read-back are taken a group of whole streams at a time
+    (``_stopped_walks``). A round is drawn whole, so one of more than
+    ``_MAX_BLOCK_ENTRIES`` coins is refused before any draw;
+    ``round_steps`` refuses a negative ``start`` or an empty block.
     """
     n, good = config.n, config.n - config.t
     _check_coin_cap(good * n, f"a round of {good} streams of {n} coins")
-    streams = substream_steps(config.seed, start, count, good * n).reshape(count, good, n)
+    streams = round_steps(config.seed, start, count, good * n).reshape(count, good, n)
     k = config.complete_count
     stopped_from = k + config.t_excluded
 
@@ -254,7 +254,7 @@ def run_agreement(config: IterationConfig, max_iterations: int) -> AgreementResu
 
     Rounds are drawn in chunks that double from ``_FIRST_CHUNK`` rounds up
     to a block, so at most about twice the rounds used, or the first chunk,
-    are drawn. Round i is substream (seed, i) in any chunk, so the schedule
+    are drawn. Round i reads the same coins in any chunk, so the schedule
     moves no result, only the number of ``run_rounds`` calls.
     """
     if max_iterations < 1:
@@ -275,7 +275,7 @@ def _coin_iter_counter(rng, count, start, *, config, probe) -> list:
     # good-event hits, the rounds whose stops read back off their walks do
     # not add up to the stopped sum or sit off the extreme, and the rounds
     # below probe whose good event moves with the adversary's behavioral
-    # knobs; rng goes unused, as round i draws from substream (seed, i)
+    # knobs; rng goes unused, as round i reads its run of the round stream
     rounds = run_rounds(config, start, count)
     moved = 0
     if start < probe:

@@ -84,15 +84,16 @@ _BLOCK_BUDGET = 2**23  # approx entries of walk data per block
 # their max. A block's laws take 8 bytes a bin, 2L + 1 bins a law: 164 KB
 # for lemma52-2's three, 16.8 MB for the two of the longest lemma71 walk
 # (128 walks of 2**19 coins, whose block peaks at walk_peaks' 43.4 MB).
-# run_blocks holds those of up to 2 * workers + 1 blocks: 6 such blocks
-# traced 77 MB at --workers 1 and 120 MB at 2. A block of rounds
-# (iteration.run_rounds) is drawn whole, one byte per coin, while its
-# stopped streams' int16 prefix sums are taken a chunk at a time: 1.12 at
-# coin-iter's defaults, 1.5 for two rounds of n = 2000 with 900 of 1100
-# streams stopped (the block plus one round's raw PCG64 outputs); a round
-# over the cap is refused, and rounds_per_block keeps blocks near 2**20
-# coins. The cap keeps a round's sums inside int32 and its n below 2**15,
-# so inside int16 for a stream.
+# run_blocks holds those of up to 2 * workers + 1 blocks, none of them
+# while the next block runs on its thread: 6 such blocks traced 60 MB at
+# --workers 1 and 104 MB at 2. A block of rounds (iteration.run_rounds) is
+# drawn whole, one bit per coin unpacked to a byte, while its stopped
+# streams' int16 prefix sums are taken a chunk at a time: 1.13 at
+# coin-iter's defaults, 1.24 for two rounds of n = 2000 with 900 of 1100
+# streams stopped (the block plus its drawn bits); a round over the cap is
+# refused, and rounds_per_block keeps blocks near 2**20 coins. The cap
+# keeps a round's sums inside int32 and its n below 2**15, so inside int16
+# for a stream.
 _MAX_BLOCK_ENTRIES = 2**26
 
 
@@ -133,12 +134,12 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
     trials, whose global indices are ``start .. start+count-1``. With
     ``workers > 1`` the blocks run on a pool of threads, capped at the CPU
     count and the number of blocks: the kernels are NumPy and LAPACK calls
-    that release the GIL, and ``walks`` keeps its seeding generator per
-    thread, so a counter shares no state with another block. The blocks
-    are made one at a time as they are run, with at most 2 * workers of
-    them in flight, so memory does not grow with the trial count, and the
-    tallies are summed in block order either way. Over ``_MAX_TRIALS``
-    trials is refused: float64 tallies count exactly only up to 2**53.
+    that release the GIL, and a counter shares no state with another
+    block. The blocks are made one at a time as they are run, with at most
+    2 * workers of them in flight, so memory does not grow with the trial
+    count, and the tallies are summed in block order either way. Over
+    ``_MAX_TRIALS`` trials is refused: float64 tallies count exactly only
+    up to 2**53.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -155,6 +156,7 @@ def run_blocks(counter, trials: int, seed: int, block_size: int, workers: int = 
     total = next(results).copy()
     for res in results:
         total += res
+        del res  # else the loop keeps it while the next block runs
     return total
 
 
@@ -409,10 +411,13 @@ def verdict_for(claim_id: str, empirical: McEstimate, bound: float, relation: st
 # --- block counters ---
 
 def _laws(length: int, *stats: np.ndarray) -> np.ndarray:
-    # each integer statistic's np.bincount over [-length, length], bin i
-    # counting the value i - length, one after another in one float64 vector
-    return np.concatenate([np.bincount(s + length, minlength=2 * length + 1) for s in stats],
-                          dtype=np.float64)
+    # each integer statistic's law over [-length, length], bin i counting the
+    # value i - length, one after another in one float64 vector: one bincount
+    # of the statistics shifted to their own bins, weighted by ones so that
+    # it counts in float64 and no int64 law is held beside the result
+    size = 2 * length + 1
+    bins = np.concatenate([s + (length + k * size) for k, s in enumerate(stats)])
+    return np.bincount(bins, np.ones(len(bins)), len(stats) * size)
 
 
 def _at_least(law: np.ndarray, level: float) -> int:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinlab.iteration
-import coinlab.walks
 from coinlab.bounds import Params, derive
 from coinlab.iteration import (
     IterationConfig,
@@ -16,7 +15,8 @@ from coinlab.iteration import (
     run_rounds,
     verify_coin_iter,
 )
-from coinlab.walks import apply_stop, draw_steps
+from coinlab.walks import apply_stop
+from reference import good_event_check, round_coins
 
 BASE = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2, seed=5)
 
@@ -182,9 +182,10 @@ def test_agreement_budget_exhaustion():
 
 
 def _reference_round(config, i):
-    """Round i by hand: its own generator, np.cumsum and Python min/max."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
-    streams = draw_steps(rng, (config.n - config.t, config.n))
+    """Round i by hand: its coins read bit by bit off the round stream,
+    np.cumsum and Python min/max."""
+    good = config.n - config.t
+    streams = round_coins(config.seed, i, good * config.n).reshape(good, config.n)
     k, stopped_from = config.complete_count, config.complete_count + config.t_excluded
     thresholds = derive(Params(n=config.n, t=config.t))
     core = int(streams[:k].sum())
@@ -256,33 +257,75 @@ def test_run_rounds_matches_a_plain_loop(config, start, count):
 
 @pytest.mark.parametrize("direction", [1, -1])
 def test_run_rounds_across_a_round_index_of_2_to_the_32(direction):
-    # round 2**32 is the first whose index SeedSequence splits into two words
+    # rounds 2**32 - 2 .. 2**32 + 1 sit about 2**32 * W outputs into the
+    # round stream, which one advance reaches
     config = IterationConfig(n=60, t=3, t_excluded=1, t_stopped=2,
                              direction=direction, seed=5)
     _assert_rounds_match_reference(config, 2**32 - 2, 4)
 
 
 def test_round_draws_build_no_generator_per_round():
-    # run_rounds derives every round's substream without a SeedSequence or a
-    # Generator per round; it reaches these through np.random, so a return
-    # to per-round seeding raises here.
-    def per_round_seeding(*args, **kwargs):
-        raise AssertionError("a SeedSequence or a Generator was built for a round")
+    # a run_rounds call seeds one SeedSequence and one PCG64, however many
+    # rounds it draws, and no Generator; it reaches all of them through
+    # np.random, so a return to per-round seeding shows here
+    def counted(make):
+        def build(*args, **kwargs):
+            built.append(make.__name__)
+            return make(*args, **kwargs)
+        return build
 
-    want = run_rounds(BASE, 0, 64)
-    with mock.patch.multiple(np.random, SeedSequence=per_round_seeding,
-                             default_rng=per_round_seeding):
-        assert coinlab.iteration.np.random.default_rng is per_round_seeding
-        assert coinlab.walks.np.random.SeedSequence is per_round_seeding
-        rounds = run_rounds(BASE, 0, 64)
-    assert np.array_equal(rounds.streams, want.streams)
+    makers = (np.random.SeedSequence, np.random.PCG64, np.random.Generator, np.random.default_rng)
+    for count in (1, 64):
+        built = []
+        want = run_rounds(BASE, 3, count)
+        with mock.patch.multiple(np.random, **{make.__name__: counted(make) for make in makers}):
+            rounds = run_rounds(BASE, 3, count)
+        assert sorted(built) == ["PCG64", "SeedSequence"], count
+        assert np.array_equal(rounds.streams, want.streams)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_configs(), start=st.integers(0, 2**40), first=st.integers(1, 20),
+       second=st.integers(1, 20))
+def test_run_rounds_joins_up_across_calls(config, start, first, second):
+    # rounds start .. start+first-1, then the next second rounds, are the
+    # rounds of one call for all of them, field by field
+    whole = run_rounds(config, start, first + second)
+    parts = run_rounds(config, start, first), run_rounds(config, start + first, second)
+    for field in fields(whole):
+        want = getattr(whole, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(np.concatenate([getattr(p, field.name) for p in parts]),
+                                  want), field.name
+        elif field.name != "start":
+            assert all(getattr(p, field.name) == want for p in parts), field.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_configs(), budget=st.integers(1, 200))
+def test_run_agreement_does_not_depend_on_its_first_chunk(config, budget):
+    # the chunk schedule moves only the number of run_rounds calls
+    results = set()
+    for first in (1, 8, 64):
+        with mock.patch.object(coinlab.iteration, "_FIRST_CHUNK", first):
+            results.add(run_agreement(config, budget))
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_good_event_rate_covers_its_exact_value(seed):
+    # 20,000 rounds at coin-iter's defaults: the good event's interval at
+    # confidence 1 - 1e-6 covers its exact probability, 0.1419353
+    hits, (low, high), exact = good_event_check(seed)
+    assert exact == pytest.approx(0.1419353, abs=1e-7)
+    assert low <= exact <= high, (hits, low, high)
 
 
 @settings(max_examples=60, deadline=None)
 @given(config=_configs(), budget=st.integers(1, 80), block=st.integers(1, 40))
 def test_run_agreement_matches_a_plain_loop(config, budget, block):
-    # blocks below the first chunk of 8 cap it, and larger ones let the
-    # doubling chunks (8, 16, 32, ...) run into their cap or the budget
+    # blocks below the first chunk of 16 cap it, and larger ones let the
+    # doubling chunks (16, 32, 64, ...) run into their cap or the budget
     with mock.patch.object(coinlab.iteration, "rounds_per_block", lambda config: block):
         result = run_agreement(config, budget)
     agrees = [_reference_round(config, i)["agrees"] for i in range(budget)]
@@ -293,14 +336,15 @@ def test_run_agreement_matches_a_plain_loop(config, budget, block):
 
 
 def test_run_rounds_turns_coin_bytes_into_steps_in_place(traced_peak):
-    # A wide block of rounds peaks at about its own int8 steps: the drawn
-    # bytes become +/-1 in place, with no block-sized temporary.
+    # A wide block of rounds peaks at about its own int8 steps and the bits
+    # they were unpacked from, 1/8 B a coin: the unpacked 0/1 bytes become
+    # +/-1 in place, with no block-sized temporary.
     config = IterationConfig(n=400, t=20, t_stopped=1, seed=3)
     count = 40
     run_rounds(config, 0, 1)
     rounds, peak = traced_peak(lambda: run_rounds(config, 0, count))
     assert rounds.streams.dtype == np.int8
-    assert peak < 1.5 * count * (config.n - config.t) * config.n + 2**20
+    assert peak < 1.125 * count * (config.n - config.t) * config.n + 2**20
 
 
 def _check_counts(rounds):
@@ -397,7 +441,7 @@ def test_narrow_sums_hold_at_the_int16_boundary(config, sign):
     def steps(seed, start, count, size):
         return np.full((count, size), sign, dtype=np.int8)
 
-    with mock.patch.object(coinlab.iteration, "substream_steps", steps):
+    with mock.patch.object(coinlab.iteration, "round_steps", steps):
         rounds = run_rounds(config, 0, count)
     k, stopped_from = config.complete_count, config.complete_count + config.t_excluded
     streams = rounds.streams.astype(np.int64)

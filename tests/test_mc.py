@@ -516,12 +516,27 @@ def test_each_law_counts_every_walk_of_the_block_once(counter, laws, count, star
 def test_the_laws_waiting_in_run_blocks_fit_a_budget(monkeypatch, traced_peak):
     # A block of _tail_counter returns two laws of 2L + 1 float64 bins, and
     # run_blocks holds at most 2 * workers + 1 of these: the blocks in flight
-    # and the running total. Each running block also holds its int64
-    # bincounts next to their float64 copy, and its walk_peaks draw. Sixteen
-    # blocks held at once would be over the budget.
+    # and the running total. Each running block also holds the bins of its
+    # statistics and its walk_peaks draw. Sixteen blocks held at once would
+    # be over the budget.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     length, block, workers = 2**16, 8, 2
     laws = 16 * (2 * length + 1)
     _, peak = traced_peak(lambda: run_blocks(partial(_tail_counter, length=length), 16 * block,
                                              seed=0, block_size=block, workers=workers))
     assert peak < (2 * workers + 1) * laws + workers * (2 * laws + 2**21)
+
+
+def test_serial_run_blocks_holds_the_total_and_one_block_of_laws(traced_peak):
+    # On one thread run_blocks holds the running total and the block's laws
+    # it adds in, none of them while the next block runs, and _laws counts in
+    # float64 with no int64 copy. Five blocks of 8 walks of 2**16 steps peak
+    # at two blocks' laws (4.2 MB); keeping the last block's laws bound in
+    # the loop and int64 bincounts beside their float64 copy took four.
+    length, block = 2**16, 8
+    laws = 16 * (2 * length + 1)  # a block's two float64 laws, in bytes
+    counter = partial(_tail_counter, length=length)
+    run_blocks(counter, block, seed=0, block_size=block)
+    total, peak = traced_peak(lambda: run_blocks(counter, 5 * block, seed=0, block_size=block))
+    assert total.sum() == 2 * 5 * block
+    assert peak < 2.5 * laws

@@ -22,6 +22,7 @@ import coinlab.matrices
 import coinlab.walks
 from coinlab import mc
 from coinlab.cli import run
+from reference import COIN_ITER_DEFAULTS, good_event_check
 
 FACT3 = ["fact3", "--seed", "0", "--trials", "20000"]
 COIN_ITER = ["coin-iter", "--seed", "0"]
@@ -59,15 +60,20 @@ def _biased_coin(monkeypatch, one_in=32):
 
 
 def _biased_round_coins(monkeypatch):
-    # P(+1) = 1/2 + 1/16 in the rounds' coins: the decode substream_steps
-    # uses sets bit 7 of one byte in 8 before reading it
-    decode, mask = coinlab.walks._as_steps, np.random.default_rng(1)
+    # P(+1) = 1/2 + 1/16 in the rounds' coins: the draw run_rounds calls
+    # sets one coin in 8 to +1, for a mean step of 1/8. A defect that no
+    # longer reaches the rounds raises here, an error rather than an xfail.
+    draw, mask = coinlab.iteration.round_steps, np.random.default_rng(1)
 
-    def biased(raw):
-        raw[mask.integers(0, 8, size=raw.shape) == 0] |= 0x80
-        return decode(raw)
+    def biased(seed, start, count, size):
+        steps = draw(seed, start, count, size)
+        steps[mask.integers(0, 8, size=steps.shape) == 0] = 1
+        return steps
 
-    monkeypatch.setattr(coinlab.walks, "_as_steps", biased)
+    monkeypatch.setattr(coinlab.iteration, "round_steps", biased)
+    mean = coinlab.iteration.run_rounds(COIN_ITER_DEFAULTS, 0, 64).streams.mean()
+    if abs(mean - 1 / 8) > 0.01:  # the mean of 218,880 steps: 5 standard errors
+        raise RuntimeError(f"the round-coin defect leaves a mean step of {mean:.4f}, not 1/8")
 
 
 def _adversary_never_stops(monkeypatch):
@@ -204,3 +210,11 @@ def test_seeded_defect_is_caught(monkeypatch, defect, argv, caught_by):
     caught = _caught(_results(argv))
     assert caught
     assert all(claim.startswith(caught_by) for claim in caught)
+
+
+def test_round_coin_bias_fails_the_exact_good_event_check(monkeypatch):
+    # the exact check of the rounds' coins that no report row makes yet
+    # (ROADMAP item 5) catches the bias the report-level cases above miss
+    _biased_round_coins(monkeypatch)
+    hits, (low, high), exact = good_event_check(0)
+    assert not low <= exact <= high, (hits, low, high)

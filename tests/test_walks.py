@@ -6,18 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coinlab.walks
+from coinlab import mc
 from coinlab.walks import (
+    ROUND_TAG,
     StoppingStrategy,
     WalkTrace,
     apply_stop,
     coin_bytes,
     coin_steps,
     draw_steps,
+    round_steps,
     substream,
-    substream_steps,
     walk_peaks,
 )
-from coinlab.walks import _pcg64_state, _substream_seeds
+from reference import round_coins
 
 step_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=60)
 
@@ -344,30 +346,43 @@ def _words(k):
        start=st.one_of(st.integers(0, 2**70),
                        st.builds(lambda edge, back: edge - back,
                                  st.sampled_from([2**32, 2**64]), st.integers(1, 5))),
-       count=st.integers(1, 6), size=st.one_of(st.integers(1, 70), st.just(3420)))
-@example(seed=0, start=0, count=1, size=1)
-@example(seed=2**32 - 1, start=2**32 - 2, count=4, size=3420)
-@example(seed=2**32, start=2**64 - 3, count=6, size=9)
-@example(seed=2**96 + 5, start=2**32 - 1, count=2, size=8)
-@example(seed=2**256 - 1, start=2**64 - 1, count=3, size=70)
-def test_substream_steps_match_a_generator_per_round(seed, start, count, size):
-    # Row j is what coin_steps draws from substream(seed, start + j), the
-    # generator of default_rng(SeedSequence((seed, start + j))); the hash and
-    # the seeded state are NumPy's own, so a NumPy release that changes
-    # either algorithm fails here.
-    block = substream_steps(seed, start, count, size)
-    seeds = _substream_seeds(seed, start, count)
+       count=st.integers(1, 6), size=st.one_of(st.integers(1, 140), st.just(3420)),
+       split=st.integers(0, 6))
+@example(seed=0, start=0, count=1, size=1, split=0)
+@example(seed=2**32 - 1, start=2**32 - 2, count=4, size=3420, split=2)
+@example(seed=2**32, start=2**64 - 3, count=6, size=64, split=5)
+@example(seed=2**96 + 5, start=2**32 - 1, count=2, size=65, split=1)
+@example(seed=2**256 - 1, start=2**64 - 1, count=3, size=70, split=3)
+def test_round_steps_match_a_shift_and_mask_reference(seed, start, count, size, split):
+    # Row j is round start + j of the seed's round stream, read bit by bit
+    # off a fresh PCG64 advanced to its first output; a NumPy release that
+    # changes PCG64's seeding, advance or output fails here. The rounds join
+    # up however a block is split.
+    block = round_steps(seed, start, count, size)
     assert block.shape == (count, size) and block.dtype == np.int8
-    for j, words in enumerate(seeds):
-        sequence = np.random.SeedSequence((seed, start + j))
-        rng = np.random.default_rng(sequence)
-        assert np.array_equal(words, sequence.generate_state(4, np.uint64))
-        assert _pcg64_state(*words.tolist()) == rng.bit_generator.state
-        assert substream(seed, start + j).bit_generator.state == rng.bit_generator.state
-        assert np.array_equal(block[j], coin_steps(rng, size)[0])
+    for j in range(count):
+        assert np.array_equal(block[j], round_coins(seed, start + j, size))
+    split = min(split, count - 1)
+    if split:
+        parts = [round_steps(seed, start, split, size),
+                 round_steps(seed, start + split, count - split, size)]
+        assert np.array_equal(np.concatenate(parts), block)
 
 
-def test_substream_steps_rejects_bad_arguments():
+@pytest.mark.parametrize("seed", [0, 5, 2**96 - 1, 2**96, 2**200])
+def test_the_round_stream_is_no_block_generator(seed):
+    # the spawn key keeps round i's coins apart from block i's generator
+    # SeedSequence((seed, i)), which the stream experiments read; past 2**96
+    # the two meet only at block ROUND_TAG, beyond any block index
+    rounds = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(ROUND_TAG,)))
+    for i in (0, 1, 2**32, ROUND_TAG - 1):
+        assert substream(seed, i).bit_generator.state != rounds.state
+    if seed >= 2**96:  # four seed words or more: nothing pads them
+        assert substream(seed, ROUND_TAG).bit_generator.state == rounds.state
+    assert ROUND_TAG >= mc._MAX_TRIALS
+
+
+def test_round_steps_rejects_bad_arguments():
     for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0)):
         with pytest.raises(ValueError):
-            substream_steps(*args)
+            round_steps(*args)
